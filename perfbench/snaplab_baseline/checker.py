@@ -1,0 +1,601 @@
+"""Executable axiom suites over a recorded history.
+
+Every axiom is checked by direct enumeration over the relevant event
+sets, with early exit per instance; each failure carries the witnesses
+instantiating the axiom's quantifiers.  Suites:
+
+  RB   interval structure of returns-before and subevents
+  M    plain atomic registers
+  M+   LL/SC/VL registers
+  L    the three LL/SC interaction lemmas (L4.1-L4.3)
+  F    forwarding-snapshot axioms over virtual scans
+  F+   multi-writer forwarding axioms
+  S    snapshot data-structure axioms over derived visibility
+  CHAIN  the implication structure F+ => F => S => linearizable
+"""
+from __future__ import annotations
+
+import time
+from typing import Iterable, Optional
+
+from .events import BOT, REP, returns_before, validate_history, \
+    check_interval_order, check_subevent_rb
+from .report import CheckReport, SuiteResult, Violation
+from .visibility import CorruptHistory, Derived, abs_write_cell, \
+    prec_closure_pairs
+
+SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
+
+_RESET_BASES = ("r", "vr")
+
+
+def _viol(out, axiom, witnesses, note=""):
+    out.append(Violation(axiom, tuple(witnesses), note))
+
+
+# -- RB ---------------------------------------------------------------------
+
+def check_rb(d: Derived, out: list) -> None:
+    h = d.history
+    out.extend(validate_history(h))
+    out.extend(check_interval_order(h))
+    out.extend(check_subevent_rb(h))
+
+
+# -- rep-level wfobs ----------------------------------------------------------
+
+def _check_wfobs(h, node_ids, edges, axiom, out) -> bool:
+    """Prop V.1: e ≺+ e' implies e' does not return before (or equal) e."""
+    clean = True
+    for a, b in prec_closure_pairs(node_ids, edges):
+        if a == b or returns_before(h.event(b), h.event(a)):
+            _viol(out, axiom, (a, b), "observation chain reaches backward in time")
+            clean = False
+    return clean
+
+
+# -- M / M+ -------------------------------------------------------------------
+
+def check_aregs(d: Derived, out: list) -> None:
+    idx = d.idx
+    h = d.history
+    rep_ids = [e.id for e in h.events if e.kind == REP]
+    if not _check_wfobs(h, rep_ids, d.rep.edges, "V.1", out):
+        return
+    hb = d.rep.hb
+    for reg, ops in sorted(idx.regs.items()):
+        if idx.is_llsc_reg(reg):
+            continue
+        writes = ops.writes
+        for r in ops.reads:
+            srcs = idx.rf_src.get(r.id, [])
+            if len(srcs) > 1:
+                _viol(out, "M.robsuniq", (*srcs, r.id), f"read of {reg} observes two writes")
+            if r.terminated:
+                if not any(h.event(w).input == r.output for w in srcs):
+                    _viol(out, "M.io", (r.id,), f"read of {reg} returns unwritten value")
+            for w in srcs:
+                for w2 in writes:
+                    if w2.id != w and hb.hb(w, w2.id) and hb.hb(w2.id, r.id):
+                        _viol(out, "M.nowrbetween", (w, w2.id, r.id),
+                              f"stale read of {reg}")
+        for i, w1 in enumerate(writes):
+            for w2 in writes[i + 1:]:
+                if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
+                    _viol(out, "M.wrtotal", (w1.id, w2.id), f"unordered writes to {reg}")
+
+
+def check_llregs(d: Derived, out: list) -> None:
+    idx = d.idx
+    h = d.history
+    rep_ids = [e.id for e in h.events if e.kind == REP]
+    if not _check_wfobs(h, rep_ids, d.rep.edges, "V.1", out):
+        return
+    hb = d.rep.hb
+    for reg, ops in sorted(idx.regs.items()):
+        if not idx.is_llsc_reg(reg):
+            continue
+        wc = idx.write_likes(reg)
+        wc_ids = {e.id for e in wc}
+        read_likes = idx.read_likes(reg)
+        for r in read_likes:
+            srcs = idx.rf_src.get(r.id, [])
+            if len(srcs) > 1:
+                _viol(out, "M+.robsuniq", (*srcs, r.id), f"read-like of {reg} observes two writes")
+            if r.terminated and not srcs:
+                _viol(out, "M+.robspop", (r.id,), f"read-like of {reg} observes nothing")
+            memop = idx.rep_info[r.id][3]
+            if r.terminated and memop in ("r", "ll"):
+                if srcs and not any(h.event(w).input == r.output for w in srcs):
+                    _viol(out, "M+.io", (r.id,), f"read of {reg} returns unwritten value")
+            for w in srcs:
+                for w2 in wc:
+                    if w2.id != w and w2.id != r.id and hb.hb(w, w2.id) and hb.hb(w2.id, r.id):
+                        _viol(out, "M+.nowrbetween", (w, w2.id, r.id), f"stale read of {reg}")
+        for c in ops.scs + ops.vls:
+            if c.terminated and not isinstance(c.output, bool):
+                _viol(out, "M+.vl-io", (c.id,), "SC/VL must report success as a boolean")
+            links = idx.ll_src.get(c.id, [])
+            if not links:
+                _viol(out, "M+.llobspop", (c.id,), "SC/VL without a pairing LL")
+                continue
+            for l in links:
+                le = h.event(l)
+                if not le.terminated:
+                    _viol(out, "M+.llobspop", (l, c.id), "pairing LL did not terminate")
+                if le.parent != c.parent:
+                    _viol(out, "M+.llobsparent", (l, c.id), "LL pair crosses threads")
+                for l2 in ops.lls:
+                    if l2.id != l and l2.parent == le.parent and \
+                            hb.hb(l, l2.id) and hb.hb(l2.id, c.id):
+                        _viol(out, "M+.llobsparent", (l, l2.id, c.id),
+                              "another LL intervenes in the pair")
+                w = idx.single_rf(l)
+                w2 = idx.single_rf(c.id)
+                if w is not None and w2 is not None:
+                    if (w == w2) != (c.id in idx.success):
+                        _viol(out, "M+.llsc-success", (l, c.id, w, w2),
+                              "success must equal observing the linked write")
+        for i, w1 in enumerate(wc):
+            for w2 in wc[i + 1:]:
+                if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
+                    _viol(out, "M+.wrtotal", (w1.id, w2.id), f"unordered write-likes to {reg}")
+
+
+# -- L ------------------------------------------------------------------------
+
+def check_llsc_lemmas(d: Derived, out: list) -> None:
+    idx = d.idx
+    h = d.history
+    hb = d.rep.hb
+    for reg, ops in sorted(idx.regs.items()):
+        if not idx.is_llsc_reg(reg):
+            continue
+        pairs = []
+        for c in ops.scs + ops.vls:
+            for l in idx.ll_src.get(c.id, []):
+                pairs.append((l, c))
+        wc = idx.write_likes(reg)
+        sc_pairs = [(l, c) for l, c in pairs if idx.rep_info[c.id][3] == "sc"]
+        good = [(l, c) for l, c in sc_pairs if c.id in idx.success and c.terminated]
+        for l, c in good:
+            for l2, c2 in good:
+                if c is c2:
+                    continue
+                if hb.hb(c.id, c2.id) and not hb.hb(c.id, l2):
+                    _viol(out, "L4.1", (l, c.id, l2, c2.id),
+                          "successful LL/SC pairs overlap")
+        for l, c in pairs:
+            memop = idx.rep_info[c.id][3]
+            if not c.terminated:
+                continue
+            if memop == "vl" and c.id in idx.success:
+                continue
+            if not any(not hb.hb(w.id, l) and hb.hb_eq(w.id, c.id) for w in wc):
+                _viol(out, "L4.2", (l, c.id),
+                      "no write-like event inside the LL..SC/VL window")
+        plain = ops.writes
+        for l, c in sc_pairs:
+            if not c.terminated:
+                continue
+            for l2, c2 in sc_pairs:
+                if not c2.terminated or not returns_before(h.event(c.id), h.event(l2)):
+                    continue
+                le = h.event(l)
+                c2e = h.event(c2.id)
+                if any(not returns_before(w, le) and not returns_before(c2e, w)
+                       for w in plain):
+                    continue  # window also mutated by plain writes
+                found = False
+                for l3, c3 in good:
+                    if not hb.hb(l3, l) and hb.hb_eq(c3.id, c2.id):
+                        found = True
+                        break
+                if not found:
+                    _viol(out, "L4.3", (l, c.id, l2, c2.id),
+                          "no successful pair within consecutive LL/SC windows")
+
+
+# -- S ------------------------------------------------------------------------
+
+def check_snapshot_suite(d: Derived, out: list) -> None:
+    idx = d.idx
+    h = d.history
+    sv = d.snap
+    node_ids = list(sv.hb.ids)
+    if not _check_wfobs(h, node_ids, sv.prec_edges, "V.1", out):
+        return
+    hb = sv.hb
+    if d.algorithm == "afek":
+        out.extend(_sigma_containment(d))
+    for s in idx.abs_scans:
+        per_cell = sv.obs.get(s.id, {})
+        for i, ws in per_cell.items():
+            if len(ws) > 1:
+                _viol(out, "S.3", (*ws, s.id), f"scan observes two writes of cell {i}")
+        if not s.terminated:
+            continue
+        for i in range(h.n):
+            ws = per_cell.get(i, [])
+            if not any(h.event(w).input == s.output[i] for w in ws):
+                _viol(out, "S.1", (s.id,),
+                      f"scan output at cell {i} matches no observed write")
+    for w, s in sorted(sv.rf_pairs):
+        cell = abs_write_cell(h.event(w).op)
+        for w2 in idx.effectful.get(cell, ()):
+            if w2.id != w and hb.hb(w, w2.id) and hb.hb(w2.id, s):
+                _viol(out, "S.2", (w, w2.id, s),
+                      f"write of cell {cell} intervenes before the observing scan")
+    for cell, ws in sorted(idx.effectful.items()):
+        for i, w1 in enumerate(ws):
+            for w2 in ws[i + 1:]:
+                if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
+                    _viol(out, "S.4", (w1.id, w2.id),
+                          f"effectful writes of cell {cell} unordered")
+    for cell, ws in sorted(idx.abs_writes.items()):
+        for w in ws:
+            if w.terminated and w.id not in idx.wa_of:
+                _viol(out, "S.5", (w.id,), "terminated write never reached its cell")
+    scans = [s.id for s in idx.abs_scans]
+    for a in scans:
+        obs_a = {i: ws[0] for i, ws in sv.obs.get(a, {}).items() if ws}
+        for b in scans:
+            if a == b:
+                continue
+            obs_b = {i: ws[0] for i, ws in sv.obs.get(b, {}).items() if ws}
+            for i, wi in obs_a.items():
+                wi2 = obs_b.get(i)
+                if wi2 is None or wi == wi2 or not hb.hb(wi, wi2):
+                    continue
+                for j, wj in obs_a.items():
+                    wj2 = obs_b.get(j)
+                    if wj2 is None:
+                        continue
+                    if wj2 != wj and hb.hb(wj2, wj):
+                        _viol(out, "S.7", (wi, wj, wi2, wj2, a, b),
+                              "scans observe writes in opposite orders")
+    return
+
+
+# -- F -------------------------------------------------------------------------
+
+def _sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
+    out: list[Violation] = []
+    h = d.history
+    by_id = {s.id: s for s in d.sigmas}
+    for scan_id, sid in sorted(d.sigma_of.items()):
+        sigma = by_id.get(sid)
+        if sigma is None:
+            continue
+        s = h.event(scan_id)
+        if not (s.start <= sigma.start and sigma.end <= s.end):
+            out.append(Violation(axiom, (scan_id, sid),
+                                 "virtual scan escapes its abs scan interval"))
+    return out
+
+
+def _fwd_by_slot(d: Derived) -> dict:
+    by_slot: dict[tuple[int, int], list[int]] = {}
+    for w, sid, i in d.fwd_edges:
+        by_slot.setdefault((sid, i), []).append(w)
+    return by_slot
+
+
+def _direct_bot(d: Derived, sigma, i) -> Optional[bool]:
+    """Did this virtual scan read its own reset at cell i (b observed r)?"""
+    b = sigma.slot(f"b[{i}]")
+    r = sigma.slot(f"r[{i}]")
+    if b is None or r is None:
+        return None
+    return r in d.idx.rf_src.get(b, ())
+
+
+def check_forwarding_suite(d: Derived, out: list) -> None:
+    h = d.history
+    idx = d.idx
+    out.extend(_sigma_containment(d))
+    if d.algorithm == "afek":
+        return  # only the virtual-scan containment applies
+    sigmas = [s for s in d.sigmas if s.complete]
+    fl = d.flevel
+    rhb = d.rep.hb
+    by_slot = _fwd_by_slot(d)
+    # F.io: a terminated scan's virtual scan observed its returned values
+    for s in idx.abs_scans:
+        if not s.terminated:
+            continue
+        sid = d.sigma_of.get(s.id)
+        if sid is None:
+            _viol(out, "F.io", (s.id,), "terminated scan has no virtual scan")
+            continue
+        for i in range(h.n):
+            got = fl.obs.get((sid, i), ())
+            if not any(h.event(w).input == s.output[i] for w, _ in got):
+                _viol(out, "F.io", (s.id, sid),
+                      f"virtual scan observes no write matching output at cell {i}")
+    # F.2a: virtual scans are totally ordered by returns-before
+    order = sorted(sigmas, key=lambda s: (s.start, s.id))
+    for s1, s2 in zip(order, order[1:]):
+        if not s1.end < s2.start:
+            _viol(out, "F.2a", (s1.id, s2.id), "virtual scans overlap")
+    # F.2b: reset before cell read before forward read
+    for sigma in sigmas:
+        for i in range(h.n):
+            r, a, b = (sigma.slot(f"{x}[{i}]") for x in ("r", "a", "b"))
+            if r is None or a is None or b is None:
+                continue
+            if not (h.event(r).end < h.event(a).start and h.event(a).end < h.event(b).start):
+                _viol(out, "F.2b", (r, a, b), f"scan structure broken at cell {i}")
+    # F.3a: only abs writes write into the main array
+    for reg, ops in sorted(idx.regs.items()):
+        if not reg.startswith("A["):
+            continue
+        cell = int(reg[2:-1])
+        for e in ops.writes:
+            base = idx.rep_info[e.id][0]
+            parent_op = h.event(e.parent).op if e.parent is not None else None
+            if base != "wa" or parent_op != f"write[{cell}]":
+                _viol(out, "F.3a", (e.id,), f"foreign write into {reg}")
+    # F.3b: bottom goes into forwarding cells only by scan resets
+    for reg, ops in sorted(idx.regs.items()):
+        if not (reg.startswith("B[") or reg.startswith("Bp[")):
+            continue
+        for e in idx.write_likes(reg):
+            base = idx.rep_info[e.id][0]
+            if (e.input is BOT) != (base in _RESET_BASES):
+                _viol(out, "F.3b", (e.id,), f"unexpected writer of {reg}")
+    # F.4a: at most one forwarded write per scan and cell
+    for (sid, i), ws in sorted(by_slot.items()):
+        if len(set(ws)) > 1:
+            _viol(out, "F.4a", (*ws, sid), f"two writes forwarded to cell {i}")
+    # F.4b: a non-bottom forward read means some write was forwarded
+    for sigma in sigmas:
+        for i in range(h.n):
+            b = sigma.slot(f"b[{i}]")
+            if b is None or not h.event(b).terminated:
+                continue
+            if _direct_bot(d, sigma, i) is False and not by_slot.get((sigma.id, i)):
+                _viol(out, "F.4b", (sigma.id, b),
+                      f"forward read at cell {i} saw a value but no forward edge exists")
+    # F.4c: forwarded writes wrote the cell before the forward read
+    for w, sid, i in d.fwd_edges:
+        sigma = next(s for s in d.sigmas if s.id == sid)
+        b = sigma.slot(f"b[{i}]")
+        wa = idx.wa_of.get(w)
+        if wa is None or b is None or not rhb.hb(wa.id, b):
+            _viol(out, "F.4c", (w, sid), "forwarded write did not precede the forward read")
+        elif _direct_bot(d, sigma, i):
+            _viol(out, "F.4c", (w, sid), "forward read observed the reset yet an edge exists")
+    # F.5 / F.6: the forwarding principles
+    for sigma in sigmas:
+        threshold = fl.threshold.get(sigma.id, -1)
+        for i in range(h.n):
+            writes_i = idx.effectful.get(i, ())
+            if _direct_bot(d, sigma, i) is True:
+                a = sigma.slot(f"a[{i}]")
+                for w in writes_i:
+                    if w.end < threshold:  # w returned before an observed write
+                        wa = idx.wa_of[w.id]
+                        if not rhb.hb(wa.id, a):
+                            _viol(out, "F.5", (w.id, sigma.id),
+                                  f"missed write of cell {i} was neither forwarded nor read")
+            for w in by_slot.get((sigma.id, i), ()):
+                r = sigma.slot(f"r[{i}]")
+                for w2 in writes_i:
+                    if w2.id == w:
+                        continue
+                    wa2 = idx.wa_of[w2.id]
+                    if r is not None and rhb.hb(wa2.id, r) and fl.hb.hb(w, w2.id):
+                        _viol(out, "F.6a", (w, w2.id, sigma.id),
+                              "an old write was forwarded over a pre-scan write")
+                    if w2.end < threshold and fl.hb.hb(w, w2.id):
+                        _viol(out, "F.6b", (w, w2.id, sigma.id),
+                              "an old write was forwarded over a completed write")
+
+
+# -- F+ -------------------------------------------------------------------------
+
+def check_mwforwarding_suite(d: Derived, out: list) -> None:
+    h = d.history
+    idx = d.idx
+    rhb = d.rep.hb
+    sigmas = [s for s in d.sigmas if s.complete]
+    out.extend(_sigma_containment(d, axiom="F+.vrtinscan"))
+    fl = d.flevel
+    for s in idx.abs_scans:
+        if not s.terminated:
+            continue
+        sid = d.sigma_of.get(s.id)
+        if sid is None:
+            _viol(out, "F+.io", (s.id,), "terminated scan has no virtual scan")
+            continue
+        for i in range(h.n):
+            got = fl.obs.get((sid, i), ())
+            if not any(h.event(w).input == s.output[i] for w, _ in got):
+                _viol(out, "F+.io", (s.id, sid),
+                      f"virtual scan observes no write matching output at cell {i}")
+    order = sorted(sigmas, key=lambda s: (s.start, s.id))
+    for s1, s2 in zip(order, order[1:]):
+        if not s1.end < s2.start:
+            _viol(out, "F+.sctotal", (s1.id, s2.id), "virtual scans overlap")
+    for reg, ops in sorted(idx.regs.items()):
+        if reg.startswith("A["):
+            cell = int(reg[2:-1])
+            for e in ops.writes:
+                base = idx.rep_info[e.id][0]
+                parent_op = h.event(e.parent).op if e.parent is not None else None
+                if base != "wa" or parent_op != f"write[{cell}]":
+                    _viol(out, "F+.wrauniq", (e.id,), f"foreign write into {reg}")
+        if reg.startswith("B[") or reg.startswith("Bp["):
+            for e in idx.write_likes(reg):
+                base = idx.rep_info[e.id][0]
+                if (e.input is BOT) != (base in _RESET_BASES):
+                    _viol(out, "F+.scruniq", (e.id,), f"unexpected bottom writer of {reg}")
+                if (e.input is not BOT) != (base == "fsc"):
+                    _viol(out, "F+.fbBuniq", (e.id,), f"unexpected value writer of {reg}")
+    # sconuniq: observing the phase flag == being inside the on..off window
+    x_reads = idx.read_likes("X") if "X" in idx.regs else []
+    for sigma in sigmas:
+        on, off = sigma.slot("on"), sigma.slot("off")
+        if on is None or off is None:
+            continue
+        for e in x_reads:
+            observed = on in idx.rf_src.get(e.id, ())
+            inside = rhb.hb(on, e.id) and not rhb.hb(off, e.id)
+            if observed != inside:
+                _viol(out, "F+.sconuniq", (sigma.id, on, e.id),
+                      "phase observation disagrees with the on..off window")
+    # scan structure chain: r < on rf= on_obs < a < off rf= off_obs < b
+    for sigma in sigmas:
+        on, on_obs = sigma.slot("on"), sigma.slot("on_obs")
+        off, off_obs = sigma.slot("off"), sigma.slot("off_obs")
+        if None in (on, on_obs, off, off_obs):
+            continue
+        if on != on_obs and on not in idx.rf_src.get(on_obs, ()):
+            _viol(out, "F+.scstruct", (sigma.id, on, on_obs), "on observer does not observe on")
+        if off != off_obs and off not in idx.rf_src.get(off_obs, ()):
+            _viol(out, "F+.scstruct", (sigma.id, off, off_obs), "off observer does not observe off")
+        for i in range(h.n):
+            r, a, b = (sigma.slot(f"{x}[{i}]") for x in ("r", "a", "b"))
+            if None in (r, a, b):
+                continue
+            chain = [(r, on), (on_obs, a), (a, off), (off_obs, b)]
+            for x, y in chain:
+                if not h.event(x).end < h.event(y).start:
+                    _viol(out, "F+.scstruct", (sigma.id, x, y),
+                          f"scan chain broken at cell {i}")
+    # write structure: wa < wx < f1 < f2, and a seen flag forces both forwards
+    forwards_by_write: dict[int, list] = {}
+    for f in d.forwards:
+        forwards_by_write.setdefault(f.write, []).append(f)
+    on_events = {s.slot("on") for s in d.sigmas} | {s.slot("on") for s in d.partial_sigmas}
+    for cell, ws in sorted(idx.abs_writes.items()):
+        for w in ws:
+            wa = idx.wa_of.get(w.id)
+            wx = next((e for e in idx.kids.get(w.id, ()) if idx.rep_info[e.id][0] == "wx"), None)
+            if wa is not None and wx is not None and not returns_before(wa, wx):
+                _viol(out, "F+.wrstruct", (w.id, wa.id, wx.id), "cell write after flag read")
+            fs = sorted(forwards_by_write.get(w.id, []), key=lambda f: f.k)
+            if wx is not None and fs:
+                first = fs[0].first_event()
+                if first is not None and not wx.end < h.event(first).start:
+                    _viol(out, "F+.wrstruct", (w.id, wx.id, first), "forward before flag read")
+            if len(fs) == 2:
+                e1 = fs[0].fsc or fs[0].fvl or fs[0].fa or fs[0].fll
+                f2 = fs[1].first_event()
+                if e1 is not None and f2 is not None and not h.event(e1).end < h.event(f2).start:
+                    _viol(out, "F+.wrstruct", (w.id, e1, f2), "forwards overlap")
+            if w.terminated and wx is not None:
+                src = idx.single_rf(wx.id)
+                saw_on = src in on_events if src is not None else False
+                if saw_on and len(fs) != 2:
+                    _viol(out, "F+.wrstruct", (w.id, wx.id),
+                          "write saw the scan flag but did not forward twice")
+    # forward structure: fll < fa < fvl < fsc with the recorded link
+    for f in d.forwards:
+        seq = [x for x in (f.fll, f.fa, f.fvl, f.fsc) if x is not None]
+        for x, y in zip(seq, seq[1:]):
+            if not h.event(x).end < h.event(y).start:
+                _viol(out, "F+.fwdstruct", (f.write, x, y), "forward steps out of order")
+        if f.fsc is not None:
+            if f.fll is None or f.fll not in idx.ll_src.get(f.fsc, ()):
+                _viol(out, "F+.fwdstruct", (f.write, f.fsc), "forward SC not linked to its LL")
+        if f.fvl is not None and h.event(f.fvl).output is True and f.fsc is None:
+            if h.event(f.write).terminated:
+                _viol(out, "F+.fwdstruct", (f.write, f.fvl),
+                      "validated forward skipped its conditional store")
+    # fwdprecond / fwdsccond: forwards run under an observed on, into its array
+    sigma_by_on = {s.slot("on"): s for s in d.sigmas if s.slot("on") is not None}
+    partial_ons = {s.slot("on") for s in d.partial_sigmas}
+    for f in d.forwards:
+        w = f.write
+        wx = next((e for e in idx.kids.get(w, ()) if idx.rep_info[e.id][0] == "wx"), None)
+        src = idx.single_rf(wx.id) if wx is not None else None
+        if src is None or (src not in sigma_by_on and src not in partial_ons):
+            _viol(out, "F+.fwdprecond", (w,), "forward without an observed scan flag")
+            continue
+        if src in sigma_by_on:
+            sigma = sigma_by_on[src]
+            if wx is not None and f.first_event() is not None and \
+                    not wx.end < h.event(f.first_event()).start:
+                _viol(out, "F+.fwdprecond", (w, wx.id), "forward started before the flag read")
+            if sigma.b_prefix is not None and f.reg is not None:
+                want = f"{sigma.b_prefix}[{f.cell}]" if sigma.b_prefix != "B" else f"B[{f.cell}]"
+                if f.reg != want:
+                    _viol(out, "F+.fwdprecond", (w, sigma.id),
+                          f"forward targets {f.reg}, virtual scan forwards via {want}")
+        if f.fsc is not None:
+            vl_src = idx.single_rf(f.fvl) if f.fvl is not None else None
+            if vl_src != src:
+                _viol(out, "F+.fwdsccond", (w, f.fsc),
+                      "forward stored without validating the same scan flag")
+
+
+# -- CHAIN ----------------------------------------------------------------------
+
+def check_chain(results: dict[str, SuiteResult], lin_ok: Optional[bool], out: list) -> None:
+    fplus = results.get("F+")
+    fwd = results.get("F")
+    snap = results.get("S")
+    if fplus is not None and fwd is not None and fplus.passed and not fwd.passed:
+        _viol(out, "CHAIN.mw-fwd", (), "multi-writer axioms hold but forwarding axioms fail")
+    if fwd is not None and snap is not None and fwd.passed and not snap.passed:
+        _viol(out, "CHAIN.fwd-snap", (), "forwarding axioms hold but snapshot axioms fail")
+    if snap is not None and snap.passed and lin_ok is False:
+        _viol(out, "CHAIN.snap-lin", (), "snapshot axioms hold but linearization failed")
+
+
+# -- orchestration ----------------------------------------------------------------
+
+_SUITE_FNS = {
+    "RB": check_rb,
+    "M": check_aregs,
+    "M+": check_llregs,
+    "L": check_llsc_lemmas,
+    "F": check_forwarding_suite,
+    "F+": check_mwforwarding_suite,
+    "S": check_snapshot_suite,
+}
+
+
+def applicable_suites(algorithm: str, requested: Iterable[str]) -> list[str]:
+    has_f = algorithm in ("jayanti1", "jayanti2", "jayanti3", "afek")
+    has_fplus = algorithm in ("jayanti2", "jayanti3")
+    has_llsc = algorithm in ("jayanti2", "jayanti3")
+    out = []
+    for name in requested:
+        if name == "F" and not has_f:
+            continue
+        if name == "F+" and not has_fplus:
+            continue
+        if name in ("L", "M+") and not has_llsc:
+            continue
+        out.append(name)
+    return out
+
+
+def run_checks(d: Derived, suites: Iterable[str], lin_ok: Optional[bool] = None,
+               label: str = "") -> CheckReport:
+    t0 = time.perf_counter()
+    names = applicable_suites(d.algorithm, suites)
+    report = CheckReport(history=label or d.algorithm)
+    for name in names:
+        if name == "CHAIN":
+            continue
+        res = SuiteResult(name)
+        try:
+            _SUITE_FNS[name](d, res.violations)
+        except CorruptHistory as exc:
+            res.violations.append(Violation("H.corrupt", exc.witnesses, str(exc)))
+        report.suites[name] = res
+    if "CHAIN" in names:
+        res = SuiteResult("CHAIN")
+        check_chain(report.suites, lin_ok, res.violations)
+        report.suites["CHAIN"] = res
+    report.stats = {
+        "events": len(d.history.events),
+        "rf": len(d.history.rf),
+        "ll": len(d.history.ll),
+        "wall_s": round(time.perf_counter() - t0, 6),
+    }
+    return report

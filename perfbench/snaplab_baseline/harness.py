@@ -1,0 +1,582 @@
+"""Execution drivers.
+
+The simulator runs the algorithms as step machines, one register
+operation per scheduling point, under exhaustive DFS, bounded DFS,
+seeded random, or fixed schedules.  The stress runner drives the same
+generators on real threads against the threadsafe recorder.  Both emit
+recorded histories that are checked post hoc.
+"""
+from __future__ import annotations
+
+import hashlib
+import random
+import threading
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional
+
+from .algorithms import ALGORITHMS, LL, R, SC, UPD, VL, W, WRITE, OpScript, \
+    op_generator, op_input, op_name
+from .events import ABS, UNIT, History, HistoryRecorder
+from .linearize import Linearization, LinearizeError, SizeGuard, \
+    brute_force_linearize, completed_set, linearize
+from .registers import Memory
+from .report import CheckReport
+from .checker import run_checks
+from .visibility import Derived, derive
+
+
+class ExploreCapExceeded(RuntimeError):
+    """Exhaustive exploration outgrew its cap; switch to dfs:LIMIT or
+    random:SEED:SAMPLES."""
+
+
+class ReproMismatch(AssertionError):
+    """A scripted scenario did not reproduce its expected outputs."""
+
+
+class _Thread:
+    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "cur_op")
+
+    def __init__(self, pid, ops):
+        self.pid = pid
+        self.ops = ops
+        self.op_idx = 0
+        self.gen = None
+        self.pending = None
+        self.abs_ev = None
+        self.cur_op = None
+
+
+class SimRun:
+    """One deterministic execution; each step() runs exactly one register
+    operation of the chosen thread."""
+
+    def __init__(self, algorithm: str, n: int, script: OpScript, initial=None,
+                 seed=None, threadsafe=False, validate=True):
+        adef = ALGORITHMS[algorithm]
+        if validate:
+            adef.validate(script, n)
+        initial = list(initial) if initial is not None else [0] * n
+        self.adef = adef
+        self.n = n
+        self.rec = HistoryRecorder(algorithm, n, initial, threadsafe=threadsafe, seed=seed)
+        self.mem = Memory(self.rec, threadsafe=threadsafe)
+        self.bank = adef.make_bank(self.mem, n, script.pids(), initial)
+        for i in range(n):
+            ev = self.rec.begin(ABS, f"write[{i}]", initial[i], None, None)
+            self.mem.write(self.bank.A[i], adef.initial_cell(initial[i], initial),
+                           ev.id, "wa")
+            self.rec.finish(ev, UNIT)
+        self.threads = [_Thread(t.pid, t.ops) for t in script.threads]
+        self.schedule: list[int] = []
+        self.op_steps: dict[int, int] = {}
+        self._op_kind: dict[int, str] = {}
+
+    def enabled(self) -> list[int]:
+        return [k for k, t in enumerate(self.threads)
+                if t.gen is not None or t.op_idx < len(t.ops)]
+
+    @property
+    def done(self) -> bool:
+        return not self.enabled()
+
+    def _exec(self, desc, t: _Thread):
+        kind, reg, val, label = desc
+        par = t.abs_ev.id
+        mem = self.mem
+        if kind == R:
+            return mem.read(reg, par, label)
+        if kind == W:
+            return mem.write(reg, val, par, label)
+        if kind == LL:
+            return mem.ll(reg, t.pid, par, label)
+        if kind == SC:
+            return mem.sc(reg, t.pid, val, par, label)
+        if kind == VL:
+            return mem.vl(reg, t.pid, par, label)
+        if kind == UPD:
+            return mem.update(reg, val, par, label)
+        raise ValueError(f"bad step descriptor {desc!r}")
+
+    def step(self, k: int) -> None:
+        t = self.threads[k]
+        if t.gen is None:
+            op = t.ops[t.op_idx]
+            t.cur_op = op
+            t.abs_ev = self.rec.begin(ABS, op_name(op), op_input(op), None, None)
+            t.gen = op_generator(self.adef, self.bank, self.n, t.pid, op)
+            t.pending = next(t.gen)
+            self._op_kind[t.abs_ev.id] = "write" if op[0] == WRITE else "scan"
+        res = self._exec(t.pending, t)
+        self.op_steps[t.abs_ev.id] = self.op_steps.get(t.abs_ev.id, 0) + 1
+        self.schedule.append(k)
+        try:
+            t.pending = t.gen.send(res)
+        except StopIteration as stop:
+            out = UNIT if t.cur_op[0] == WRITE else list(stop.value)
+            self.rec.finish(t.abs_ev, out)
+            t.gen = None
+            t.abs_ev = None
+            t.op_idx += 1
+
+    def run_schedule(self, schedule: Iterable[int]) -> None:
+        for k in schedule:
+            self.step(k)
+
+    def run_all(self, choose: Callable[[list[int]], int]) -> None:
+        while True:
+            en = self.enabled()
+            if not en:
+                return
+            self.step(choose(en))
+
+    def history(self) -> History:
+        return self.rec.history()
+
+    def max_steps(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for eid, steps in self.op_steps.items():
+            kind = self._op_kind[eid]
+            if steps > out.get(kind, 0):
+                out[kind] = steps
+        return out
+
+
+# -- exploration modes --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Exhaustive:
+    cap: int = 200_000
+
+
+@dataclass(frozen=True)
+class DfsBounded:
+    limit: int = 200_000
+
+
+@dataclass(frozen=True)
+class RandomWalks:
+    seed: int
+    samples: int
+
+
+@dataclass(frozen=True)
+class FixedSchedule:
+    schedule: tuple[int, ...]
+
+
+def parse_mode(text: str):
+    if text == "exhaustive":
+        return Exhaustive()
+    if text.startswith("exhaustive:"):
+        return Exhaustive(int(text.split(":")[1]))
+    if text.startswith("dfs:"):
+        return DfsBounded(int(text.split(":")[1]))
+    if text.startswith("random:"):
+        _, seed, samples = text.split(":")
+        return RandomWalks(int(seed), int(samples))
+    if text.startswith("fixed:"):
+        raise ValueError("fixed schedules are loaded by the CLI from a file")
+    raise ValueError(f"unknown mode {text!r}")
+
+
+@dataclass(frozen=True)
+class ExploreConfig:
+    algorithm: str
+    n: int
+    script: OpScript
+    mode: object
+    suites: tuple[str, ...] = ("S",)
+    linearize: bool = False
+    oracle: bool = False
+    oracle_guard: int = 10
+    initial: Optional[tuple] = None
+    hash_stream: bool = False
+
+
+@dataclass
+class EvalResult:
+    schedule: tuple[int, ...]
+    history: History
+    derived: Derived
+    report: CheckReport
+    lin: Optional[Linearization] = None
+    lin_ok: Optional[bool] = None
+    lin_error: Optional[str] = None
+    oracle: object = None
+    oracle_ok: Optional[bool] = None
+    agree: Optional[bool] = None
+
+
+@dataclass
+class ExploreSummary:
+    schedules: int = 0
+    passed: int = 0
+    failed: int = 0
+    violations: int = 0
+    lin_failures: int = 0
+    oracle_mismatches: int = 0
+    oracle_skipped: int = 0
+    failing: list = field(default_factory=list)
+    max_steps: dict = field(default_factory=dict)
+    stream_sha256: Optional[str] = None
+    complete: bool = True
+    afek_view_returns: int = 0
+    max_ec: int = 0
+
+    @property
+    def clean(self) -> bool:
+        return (self.violations == 0 and self.lin_failures == 0
+                and self.oracle_mismatches == 0)
+
+
+def evaluate(cfg: ExploreConfig, sim: SimRun, want_lin=None) -> EvalResult:
+    history = sim.history()
+    d = derive(history)
+    do_lin = cfg.linearize if want_lin is None else want_lin
+    lin = lin_ok = lin_err = None
+    if do_lin or cfg.oracle or "CHAIN" in cfg.suites:
+        try:
+            lin = linearize(d)
+            lin_ok = lin.legal
+        except LinearizeError as exc:
+            lin_ok = False
+            lin_err = f"{type(exc).__name__}: {exc}"
+    report = run_checks(d, cfg.suites, lin_ok=lin_ok)
+    res = EvalResult(tuple(sim.schedule), history, d, report,
+                     lin=lin, lin_ok=lin_ok, lin_error=lin_err)
+    if cfg.oracle:
+        try:
+            verdict = brute_force_linearize(d, cfg.oracle_guard)
+        except SizeGuard:
+            verdict = None
+        res.oracle = verdict
+        if verdict is not None:
+            res.oracle_ok = isinstance(verdict, Linearization)
+            res.agree = res.oracle_ok == bool(lin_ok)
+    return res
+
+
+def _iter_dfs(new_sim: Callable[[], SimRun], limit: Optional[int]):
+    """Depth-first enumeration of complete schedules; one full execution
+    per emitted leaf, with recorded branch points for backtracking."""
+    frames: list[list] = []  # [choices, index]
+    count = 0
+    while True:
+        sim = new_sim()
+        for choices, i in frames:
+            sim.step(choices[i])
+        while True:
+            en = sim.enabled()
+            if not en:
+                break
+            frames.append([en, 0])
+            sim.step(en[0])
+        yield sim
+        count += 1
+        if limit is not None and count >= limit:
+            return
+        while frames and frames[-1][1] + 1 >= len(frames[-1][0]):
+            frames.pop()
+        if not frames:
+            return
+        frames[-1][1] += 1
+
+
+def iter_sims(cfg: ExploreConfig):
+    def new_sim():
+        seed = cfg.mode.seed if isinstance(cfg.mode, RandomWalks) else None
+        return SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial, seed=seed)
+
+    mode = cfg.mode
+    if isinstance(mode, Exhaustive):
+        count = 0
+        for sim in _iter_dfs(new_sim, mode.cap + 1):
+            count += 1
+            if count > mode.cap:
+                raise ExploreCapExceeded(
+                    f"more than {mode.cap} interleavings; use dfs:LIMIT or random:SEED:SAMPLES")
+            yield sim
+    elif isinstance(mode, DfsBounded):
+        yield from _iter_dfs(new_sim, mode.limit)
+    elif isinstance(mode, RandomWalks):
+        rng = random.Random(mode.seed)
+        for _ in range(mode.samples):
+            sim = new_sim()
+            sim.run_all(lambda en: en[rng.randrange(len(en))])
+            yield sim
+    elif isinstance(mode, FixedSchedule):
+        sim = new_sim()
+        sim.run_schedule(mode.schedule)
+        yield sim
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _result_digest(res: EvalResult) -> bytes:
+    payload = res.history.to_json()
+    if res.lin is not None:
+        payload += "\n" + res.lin.to_json()
+    return hashlib.sha256(payload.encode()).digest()
+
+
+def _fold_result(summary: ExploreSummary, cfg: ExploreConfig, res: EvalResult,
+                 sim: SimRun, keep_failing: int) -> None:
+    summary.schedules += 1
+    nviol = sum(len(s.violations) for s in res.report.suites.values())
+    summary.violations += nviol
+    bad = nviol > 0 or res.lin_ok is False or res.agree is False
+    if res.lin_ok is False:
+        summary.lin_failures += 1
+    if res.agree is False:
+        summary.oracle_mismatches += 1
+    if cfg.oracle and res.oracle is None:
+        summary.oracle_skipped += 1
+    if bad:
+        summary.failed += 1
+        if len(summary.failing) < keep_failing:
+            summary.failing.append(res)
+    else:
+        summary.passed += 1
+    for k, v in sim.max_steps().items():
+        summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
+    if res.derived.afek_recursed:
+        summary.afek_view_returns += 1
+    summary.max_ec = max(summary.max_ec, len(completed_set(res.derived)))
+
+
+def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None]] = None,
+            keep_failing: int = 5, jobs: int = 1) -> ExploreSummary:
+    if jobs > 1 and per_result is None:
+        return _explore_parallel(cfg, jobs, keep_failing)
+    summary = ExploreSummary()
+    hasher = hashlib.sha256() if cfg.hash_stream else None
+    for sim in iter_sims(cfg):
+        res = evaluate(cfg, sim)
+        _fold_result(summary, cfg, res, sim, keep_failing)
+        if hasher is not None:
+            hasher.update(_result_digest(res))
+        if per_result is not None:
+            per_result(res)
+    if hasher is not None:
+        summary.stream_sha256 = hasher.hexdigest()
+    return summary
+
+
+_WORKER_CFG: Optional[ExploreConfig] = None
+
+
+def _pool_init(cfg: ExploreConfig) -> None:
+    global _WORKER_CFG
+    _WORKER_CFG = cfg
+
+
+def _pool_eval(schedule: tuple):
+    cfg = _WORKER_CFG
+    sim = SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial,
+                 seed=cfg.mode.seed if isinstance(cfg.mode, RandomWalks) else None,
+                 validate=False)
+    sim.run_schedule(schedule)
+    res = evaluate(cfg, sim)
+    nviol = sum(len(s.violations) for s in res.report.suites.values())
+    bad = nviol > 0 or res.lin_ok is False or res.agree is False
+    return (
+        _result_digest(res) if cfg.hash_stream else b"",
+        nviol,
+        res.lin_ok is False,
+        res.agree is False,
+        cfg.oracle and res.oracle is None,
+        sim.max_steps(),
+        len(completed_set(res.derived)),
+        bool(res.derived.afek_recursed),
+        res.report.to_obj() if bad else None,
+    )
+
+
+def _explore_parallel(cfg: ExploreConfig, jobs: int, keep_failing: int) -> ExploreSummary:
+    """Enumerate schedules in-process, farm the re-execution and checking out
+    to a pool; summary and stream hash match the sequential order."""
+    import multiprocessing
+
+    summary = ExploreSummary()
+    hasher = hashlib.sha256() if cfg.hash_stream else None
+    schedules = (tuple(sim.schedule) for sim in iter_sims(cfg))
+    with multiprocessing.Pool(jobs, initializer=_pool_init, initargs=(cfg,)) as pool:
+        for digest, nviol, lin_fail, mismatch, skipped, steps, ec, view, fail in \
+                pool.imap(_pool_eval, schedules, chunksize=32):
+            summary.schedules += 1
+            summary.violations += nviol
+            summary.lin_failures += int(lin_fail)
+            summary.oracle_mismatches += int(mismatch)
+            summary.oracle_skipped += int(skipped)
+            if nviol or lin_fail or mismatch:
+                summary.failed += 1
+                if len(summary.failing) < keep_failing:
+                    summary.failing.append(fail)
+            else:
+                summary.passed += 1
+            for k, v in steps.items():
+                summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
+            summary.max_ec = max(summary.max_ec, ec)
+            summary.afek_view_returns += int(view)
+            if hasher is not None:
+                hasher.update(digest)
+    if hasher is not None:
+        summary.stream_sha256 = hasher.hexdigest()
+    return summary
+
+
+# -- stress ---------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StressConfig:
+    algorithm: str
+    n: int
+    script: OpScript
+    runs: int = 1
+    suites: tuple[str, ...] = ("RB", "S")
+    initial: Optional[tuple] = None
+
+
+def stress_once(cfg: StressConfig) -> History:
+    adef = ALGORITHMS[cfg.algorithm]
+    adef.validate(cfg.script, cfg.n)
+    initial = list(cfg.initial) if cfg.initial is not None else [0] * cfg.n
+    rec = HistoryRecorder(cfg.algorithm, cfg.n, initial, threadsafe=True)
+    mem = Memory(rec, threadsafe=True)
+    bank = adef.make_bank(mem, cfg.n, cfg.script.pids(), initial)
+    for i in range(cfg.n):
+        ev = rec.begin(ABS, f"write[{i}]", initial[i], None, None)
+        mem.write(bank.A[i], adef.initial_cell(initial[i], initial), ev.id, "wa")
+        rec.finish(ev, UNIT)
+
+    def drive(ts):
+        for op in ts.ops:
+            abs_ev = rec.begin(ABS, op_name(op), op_input(op), None, None)
+            gen = op_generator(adef, bank, cfg.n, ts.pid, op)
+            desc = next(gen)
+            while True:
+                kind, reg, val, label = desc
+                if kind == R:
+                    res = mem.read(reg, abs_ev.id, label)
+                elif kind == W:
+                    res = mem.write(reg, val, abs_ev.id, label)
+                elif kind == LL:
+                    res = mem.ll(reg, ts.pid, abs_ev.id, label)
+                elif kind == SC:
+                    res = mem.sc(reg, ts.pid, val, abs_ev.id, label)
+                elif kind == VL:
+                    res = mem.vl(reg, ts.pid, abs_ev.id, label)
+                else:
+                    res = mem.update(reg, val, abs_ev.id, label)
+                try:
+                    desc = gen.send(res)
+                except StopIteration as stop:
+                    rec.finish(abs_ev, UNIT if op[0] == WRITE else list(stop.value))
+                    break
+
+    workers = [threading.Thread(target=drive, args=(ts,)) for ts in cfg.script.threads]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    return rec.history()
+
+
+@dataclass
+class StressSummary:
+    runs: int = 0
+    violations: int = 0
+    failing: list = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        return self.violations == 0
+
+
+def stress(cfg: StressConfig, per_run=None) -> StressSummary:
+    summary = StressSummary()
+    for _ in range(cfg.runs):
+        h = stress_once(cfg)
+        d = derive(h)
+        report = run_checks(d, cfg.suites)
+        summary.runs += 1
+        nviol = sum(len(s.violations) for s in report.suites.values())
+        summary.violations += nviol
+        if nviol and len(summary.failing) < 3:
+            summary.failing.append(report)
+        if per_run is not None:
+            per_run(h, d, report)
+    return summary
+
+
+def random_script(n: int, threads: int, ops_per_thread: int, seed: int,
+                  scan_ratio: float = 0.5) -> OpScript:
+    rng = random.Random(seed)
+    per_thread = []
+    for _ in range(threads):
+        ops = []
+        for _ in range(ops_per_thread):
+            if rng.random() < scan_ratio:
+                ops.append(("scan",))
+            else:
+                ops.append(("write", rng.randrange(n), rng.randrange(1, 100)))
+        per_thread.append(ops)
+    return OpScript.from_lists(per_thread)
+
+
+# -- scripted scenarios -----------------------------------------------------------
+
+@dataclass
+class ReproResult:
+    name: str
+    history: History
+    scan_output: list
+    ids: dict[str, int]
+    schedule: tuple[int, ...]
+
+
+def _scan_outputs(h: History) -> list:
+    return [e for e in h.events if e.op == "scan"]
+
+
+def repro(name: str) -> ReproResult:
+    """Replay a hardcoded schedule and assert its expected observable output."""
+    if name == "naive_03":
+        script = OpScript.from_lists([
+            [("scan",)],
+            [("write", 0, 2)],
+            [("write", 1, 3)],
+        ])
+        sim = SimRun("naive", 2, script)
+        sim.run_schedule([0, 1, 2, 0])
+        h = sim.history()
+        scan = _scan_outputs(h)[0]
+        if list(scan.output) != [0, 3]:
+            raise ReproMismatch(f"naive_03 scan returned {scan.output}, wanted (0, 3)")
+        w0 = next(e for e in h.events if e.op == "write[0]" and e.input == 2)
+        w1 = next(e for e in h.events if e.op == "write[1]" and e.input == 3)
+        return ReproResult(name, h, list(scan.output),
+                           {"scan": scan.id, "w0": w0.id, "w1": w1.id},
+                           tuple(sim.schedule))
+    if name == "jayanti1_fig3":
+        script = OpScript.from_lists([
+            [("scan",)],
+            [("write", 0, 2), ("write", 0, 3)],
+            [("write", 1, 4)],
+        ])
+        sim = SimRun("jayanti1", 2, script)
+        # scan: on r0 r1 a0 | w0 completes (wa wx wb) | w0' starts (wa) |
+        # w1 starts (wa) | scan: a1 off b0 b1; w0' and w1 never return.
+        sim.run_schedule([0, 0, 0, 0, 1, 1, 1, 1, 2, 0, 0, 0, 0])
+        h = sim.history()
+        scan = _scan_outputs(h)[0]
+        if list(scan.output) != [2, 4]:
+            raise ReproMismatch(f"jayanti1_fig3 scan returned {scan.output}, wanted (2, 4)")
+        w0 = next(e for e in h.events if e.op == "write[0]" and e.input == 2)
+        w0p = next(e for e in h.events if e.op == "write[0]" and e.input == 3)
+        w1 = next(e for e in h.events if e.op == "write[1]" and e.input == 4)
+        return ReproResult(name, h, list(scan.output),
+                           {"scan": scan.id, "w0": w0.id, "w0p": w0p.id, "w1": w1.id},
+                           tuple(sim.schedule))
+    raise ValueError(f"unknown scenario {name!r}; have naive_03, jayanti1_fig3")

@@ -1,0 +1,158 @@
+"""Instrumented shared registers: plain atomic cells and LL/SC/VL cells.
+
+Each operation performs its memory effect and records a rep event.
+Reads-from edges are captured by tagging every cell with the id of its
+last write-like event; load-links are paired with their SC/VL through
+per-thread link state keyed by (thread, register).  LL/SC is emulated
+with a version counter bumped by every write-like event, so an SC
+succeeds exactly when the write-like event its LL observed is still the
+latest one.
+
+In threadsafe mode the ticks delimiting a rep event are sampled inside
+the per-register critical section, so rep events of one register never
+overlap and the recorded serialization is the real one.
+"""
+from __future__ import annotations
+
+from contextlib import nullcontext
+import threading
+from typing import Any, Callable
+
+from .events import REP, UNIT, HistoryRecorder
+
+
+class UsageError(Exception):
+    """SC/VL issued without a pairing LL by the same thread."""
+
+
+class Cell:
+    __slots__ = ("name", "value", "last_writer", "version", "lock")
+
+    def __init__(self, name, value, lock=None):
+        self.name = name
+        self.value = value
+        self.last_writer = None
+        self.version = 0
+        self.lock = lock
+
+
+class _Link:
+    __slots__ = ("version", "ll_event", "observed")
+
+    def __init__(self, version, ll_event, observed):
+        self.version = version
+        self.ll_event = ll_event
+        self.observed = observed
+
+
+class Memory:
+    """A bank of named registers wired to a history recorder."""
+
+    def __init__(self, recorder: HistoryRecorder, threadsafe: bool = False):
+        self.recorder = recorder
+        self.threadsafe = threadsafe
+        self.cells: dict[str, Cell] = {}
+        self._links: dict[tuple[Any, str], _Link] = {}
+
+    def make(self, name: str, initial, init_event: bool = False) -> str:
+        lock = threading.Lock() if self.threadsafe else None
+        cell = Cell(name, initial, lock)
+        self.cells[name] = cell
+        if init_event:
+            rec = self.recorder
+            with cell.lock or nullcontext():
+                ev = rec.begin(REP, "init.w", initial, None, name)
+                cell.last_writer = ev.id
+                cell.version += 1
+                rec.finish(ev, UNIT)
+        return name
+
+    # -- plain register operations ---------------------------------------
+
+    def write(self, name: str, value, parent: int, label: str) -> None:
+        cell = self.cells[name]
+        rec = self.recorder
+        with cell.lock or nullcontext():
+            ev = rec.begin(REP, label + ".w", value, parent, name)
+            cell.value = value
+            cell.last_writer = ev.id
+            cell.version += 1
+            rec.finish(ev, UNIT)
+
+    def update(self, name: str, fn: Callable, parent: int, label: str) -> None:
+        """Atomically replace the cell value with fn(old); one write event."""
+        cell = self.cells[name]
+        rec = self.recorder
+        with cell.lock or nullcontext():
+            new = fn(cell.value)
+            ev = rec.begin(REP, label + ".w", new, parent, name)
+            cell.value = new
+            cell.last_writer = ev.id
+            cell.version += 1
+            rec.finish(ev, UNIT)
+
+    def read(self, name: str, parent: int, label: str):
+        cell = self.cells[name]
+        rec = self.recorder
+        with cell.lock or nullcontext():
+            ev = rec.begin(REP, label + ".r", None, parent, name)
+            value = cell.value
+            if cell.last_writer is not None:
+                rec.add_rf(cell.last_writer, ev.id)
+            rec.finish(ev, value)
+        return value
+
+    # -- LL/SC/VL ---------------------------------------------------------
+
+    def ll(self, name: str, thread, parent: int, label: str):
+        cell = self.cells[name]
+        rec = self.recorder
+        with cell.lock or nullcontext():
+            ev = rec.begin(REP, label + ".ll", None, parent, name)
+            value = cell.value
+            if cell.last_writer is not None:
+                rec.add_rf(cell.last_writer, ev.id)
+            self._links[(thread, name)] = _Link(cell.version, ev.id, cell.last_writer)
+            rec.finish(ev, value)
+        return value
+
+    def sc(self, name: str, thread, value, parent: int, label: str) -> bool:
+        link = self._links.get((thread, name))
+        if link is None:
+            raise UsageError(f"SC on {name} without prior LL by thread {thread}")
+        cell = self.cells[name]
+        rec = self.recorder
+        with cell.lock or nullcontext():
+            ev = rec.begin(REP, label + ".sc", value, parent, name)
+            if cell.last_writer is not None:
+                rec.add_rf(cell.last_writer, ev.id)
+            rec.add_ll(link.ll_event, ev.id)
+            ok = cell.version == link.version
+            if ok:
+                cell.value = value
+                cell.last_writer = ev.id
+                cell.version += 1
+            rec.finish(ev, ok)
+        return ok
+
+    def vl(self, name: str, thread, parent: int, label: str) -> bool:
+        link = self._links.get((thread, name))
+        if link is None:
+            raise UsageError(f"VL on {name} without prior LL by thread {thread}")
+        cell = self.cells[name]
+        rec = self.recorder
+        with cell.lock or nullcontext():
+            ev = rec.begin(REP, label + ".vl", None, parent, name)
+            if cell.last_writer is not None:
+                rec.add_rf(cell.last_writer, ev.id)
+            rec.add_ll(link.ll_event, ev.id)
+            ok = cell.version == link.version
+            rec.finish(ev, ok)
+        return ok
+
+    def would_sc_succeed(self, name: str, thread) -> bool:
+        """The success an SC/VL would report right now; no event, no effect."""
+        link = self._links.get((thread, name))
+        if link is None:
+            raise UsageError(f"no link for thread {thread} on {name}")
+        return self.cells[name].version == link.version

@@ -1,0 +1,987 @@
+"""Derived relations over a history: happens-before closures, virtual
+scans, forwarding edges, and the snapshot-level visibility.
+
+All closures are computed exactly by reachability over the finite event
+graph.  Returns-before successors are folded in through a suffix chain
+over the start-sorted node order, so the graph stays sparse even though
+returns-before itself is quadratic.
+"""
+from __future__ import annotations
+
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
+
+from .events import ABS, INF, REP, Event, History
+
+
+class CorruptHistory(Exception):
+    """The history cannot support a consistent derivation (e.g. a
+    happens-before cycle, or a broken virtual-scan chain)."""
+
+    def __init__(self, msg, witnesses=()):
+        super().__init__(msg)
+        self.witnesses = tuple(witnesses)
+
+
+# -- generic reachability ---------------------------------------------------
+
+class HbClosure:
+    """Transitive closure of (returns-before ∪ edges) over interval nodes.
+
+    Nodes are given as {id: (start, end)}; edges are sparse id pairs.
+    Raises CorruptHistory when the combined relation has a cycle.
+    """
+
+    def __init__(self, intervals: dict[int, tuple], edges: Iterable[tuple[int, int]]):
+        order = sorted(intervals, key=lambda i: (intervals[i][0], i))
+        self.ids = order
+        self.pos = {eid: k for k, eid in enumerate(order)}
+        n = len(order)
+        self.n = n
+        self.starts = [intervals[eid][0] for eid in order]
+        self.ends = [intervals[eid][1] for eid in order]
+        sparse: list[list[int]] = [[] for _ in range(n)]
+        for a, b in edges:
+            sparse[self.pos[a]].append(self.pos[b])
+        self._sparse = sparse
+        # chain node k stands for "every node with start >= starts[k]"
+        chain_to = [bisect_right(self.starts, self.ends[k]) for k in range(n)]
+        self._chain_to = chain_to
+        self._reach = self._close()
+
+    def _succs(self, node: int) -> list[int]:
+        n = self.n
+        if node < n:
+            out = list(self._sparse[node])
+            c = self._chain_to[node]
+            if c < n:
+                out.append(n + c)
+            return out
+        k = node - n
+        out = [k]
+        if k + 1 < n:
+            out.append(n + k + 1)
+        return out
+
+    def _close(self) -> list[int]:
+        n = self.n
+        total = 2 * n
+        color = [0] * total  # 0 white, 1 gray, 2 black
+        topo: list[int] = []
+        for root in range(total):
+            if color[root]:
+                continue
+            stack = [(root, iter(self._succs(root)))]
+            color[root] = 1
+            path = [root]
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for s in it:
+                    if color[s] == 0:
+                        color[s] = 1
+                        stack.append((s, iter(self._succs(s))))
+                        path.append(s)
+                        advanced = True
+                        break
+                    if color[s] == 1:
+                        cyc = [self.ids[x] for x in path[path.index(s):] if x < n]
+                        raise CorruptHistory("happens-before cycle", cyc)
+                if not advanced:
+                    color[node] = 2
+                    topo.append(node)
+                    stack.pop()
+                    path.pop()
+        reach = [0] * total
+        for node in topo:  # topo is reverse topological order
+            m = 0
+            if node < n:
+                for s in self._sparse[node]:
+                    m |= (1 << s) | reach[s]
+                c = self._chain_to[node]
+                if c < n:
+                    m |= reach[n + c]
+            else:
+                k = node - n
+                m |= (1 << k) | reach[k]
+                if k + 1 < n:
+                    m |= reach[n + k + 1]
+            reach[node] = m
+        return reach[:n]
+
+    def hb(self, a: int, b: int) -> bool:
+        return (self._reach[self.pos[a]] >> self.pos[b]) & 1 == 1
+
+    def hb_eq(self, a: int, b: int) -> bool:
+        return a == b or self.hb(a, b)
+
+    def succ_mask(self, a: int) -> int:
+        return self._reach[self.pos[a]]
+
+    def pairs(self) -> Iterable[tuple[int, int]]:
+        for k, eid in enumerate(self.ids):
+            m = self._reach[k]
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                yield (eid, self.ids[j])
+                m ^= low
+
+    def max_pred_start(self) -> dict[int, int]:
+        """For each node a: max start over {x : x = a or x happens-before a}."""
+        n = self.n
+        best = list(self.starts) + [-1] * n
+        order = self._topo_forward()
+        for node in order:
+            b = best[node]
+            for s in self._succs(node):
+                if best[s] < b:
+                    best[s] = b
+        return {self.ids[k]: best[k] for k in range(n)}
+
+    def _topo_forward(self) -> list[int]:
+        total = 2 * self.n
+        indeg = [0] * total
+        for node in range(total):
+            for s in self._succs(node):
+                indeg[s] += 1
+        order = [node for node in range(total) if indeg[node] == 0]
+        i = 0
+        while i < len(order):
+            node = order[i]
+            i += 1
+            for s in self._succs(node):
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    order.append(s)
+        return order
+
+    def path(self, a: int, b: int) -> list[int]:
+        """A witness chain from a to b (real node ids), if any."""
+        n = self.n
+        src, dst = self.pos[a], self.pos[b]
+        prev = {src: None}
+        queue = [src]
+        while queue:
+            node = queue.pop(0)
+            if node == dst:
+                break
+            for s in self._succs(node):
+                if s not in prev:
+                    prev[s] = node
+                    queue.append(s)
+        if dst not in prev:
+            return []
+        chain = []
+        node = dst
+        while node is not None:
+            if node < n:
+                chain.append(self.ids[node])
+            node = prev[node]
+        return list(reversed(chain))
+
+
+def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
+    """Transitive closure of the sparse edge relation alone (cycle-tolerant)."""
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+    for a in node_ids:
+        if a not in adj:
+            continue
+        seen = set()
+        stack = list(adj[a])
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            stack.extend(adj.get(x, ()))
+        for b in seen:
+            yield (a, b)
+
+
+# -- event indexing ---------------------------------------------------------
+
+WRITE_BASES_RESET = ("r", "vr")
+
+
+def parse_rep_op(op: str) -> tuple[str, Optional[int], Optional[int], str]:
+    """'fll[1]@2.ll' -> ('fll', 1, 2, 'll')"""
+    label, memop = op.rsplit(".", 1)
+    inst = None
+    if "@" in label:
+        label, k = label.split("@")
+        inst = int(k)
+    idx = None
+    if label.endswith("]"):
+        label, rest = label.split("[")
+        idx = int(rest[:-1])
+    return label, idx, inst, memop
+
+
+def abs_write_cell(op: str) -> Optional[int]:
+    if op.startswith("write["):
+        return int(op[6:-1])
+    return None
+
+
+class RegOps:
+    __slots__ = ("writes", "reads", "lls", "scs", "vls")
+
+    def __init__(self):
+        self.writes: list[Event] = []
+        self.reads: list[Event] = []
+        self.lls: list[Event] = []
+        self.scs: list[Event] = []
+        self.vls: list[Event] = []
+
+
+class EventIndex:
+    """Per-history indices: children, op parses, per-register event sets,
+    recorded edges, and the effectful-write order per cell."""
+
+    def __init__(self, h: History):
+        self.h = h
+        self.kids: dict[int, list[Event]] = {}
+        self.rep_info: dict[int, tuple] = {}
+        self.regs: dict[str, RegOps] = {}
+        self.rf_src: dict[int, list[int]] = {}
+        self.rf_out: dict[int, list[int]] = {}
+        self.ll_src: dict[int, list[int]] = {}
+        self.ll_out: dict[int, list[int]] = {}
+        self.abs_writes: dict[int, list[Event]] = {}
+        self.abs_scans: list[Event] = []
+        self.success: set[int] = set()
+        self.wa_of: dict[int, Event] = {}
+        for e in h.events:
+            if e.parent is not None:
+                self.kids.setdefault(e.parent, []).append(e)
+            if e.kind == REP:
+                info = parse_rep_op(e.op)
+                self.rep_info[e.id] = info
+                reg = self.regs.setdefault(e.object, RegOps())
+                memop = info[3]
+                if memop == "w":
+                    reg.writes.append(e)
+                elif memop == "r":
+                    reg.reads.append(e)
+                elif memop == "ll":
+                    reg.lls.append(e)
+                elif memop == "sc":
+                    reg.scs.append(e)
+                    if e.output is True:
+                        self.success.add(e.id)
+                elif memop == "vl":
+                    reg.vls.append(e)
+                    if e.output is True:
+                        self.success.add(e.id)
+                if info[0] == "wa" and e.parent is not None:
+                    self.wa_of[e.parent] = e
+            elif e.kind == ABS:
+                cell = abs_write_cell(e.op)
+                if cell is not None:
+                    self.abs_writes.setdefault(cell, []).append(e)
+                elif e.op == "scan":
+                    self.abs_scans.append(e)
+        for kids in self.kids.values():
+            kids.sort(key=lambda e: e.start)
+        for a, b in h.rf:
+            self.rf_src.setdefault(b, []).append(a)
+            self.rf_out.setdefault(a, []).append(b)
+        for a, b in h.ll:
+            self.ll_src.setdefault(b, []).append(a)
+            self.ll_out.setdefault(a, []).append(b)
+        # effectful writes per cell, in serialization (wa interval) order
+        self.effectful: dict[int, list[Event]] = {}
+        for cell, ws in self.abs_writes.items():
+            eff = [w for w in ws if w.id in self.wa_of]
+            eff.sort(key=lambda w: self.wa_of[w.id].start)
+            self.effectful[cell] = eff
+        self.eff_rank: dict[int, int] = {}
+        for cell, ws in self.effectful.items():
+            for r, w in enumerate(ws):
+                self.eff_rank[w.id] = r
+
+    def rep_events(self) -> list[Event]:
+        return [e for e in self.h.events if e.kind == REP]
+
+    def single_rf(self, reader: int) -> Optional[int]:
+        srcs = self.rf_src.get(reader)
+        if srcs and len(srcs) == 1:
+            return srcs[0]
+        return None
+
+    def write_likes(self, reg: str) -> list[Event]:
+        ops = self.regs[reg]
+        out = list(ops.writes) + [e for e in ops.scs if e.id in self.success]
+        out.sort(key=lambda e: e.start)
+        return out
+
+    def read_likes(self, reg: str) -> list[Event]:
+        ops = self.regs[reg]
+        return ops.reads + ops.lls + ops.scs + ops.vls
+
+    def is_llsc_reg(self, reg: str) -> bool:
+        ops = self.regs[reg]
+        return bool(ops.lls or ops.scs or ops.vls)
+
+
+class RepVisibility:
+    """Rep-level visibility: recorded rf ∪ ll edges, and their
+    happens-before closure with returns-before."""
+
+    def __init__(self, idx: EventIndex):
+        self.idx = idx
+        self.edges = list(idx.h.rf) + list(idx.h.ll)
+        self._hb: Optional[HbClosure] = None
+        self._err: Optional[CorruptHistory] = None
+
+    @property
+    def hb(self) -> HbClosure:
+        if self._err is not None:
+            raise self._err
+        if self._hb is None:
+            intervals = {e.id: (e.start, e.end) for e in self.idx.h.events if e.kind == REP}
+            try:
+                self._hb = HbClosure(intervals, self.edges)
+            except CorruptHistory as exc:
+                self._err = exc
+                raise
+        return self._hb
+
+
+# -- virtual scans ----------------------------------------------------------
+
+@dataclass
+class VirtualScan:
+    """A ghost grouping of rep events logically forming one scan."""
+
+    id: int
+    slots: dict[str, int]
+    b_prefix: Optional[str]
+    start: float
+    end: float
+    owner: Optional[int] = None
+    complete: bool = True
+
+    def slot(self, name: str) -> Optional[int]:
+        return self.slots.get(name)
+
+    def interval(self) -> tuple:
+        return (self.start, self.end)
+
+
+def _slot_interval(h: History, slot_ids: list[int]) -> tuple:
+    evs = [h.event(i) for i in slot_ids]
+    return (min(e.start for e in evs), max(e.end for e in evs))
+
+
+def _identity_sigmas(idx: EventIndex, with_onoff_obs: bool):
+    sigmas, sigma_of = [], {}
+    n = idx.h.n
+    for s in idx.abs_scans:
+        slots: dict[str, int] = {}
+        for e in idx.kids.get(s.id, ()):
+            base, i, _, _ = idx.rep_info[e.id]
+            if base in ("r", "a", "b"):
+                slots[f"{base}[{i}]"] = e.id
+            elif base in ("on", "off"):
+                slots[base] = e.id
+        if with_onoff_obs:
+            if "on" in slots:
+                slots["on_obs"] = slots["on"]
+            if "off" in slots:
+                slots["off_obs"] = slots["off"]
+        complete = s.terminated and all(
+            f"{b}[{i}]" in slots for b in ("r", "a", "b") for i in range(n))
+        sigmas.append(VirtualScan(s.id, slots, "B", s.start, s.end, owner=s.id,
+                                  complete=complete))
+        sigma_of[s.id] = s.id
+    return sigmas, sigma_of, []
+
+
+def _group_by_instance(idx: EventIndex, parent: int):
+    """Group a parent's rep events by their @instance tag."""
+    groups: dict[int, dict] = {}
+    for e in idx.kids.get(parent, ()):
+        base, i, inst, _ = idx.rep_info[e.id]
+        if inst is None:
+            continue
+        g = groups.setdefault(inst, {})
+        if i is None:
+            g.setdefault(base, []).append(e)
+        else:
+            g.setdefault(base, {})[i] = e
+    return groups
+
+
+def _extract_alg3(idx: EventIndex):
+    h = idx.h
+    n = h.n
+    next_id = (max((e.id for e in h.events), default=-1)) + 1
+    sigmas: list[VirtualScan] = []
+    sigma_of: dict[int, int] = {}
+    partials: list[VirtualScan] = []
+    groups_cache: dict[int, dict] = {}
+
+    def group(parent, inst):
+        if parent not in groups_cache:
+            groups_cache[parent] = _group_by_instance(idx, parent)
+        return groups_cache[parent].get(inst, {})
+
+    vons = []
+    for reg, ops in idx.regs.items():
+        if reg != "X":
+            continue
+        for e in ops.scs:
+            base = idx.rep_info[e.id][0]
+            if base == "von" and e.id in idx.success:
+                vons.append(e)
+    vons.sort(key=lambda e: e.start)
+
+    # successful SS writes anchor the complete chains
+    ss_writes = [e for e in idx.regs.get("SS", RegOps()).scs if e.id in idx.success]
+    by_on: dict[int, VirtualScan] = {}
+    for vssb in sorted(ss_writes, key=lambda e: e.start):
+        base = idx.rep_info[vssb.id][0]
+        if base != "vssb":
+            continue
+        g3_parent, g3_inst = vssb.parent, idx.rep_info[vssb.id][2]
+        g3 = group(g3_parent, g3_inst)
+        voff = None
+        vx3 = None
+        for cand in g3.get("vx", ()):  # the LL that entered phase 3
+            srcs = idx.rf_src.get(cand.id, ())
+            for s in srcs:
+                if idx.rep_info.get(s, ("",))[0] == "voff":
+                    voff, vx3 = h.event(s), cand
+        if voff is None:
+            raise CorruptHistory("SS write without a phase-3 entry", (vssb.id,))
+        g2_parent, g2_inst = voff.parent, idx.rep_info[voff.id][2]
+        g2 = group(g2_parent, g2_inst)
+        vx2 = h.event(idx.ll_src[voff.id][0])
+        von_src = idx.single_rf(voff.id)
+        von = h.event(von_src) if von_src is not None else None
+        if von is None or idx.rep_info[von.id][0] != "von":
+            raise CorruptHistory("phase-2 commit does not observe a phase-1 commit",
+                                 (voff.id,))
+        g1_parent, g1_inst = von.parent, idx.rep_info[von.id][2]
+        g1 = group(g1_parent, g1_inst)
+        x_init = idx.ll_src[von.id][0]
+        slots: dict[str, int] = {"on": von.id, "on_obs": vx2.id, "off": voff.id,
+                                 "off_obs": vx3.id, "x_init": x_init, "ss": vssb.id}
+        for i, e in g1.get("vr", {}).items():
+            slots[f"r[{i}]"] = e.id
+        for i, e in g2.get("va", {}).items():
+            slots[f"a[{i}]"] = e.id
+        for i, e in g3.get("vb", {}).items():
+            slots[f"b[{i}]"] = e.id
+        for reader in idx.rf_out.get(voff.id, ()):
+            info = idx.rep_info.get(reader)
+            if info and info[0] == "vend" and reader in idx.success:
+                slots["end"] = reader
+        complete = all(f"{b}[{i}]" in slots for b in ("r", "a", "b") for i in range(n))
+        core = [slots[f"{b}[{i}]"] for b in ("r", "a", "b") for i in range(n)
+                if f"{b}[{i}]" in slots] + [von.id, vx2.id, voff.id, vx3.id]
+        start, end = _slot_interval(h, core)
+        p_b = von.input[2]
+        sigma = VirtualScan(next_id, slots, f"Bp[{p_b}]", start, end, owner=None,
+                            complete=complete)
+        next_id += 1
+        if von.id in by_on:
+            raise CorruptHistory("two SS writes for one virtual scan",
+                                 (by_on[von.id].slots["ss"], vssb.id))
+        by_on[von.id] = sigma
+        (sigmas if complete else partials).append(sigma)
+
+    for von in vons:
+        if von.id not in by_on:
+            g1 = group(von.parent, idx.rep_info[von.id][2])
+            slots = {"on": von.id}
+            for i, e in g1.get("vr", {}).items():
+                slots[f"r[{i}]"] = e.id
+            partials.append(VirtualScan(next_id, slots, f"Bp[{von.input[2]}]",
+                                        von.start, INF, complete=False))
+            next_id += 1
+
+    ss_of_sigma = {sigma.slots["ss"]: sigma.id for sigma in sigmas}
+    for s in idx.abs_scans:
+        sss = None
+        for e in idx.kids.get(s.id, ()):
+            if idx.rep_info[e.id][0] == "sss":
+                sss = e
+        if sss is None:
+            continue
+        src = idx.single_rf(sss.id)
+        if src is not None and src in ss_of_sigma:
+            sigma_of[s.id] = ss_of_sigma[src]
+    return sigmas, sigma_of, partials
+
+
+def _extract_afek(idx: EventIndex):
+    h = idx.h
+    n = h.n
+    next_id = (max((e.id for e in h.events), default=-1)) + 1
+    sigmas: list[VirtualScan] = []
+    by_owner: dict[int, VirtualScan] = {}
+    sigma_of: dict[int, int] = {}
+    recursed: set[int] = set()
+
+    def rounds_of(entity: int):
+        rounds: dict[int, dict[str, dict[int, Event]]] = {}
+        for e in idx.kids.get(entity, ()):
+            base, i, inst, _ = idx.rep_info[e.id]
+            if base in ("a", "b") and inst is not None:
+                rounds.setdefault(inst, {"a": {}, "b": {}})[base][i] = e
+        return rounds
+
+    def resolve(entity: int, stack: tuple) -> Optional[int]:
+        if entity in stack or len(stack) > len(h.events):
+            raise CorruptHistory("view recursion does not terminate", (entity,))
+        if entity in by_owner:
+            return by_owner[entity].id
+        rounds = rounds_of(entity)
+        complete = [k for k, r in sorted(rounds.items())
+                    if all(i in r["a"] and i in r["b"] for i in range(n))]
+        if not complete:
+            return None
+        k = complete[-1]
+        if k != max(rounds):
+            return None  # last round still in flight
+        last = rounds[k]
+        differs = {}
+        for i in range(n):
+            differs[i] = idx.single_rf(last["a"][i].id) != idx.single_rf(last["b"][i].id)
+        if not any(differs.values()):
+            slot_ids = {}
+            for i in range(n):
+                slot_ids[f"a[{i}]"] = last["a"][i].id
+                slot_ids[f"b[{i}]"] = last["b"][i].id
+            nonlocal next_id
+            start, end = _slot_interval(h, list(slot_ids.values()))
+            sigma = VirtualScan(next_id, slot_ids, None, start, end, owner=entity)
+            next_id += 1
+            by_owner[entity] = sigma
+            sigmas.append(sigma)
+            return sigma.id
+        moved = {i: any(idx.single_rf(rounds[j]["a"][i].id) != idx.single_rf(rounds[j]["b"][i].id)
+                        for j in complete if j < k)
+                 for i in range(n)}
+        via = next((i for i in range(n) if differs[i] and moved[i]), None)
+        if via is None:
+            raise CorruptHistory("collect ended without clean round or double move",
+                                 (entity,))
+        wa_src = idx.single_rf(last["b"][via].id)
+        if wa_src is None:
+            raise CorruptHistory("borrowed view has no writer", (entity,))
+        writer = h.event(wa_src).parent
+        if writer is None or not rounds_of(writer):
+            raise CorruptHistory("borrowed view from a write with no embedded collect",
+                                 (entity, wa_src))
+        recursed.add(entity)
+        return resolve(writer, stack + (entity,))
+
+    for s in idx.abs_scans:
+        if not s.terminated:
+            continue
+        sid = resolve(s.id, ())
+        if sid is not None:
+            sigma_of[s.id] = sid
+    return sigmas, sigma_of, [], recursed
+
+
+# -- forwarding -------------------------------------------------------------
+
+@dataclass
+class FwdInstance:
+    """One execution of the forward procedure, grouped from its rep events."""
+
+    write: int
+    k: int
+    cell: int
+    fll: Optional[int] = None
+    fa: Optional[int] = None
+    fvl: Optional[int] = None
+    fsc: Optional[int] = None
+    reg: Optional[str] = None
+
+    def first_event(self):
+        ids = [x for x in (self.fll, self.fa, self.fvl, self.fsc) if x is not None]
+        return min(ids) if ids else None
+
+
+def collect_forwards(idx: EventIndex) -> list[FwdInstance]:
+    found: dict[tuple[int, int], FwdInstance] = {}
+    for e in idx.h.events:
+        if e.kind != REP:
+            continue
+        base, i, inst, _ = idx.rep_info[e.id]
+        if base not in ("fll", "fa", "fvl", "fsc"):
+            continue
+        f = found.setdefault((e.parent, inst), FwdInstance(e.parent, inst, i))
+        setattr(f, base, e.id)
+        if base in ("fll", "fsc"):
+            f.reg = e.object
+    return [found[k] for k in sorted(found)]
+
+
+def fwd_alg1(idx: EventIndex, sigmas: list[VirtualScan]):
+    """w fwd σ at cell i when σ's read of B[i] observed the w's forward write."""
+    edges = []
+    for sigma in sigmas:
+        for name, eid in sigma.slots.items():
+            if not name.startswith("b["):
+                continue
+            i = int(name[2:-1])
+            for src in idx.rf_src.get(eid, ()):
+                if idx.rep_info.get(src, ("",))[0] == "wb":
+                    edges.append((idx.h.event(src).parent, sigma.id, i))
+    return edges
+
+
+def fwd_mw(idx: EventIndex, sigmas: list[VirtualScan]):
+    """w fwd σ when some forward instance read w's cell write and its SC
+    into σ's forwarding array is what σ observed."""
+    edges = []
+    for sigma in sigmas:
+        for name, eid in sigma.slots.items():
+            if not name.startswith("b["):
+                continue
+            i = int(name[2:-1])
+            for src in idx.rf_src.get(eid, ()):
+                if idx.rep_info.get(src, ("",))[0] != "fsc":
+                    continue
+                fsc = idx.h.event(src)
+                group = _group_by_instance(idx, fsc.parent).get(idx.rep_info[src][2], {})
+                fa = group.get("fa", {}).get(i)
+                if fa is None:
+                    continue
+                wa_src = idx.single_rf(fa.id)
+                if wa_src is None:
+                    continue
+                edges.append((idx.h.event(wa_src).parent, sigma.id, i))
+    return edges
+
+
+# -- abstract levels --------------------------------------------------------
+
+@dataclass
+class FLevel:
+    """Forwarding-level visibility: rf over writes×virtual-scans, the
+    per-cell write order, and their happens-before closure."""
+
+    rf_pairs: set = field(default_factory=set)
+    obs: dict = field(default_factory=dict)       # (sigma_id, i) -> [(w, how)]
+    hb: Optional[HbClosure] = None
+    threshold: dict = field(default_factory=dict)  # sigma_id -> max start
+
+
+def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
+    h = idx.h
+    fl = FLevel()
+    fwd_by_slot: dict[tuple[int, int], list[int]] = {}
+    for w, sid, i in fwd_edges:
+        fwd_by_slot.setdefault((sid, i), []).append(w)
+    for sigma in sigmas:
+        for i in range(h.n):
+            got: list[tuple[int, str]] = []
+            a = sigma.slot(f"a[{i}]")
+            b = sigma.slot(f"b[{i}]")
+            r = sigma.slot(f"r[{i}]")
+            if a is not None and b is not None and r is not None:
+                if r in idx.rf_src.get(b, ()):
+                    for src in idx.rf_src.get(a, ()):
+                        if idx.rep_info.get(src, ("",))[0] in ("wa", "init"):
+                            w = h.event(src).parent
+                            if w is not None:
+                                got.append((w, "direct"))
+            for w in fwd_by_slot.get((sigma.id, i), ()):
+                got.append((w, "fwd"))
+            if got:
+                fl.obs[(sigma.id, i)] = got
+                for w, _ in got:
+                    fl.rf_pairs.add((w, sigma.id))
+    intervals = {}
+    edges = list(fl.rf_pairs)
+    for ws in idx.effectful.values():
+        for w in ws:
+            intervals[w.id] = (w.start, w.end)
+        for a, b in zip(ws, ws[1:]):
+            edges.append((a.id, b.id))
+    for sigma in sigmas:
+        intervals[sigma.id] = sigma.interval()
+    for s in idx.abs_scans:
+        if s.id not in intervals:
+            intervals[s.id] = (s.start, s.end)
+    fl.hb = HbClosure(intervals, edges)
+    maxstart = fl.hb.max_pred_start()
+    for sigma in sigmas:
+        best = -1
+        for (sid, _i), got in fl.obs.items():
+            if sid != sigma.id:
+                continue
+            for w, _how in got:
+                ms = maxstart.get(w, -1)
+                if ms > best:
+                    best = ms
+        fl.threshold[sigma.id] = best
+    return fl
+
+
+@dataclass
+class SnapView:
+    """Snapshot-level visibility: effectful writes, rf into scans, the
+    scan order from virtual scans, and the abs happens-before closure."""
+
+    rf_pairs: set = field(default_factory=set)
+    obs: dict = field(default_factory=dict)      # scan_id -> {i: [w,...]}
+    sc_pairs: list = field(default_factory=list)
+    hb: Optional[HbClosure] = None
+    prec_edges: list = field(default_factory=list)
+
+
+def derive_snapshot(idx: EventIndex, sigmas, sigma_of, flevel: Optional[FLevel],
+                    afek_obs=None, with_sc: bool = True,
+                    with_wr: bool = True) -> SnapView:
+    h = idx.h
+    sv = SnapView()
+    sigma_by_id = {s.id: s for s in sigmas}
+    for s in idx.abs_scans:
+        sid = sigma_of.get(s.id)
+        if sid is None:
+            continue
+        per_cell: dict[int, list[int]] = {}
+        for i in range(h.n):
+            if flevel is not None:
+                got = [w for w, _ in flevel.obs.get((sid, i), ())]
+            else:
+                got = afek_obs.get((sid, i), []) if afek_obs else []
+            if got:
+                per_cell[i] = got
+                for w in got:
+                    sv.rf_pairs.add((w, s.id))
+        sv.obs[s.id] = per_cell
+    edges = list(sv.rf_pairs)
+    intervals = {}
+    for ws in idx.effectful.values():
+        for w in ws:
+            intervals[w.id] = (w.start, w.end)
+        if with_wr:
+            for a, b in zip(ws, ws[1:]):
+                edges.append((a.id, b.id))
+    for s in idx.abs_scans:
+        intervals[s.id] = (s.start, s.end)
+    if with_sc and sigmas:
+        order = sorted((s for s in sigmas if s.complete), key=lambda s: s.start)
+        groups = []
+        for sigma in order:
+            members = [sc for sc in sigma_of if sigma_of[sc] == sigma.id]
+            if members:
+                groups.append(members)
+        for g1, g2 in zip(groups, groups[1:]):
+            for a in g1:
+                for b in g2:
+                    edges.append((a, b))
+                    sv.sc_pairs.append((a, b))
+    sv.prec_edges = edges
+    sv.hb = HbClosure(intervals, edges)
+    return sv
+
+
+def derive_naive_snapshot(idx: EventIndex) -> SnapView:
+    """The naive control: abs rf is the rep reads-from of the scan's cell
+    reads, lifted directly (no forwarding layer exists)."""
+    h = idx.h
+    sv = SnapView()
+    for s in idx.abs_scans:
+        per_cell: dict[int, list[int]] = {}
+        for e in idx.kids.get(s.id, ()):
+            base, i, _, _ = idx.rep_info[e.id]
+            if base != "a":
+                continue
+            got = []
+            for src in idx.rf_src.get(e.id, ()):
+                w = h.event(src).parent
+                if w is not None:
+                    got.append(w)
+            if got:
+                per_cell[i] = got
+                for w in got:
+                    sv.rf_pairs.add((w, s.id))
+        sv.obs[s.id] = per_cell
+    edges = list(sv.rf_pairs)
+    intervals = {}
+    for ws in idx.effectful.values():
+        for w in ws:
+            intervals[w.id] = (w.start, w.end)
+        for a, b in zip(ws, ws[1:]):
+            edges.append((a.id, b.id))
+    for s in idx.abs_scans:
+        intervals[s.id] = (s.start, s.end)
+    sv.prec_edges = edges
+    sv.hb = HbClosure(intervals, edges)
+    return sv
+
+
+# -- the derivation bundle ----------------------------------------------------
+
+class Derived:
+    """Lazily computed derivations for one history; each closure is built
+    once and cached here."""
+
+    def __init__(self, h: History):
+        self.history = h
+        self.idx = EventIndex(h)
+        self._rep: Optional[RepVisibility] = None
+        self._sigma = None
+        self._forwards = None
+        self._fwd_edges = None
+        self._flevel = None
+        self._snap = None
+        self._afek_obs = None
+        self._afek_recursed: set[int] = set()
+
+    @property
+    def algorithm(self) -> str:
+        return self.history.algorithm
+
+    @property
+    def rep(self) -> RepVisibility:
+        if self._rep is None:
+            self._rep = RepVisibility(self.idx)
+        return self._rep
+
+    def _sigma_triple(self):
+        if self._sigma is None:
+            algo = self.algorithm
+            if algo == "jayanti1":
+                self._sigma = _identity_sigmas(self.idx, with_onoff_obs=False)
+            elif algo == "jayanti2":
+                self._sigma = _identity_sigmas(self.idx, with_onoff_obs=True)
+            elif algo == "jayanti3":
+                self._sigma = _extract_alg3(self.idx)
+            elif algo == "afek":
+                sig, smap, partial, recursed = _extract_afek(self.idx)
+                self._afek_recursed = recursed
+                self._sigma = (sig, smap, partial)
+            else:
+                self._sigma = ([], {}, [])
+        return self._sigma
+
+    @property
+    def sigmas(self) -> list[VirtualScan]:
+        return self._sigma_triple()[0]
+
+    @property
+    def sigma_of(self) -> dict[int, int]:
+        return self._sigma_triple()[1]
+
+    @property
+    def partial_sigmas(self) -> list[VirtualScan]:
+        return self._sigma_triple()[2]
+
+    @property
+    def afek_recursed(self) -> set[int]:
+        self._sigma_triple()
+        return self._afek_recursed
+
+    @property
+    def forwards(self) -> list[FwdInstance]:
+        if self._forwards is None:
+            self._forwards = collect_forwards(self.idx)
+        return self._forwards
+
+    @property
+    def fwd_edges(self) -> list[tuple[int, int, int]]:
+        if self._fwd_edges is None:
+            if self.algorithm == "jayanti1":
+                self._fwd_edges = fwd_alg1(self.idx, self.sigmas)
+            elif self.algorithm in ("jayanti2", "jayanti3"):
+                self._fwd_edges = fwd_mw(self.idx, self.sigmas)
+            else:
+                self._fwd_edges = []
+        return self._fwd_edges
+
+    @property
+    def flevel(self) -> Optional[FLevel]:
+        if self._flevel is None and self.algorithm in ("jayanti1", "jayanti2", "jayanti3"):
+            self._flevel = derive_flevel(self.idx, self.sigmas, self.fwd_edges)
+        return self._flevel
+
+    @property
+    def snap(self) -> SnapView:
+        if self._snap is None:
+            algo = self.algorithm
+            if algo == "naive":
+                self._snap = derive_naive_snapshot(self.idx)
+            elif algo == "afek":
+                afek_obs = {}
+                for sigma in self.sigmas:
+                    for i in range(self.history.n):
+                        a = sigma.slot(f"a[{i}]")
+                        if a is None:
+                            continue
+                        got = []
+                        for src in self.idx.rf_src.get(a, ()):
+                            w = self.history.event(src).parent
+                            if w is not None:
+                                got.append(w)
+                        if got:
+                            afek_obs[(sigma.id, i)] = got
+                self._afek_obs = afek_obs
+                self._snap = derive_snapshot(self.idx, self.sigmas, self.sigma_of,
+                                             None, afek_obs=afek_obs,
+                                             with_sc=False, with_wr=False)
+            else:
+                self._snap = derive_snapshot(self.idx, self.sigmas, self.sigma_of,
+                                             self.flevel)
+        return self._snap
+
+    def edge_set(self, label: str) -> list[tuple]:
+        """Derived relations as exportable edge lists, keyed by label."""
+        if label == "rf":
+            return sorted(self.history.rf)
+        if label == "ll":
+            return sorted(self.history.ll)
+        if label == "fwd":
+            return sorted((w, s) for w, s, _ in self.fwd_edges)
+        if label == "wr":
+            out = []
+            for ws in self.idx.effectful.values():
+                out.extend((a.id, b.id) for a, b in zip(ws, ws[1:]))
+            return sorted(out)
+        if label == "sc":
+            return sorted(self.snap.sc_pairs)
+        if label == "rf-abs":
+            return sorted(self.snap.rf_pairs)
+        if label == "hb1":
+            return sorted(self.snap.prec_edges)
+        if label == "hb":
+            return sorted(self.snap.hb.pairs())
+        if label == "hb-rep":
+            return sorted(self.rep.hb.pairs())
+        if label == "rb":
+            evs = self.history.events
+            return sorted((a.id, b.id) for a in evs for b in evs
+                          if a is not b and a.end < b.start)
+        if label in ("wrDiff", "whb"):
+            from .linearize import build_whb, wrdiff_pairs
+
+            if label == "wrDiff":
+                return sorted(wrdiff_pairs(self))
+            ids, pos, adj = build_whb(self)
+            out = []
+            for k, w in enumerate(ids):
+                m = adj[k]
+                while m:
+                    low = m & -m
+                    out.append((w, ids[low.bit_length() - 1]))
+                    m ^= low
+            return sorted(out)
+        raise ValueError(f"unknown edge label {label!r}")
+
+
+def derive(h: History) -> Derived:
+    return Derived(h)
