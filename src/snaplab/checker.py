@@ -1,8 +1,22 @@
 """Executable axiom suites over a recorded history.
 
-Every axiom is checked by direct enumeration over the relevant event
-sets, with early exit per instance; each failure carries the witnesses
-instantiating the axiom's quantifiers.  Suites:
+Each failure carries the witnesses instantiating the axiom's quantifiers.
+Axioms over the happens-before closure ≺ read its successor bitmasks: a
+list of events becomes one mask over closure positions, so "w ≺ x for
+some listed x" is one AND, and a list that ≺ orders totally (a chain) is
+walked in chain order.  Where a fast test cannot rule a violation out, the
+pairs are enumerated in list order, so reports keep the order of a direct
+enumeration.
+
+V.1 (a ≺+ b never with a = b or b returning before a) is a corollary of
+the closure: such a pair closes a cycle in returns-before ∪ edges, and
+HbClosure refuses every cycle.  So V.1 holds whenever the closure builds
+(given unique event ids, which RB's EV.id checks), and its witnesses are
+enumerated only when the closure finds a cycle.
+
+L4.3 costs O(P·G + P²) for P LL/SC pairs and G successful ones: two masks
+over the successful pairs, built once per event, meet in one AND per pair
+of windows.  Suites:
 
   RB   interval structure of returns-before and subevents
   M    plain atomic registers
@@ -16,12 +30,13 @@ instantiating the axiom's quantifiers.  Suites:
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .events import BOT, REP, returns_before, validate_history, \
+from .events import BOT, INF, REP, returns_before, validate_history, \
     check_interval_order, check_subevent_rb
 from .report import CheckReport, SuiteResult, Violation
-from .visibility import CorruptHistory, Derived, abs_write_cell, \
+from .visibility import CorruptHistory, Derived, HbClosure, abs_write_cell, \
     prec_closure_pairs
 
 SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
@@ -44,14 +59,90 @@ def check_rb(d: Derived, out: list) -> None:
 
 # -- rep-level wfobs ----------------------------------------------------------
 
-def _check_wfobs(h, node_ids, edges, axiom, out) -> bool:
-    """Prop V.1: e ≺+ e' implies e' does not return before (or equal) e."""
-    clean = True
-    for a, b in prec_closure_pairs(node_ids, edges):
-        if a == b or returns_before(h.event(b), h.event(a)):
-            _viol(out, axiom, (a, b), "observation chain reaches backward in time")
-            clean = False
-    return clean
+def _rep_closure(d: Derived, out: list):
+    """The rep-level closure, or None after reporting V.1 witnesses.
+
+    Prop V.1: e ≺+ e' implies e' does not return before (or equal) e.  It
+    holds whenever the closure builds (see the module docstring), so its
+    witnesses are enumerated only when the closure fails; if there are
+    none, the failure propagates."""
+    try:
+        return d.rep.hb
+    except Exception:  # whatever stops the closure, V.1 is enumerated first
+        h = d.history
+        rep_ids = [e.id for e in h.events if e.kind == REP]
+        found = False
+        for a, b in prec_closure_pairs(rep_ids, d.rep.edges):
+            if a == b or returns_before(h.event(b), h.event(a)):
+                _viol(out, "V.1", (a, b), "observation chain reaches backward in time")
+                found = True
+        if found:
+            return None
+        raise
+
+
+_FEW = 8  # up to this many candidates, testing each beats building a chain
+
+
+class _Nodes:
+    """A list of closure nodes held as a mask over closure positions, so
+    that a successor set meets the whole list in one step."""
+
+    def __init__(self, hb: HbClosure, ids: list[int]):
+        self.hb = hb
+        self.ids = ids
+        self.index: dict[int, list[int]] = {}  # closure position -> list indices
+        for k, eid in enumerate(ids):
+            self.index.setdefault(hb.pos[eid], []).append(k)
+        self.mask = 0
+        for p in self.index:
+            self.mask |= 1 << p
+
+    @cached_property
+    def chain(self) -> Optional[list[int]]:
+        """The list indices in ≺ order if ≺ orders the list totally, else
+        None.  In an acyclic closure k nodes are totally ordered exactly
+        when their successor counts within the list are 0..k-1."""
+        counts = [(self.hb.succ_mask(eid) & self.mask).bit_count() for eid in self.ids]
+        if sorted(counts) != list(range(len(self.ids))):
+            return None
+        return sorted(range(len(self.ids)), key=counts.__getitem__, reverse=True)
+
+    @cached_property
+    def rank(self) -> dict[int, int]:
+        """Node id -> place in the chain (empty without a chain)."""
+        return {self.ids[k]: r for r, k in enumerate(self.chain or ())}
+
+    def members(self, m: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes whose positions are in m."""
+        ks: list[int] = []
+        while m:
+            low = m & -m
+            ks.extend(self.index[low.bit_length() - 1])
+            m ^= low
+        ks.sort()
+        return ks
+
+    def after(self, a: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes x with a ≺ x."""
+        return self.members(self.hb.succ_mask(a) & self.mask)
+
+    def between(self, a: int, b: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes x with a ≺ x ≺ b."""
+        hb = self.hb
+        m = hb.succ_mask(a) & self.mask
+        # a few candidates are tested directly; many are walked along the
+        # chain, which stops at the first one that misses b
+        r = self.rank.get(a) if m.bit_count() > _FEW else None
+        if r is None:
+            return [k for k in self.members(m) if hb.hb(self.ids[k], b)]
+        ks: list[int] = []
+        for k in self.chain[r + 1:]:
+            if not hb.hb(self.ids[k], b):
+                break  # every later node succeeds this one, so misses b too
+            ks.append(k)
+        ks.sort()
+        return ks
 
 
 # -- M / M+ -------------------------------------------------------------------
@@ -59,14 +150,14 @@ def _check_wfobs(h, node_ids, edges, axiom, out) -> bool:
 def check_aregs(d: Derived, out: list) -> None:
     idx = d.idx
     h = d.history
-    rep_ids = [e.id for e in h.events if e.kind == REP]
-    if not _check_wfobs(h, rep_ids, d.rep.edges, "V.1", out):
+    hb = _rep_closure(d, out)
+    if hb is None:
         return
-    hb = d.rep.hb
     for reg, ops in sorted(idx.regs.items()):
         if idx.is_llsc_reg(reg):
             continue
         writes = ops.writes
+        wnodes = _Nodes(hb, [w.id for w in writes])
         for r in ops.reads:
             srcs = idx.rf_src.get(r.id, [])
             if len(srcs) > 1:
@@ -75,10 +166,13 @@ def check_aregs(d: Derived, out: list) -> None:
                 if not any(h.event(w).input == r.output for w in srcs):
                     _viol(out, "M.io", (r.id,), f"read of {reg} returns unwritten value")
             for w in srcs:
-                for w2 in writes:
-                    if w2.id != w and hb.hb(w, w2.id) and hb.hb(w2.id, r.id):
+                for k in wnodes.between(w, r.id):
+                    w2 = writes[k]
+                    if w2.id != w:
                         _viol(out, "M.nowrbetween", (w, w2.id, r.id),
                               f"stale read of {reg}")
+        if wnodes.chain is not None:
+            continue
         for i, w1 in enumerate(writes):
             for w2 in writes[i + 1:]:
                 if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
@@ -88,15 +182,14 @@ def check_aregs(d: Derived, out: list) -> None:
 def check_llregs(d: Derived, out: list) -> None:
     idx = d.idx
     h = d.history
-    rep_ids = [e.id for e in h.events if e.kind == REP]
-    if not _check_wfobs(h, rep_ids, d.rep.edges, "V.1", out):
+    hb = _rep_closure(d, out)
+    if hb is None:
         return
-    hb = d.rep.hb
     for reg, ops in sorted(idx.regs.items()):
         if not idx.is_llsc_reg(reg):
             continue
         wc = idx.write_likes(reg)
-        wc_ids = {e.id for e in wc}
+        wcnodes = _Nodes(hb, [e.id for e in wc])
         read_likes = idx.read_likes(reg)
         for r in read_likes:
             srcs = idx.rf_src.get(r.id, [])
@@ -109,8 +202,9 @@ def check_llregs(d: Derived, out: list) -> None:
                 if srcs and not any(h.event(w).input == r.output for w in srcs):
                     _viol(out, "M+.io", (r.id,), f"read of {reg} returns unwritten value")
             for w in srcs:
-                for w2 in wc:
-                    if w2.id != w and w2.id != r.id and hb.hb(w, w2.id) and hb.hb(w2.id, r.id):
+                for k in wcnodes.between(w, r.id):
+                    w2 = wc[k]
+                    if w2.id != w and w2.id != r.id:
                         _viol(out, "M+.nowrbetween", (w, w2.id, r.id), f"stale read of {reg}")
         for c in ops.scs + ops.vls:
             if c.terminated and not isinstance(c.output, bool):
@@ -136,6 +230,8 @@ def check_llregs(d: Derived, out: list) -> None:
                     if (w == w2) != (c.id in idx.success):
                         _viol(out, "M+.llsc-success", (l, c.id, w, w2),
                               "success must equal observing the linked write")
+        if wcnodes.chain is not None:
+            continue
         for i, w1 in enumerate(wc):
             for w2 in wc[i + 1:]:
                 if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
@@ -158,40 +254,50 @@ def check_llsc_lemmas(d: Derived, out: list) -> None:
         wc = idx.write_likes(reg)
         sc_pairs = [(l, c) for l, c in pairs if idx.rep_info[c.id][3] == "sc"]
         good = [(l, c) for l, c in sc_pairs if c.id in idx.success and c.terminated]
-        for l, c in good:
-            for l2, c2 in good:
-                if c is c2:
-                    continue
-                if hb.hb(c.id, c2.id) and not hb.hb(c.id, l2):
-                    _viol(out, "L4.1", (l, c.id, l2, c2.id),
-                          "successful LL/SC pairs overlap")
+        if len(good) > 1:
+            good_scs = _Nodes(hb, [c.id for _, c in good])
+            for l, c in good:
+                for k in good_scs.after(c.id):
+                    l2, c2 = good[k]
+                    if c is not c2 and not hb.hb(c.id, l2):
+                        _viol(out, "L4.1", (l, c.id, l2, c2.id),
+                              "successful LL/SC pairs overlap")
+        wc_reach = [(w.id, hb.succ_mask(w.id)) for w in wc]
         for l, c in pairs:
             memop = idx.rep_info[c.id][3]
             if not c.terminated:
                 continue
             if memop == "vl" and c.id in idx.success:
                 continue
-            if not any(not hb.hb(w.id, l) and hb.hb_eq(w.id, c.id) for w in wc):
+            pl, pc = hb.pos[l], hb.pos[c.id]
+            if not any(not m >> pl & 1 and (w == c.id or m >> pc & 1) for w, m in wc_reach):
                 _viol(out, "L4.2", (l, c.id),
                       "no write-like event inside the LL..SC/VL window")
         plain = ops.writes
-        for l, c in sc_pairs:
-            if not c.terminated:
-                continue
-            for l2, c2 in sc_pairs:
-                if not c2.terminated or not returns_before(h.event(c.id), h.event(l2)):
+        # L4.3 over masks on the index of `good`, built once per event:
+        # unlinked[l] = {j : not l3_j ≺ l}, stored[c2] = {j : c3_j ≼ c2}
+        reach = None  # successor masks of the good pairs, on first use
+        unlinked: dict[int, int] = {}
+        stored: dict[int, int] = {}
+        closed = [(l, c, h.event(l)) for l, c in sc_pairs if c.terminated]
+        for l, c, le in closed:
+            # a plain write mutates the window l..c2 iff it does not return
+            # before l and starts no later than c2 returns
+            mutated = min((w.start for w in plain if not returns_before(w, le)), default=INF)
+            for l2, c2, l2e in closed:
+                if not returns_before(c, l2e) or mutated <= c2.end:
                     continue
-                le = h.event(l)
-                c2e = h.event(c2.id)
-                if any(not returns_before(w, le) and not returns_before(c2e, w)
-                       for w in plain):
-                    continue  # window also mutated by plain writes
-                found = False
-                for l3, c3 in good:
-                    if not hb.hb(l3, l) and hb.hb_eq(c3.id, c2.id):
-                        found = True
-                        break
-                if not found:
+                if reach is None:
+                    reach = [(hb.succ_mask(l3), c3.id, hb.succ_mask(c3.id)) for l3, c3 in good]
+                if l not in unlinked:
+                    p = hb.pos[l]
+                    unlinked[l] = sum(1 << j for j, (m, _, _) in enumerate(reach)
+                                      if not m >> p & 1)
+                if c2.id not in stored:
+                    p = hb.pos[c2.id]
+                    stored[c2.id] = sum(1 << j for j, (_, c3, m) in enumerate(reach)
+                                        if c3 == c2.id or m >> p & 1)
+                if not unlinked[l] & stored[c2.id]:
                     _viol(out, "L4.3", (l, c.id, l2, c2.id),
                           "no successful pair within consecutive LL/SC windows")
 
@@ -202,10 +308,7 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
     idx = d.idx
     h = d.history
     sv = d.snap
-    node_ids = list(sv.hb.ids)
-    if not _check_wfobs(h, node_ids, sv.prec_edges, "V.1", out):
-        return
-    hb = sv.hb
+    hb = sv.hb  # built, so V.1 holds (see the module docstring)
     if d.algorithm == "afek":
         out.extend(_sigma_containment(d))
     for s in idx.abs_scans:
@@ -220,13 +323,20 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
             if not any(h.event(w).input == s.output[i] for w in ws):
                 _viol(out, "S.1", (s.id,),
                       f"scan output at cell {i} matches no observed write")
+    eff_nodes = {cell: _Nodes(hb, [w.id for w in ws]) for cell, ws in idx.effectful.items()}
     for w, s in sorted(sv.rf_pairs):
         cell = abs_write_cell(h.event(w).op)
-        for w2 in idx.effectful.get(cell, ()):
-            if w2.id != w and hb.hb(w, w2.id) and hb.hb(w2.id, s):
+        if cell not in eff_nodes:
+            continue
+        ws = idx.effectful[cell]
+        for k in eff_nodes[cell].between(w, s):
+            w2 = ws[k]
+            if w2.id != w:
                 _viol(out, "S.2", (w, w2.id, s),
                       f"write of cell {cell} intervenes before the observing scan")
     for cell, ws in sorted(idx.effectful.items()):
+        if eff_nodes[cell].chain is not None:
+            continue
         for i, w1 in enumerate(ws):
             for w2 in ws[i + 1:]:
                 if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
@@ -237,12 +347,15 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
             if w.terminated and w.id not in idx.wa_of:
                 _viol(out, "S.5", (w.id,), "terminated write never reached its cell")
     scans = [s.id for s in idx.abs_scans]
+    first_obs = {a: {i: ws[0] for i, ws in sv.obs.get(a, {}).items() if ws} for a in scans}
+    if len(scans) < 2 or _observations_chained(first_obs, eff_nodes, h.n):
+        return
     for a in scans:
-        obs_a = {i: ws[0] for i, ws in sv.obs.get(a, {}).items() if ws}
+        obs_a = first_obs[a]
         for b in scans:
             if a == b:
                 continue
-            obs_b = {i: ws[0] for i, ws in sv.obs.get(b, {}).items() if ws}
+            obs_b = first_obs[b]
             for i, wi in obs_a.items():
                 wi2 = obs_b.get(i)
                 if wi2 is None or wi == wi2 or not hb.hb(wi, wi2):
@@ -254,7 +367,22 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
                     if wj2 != wj and hb.hb(wj2, wj):
                         _viol(out, "S.7", (wi, wj, wi2, wj2, a, b),
                               "scans observe writes in opposite orders")
-    return
+
+
+def _observations_chained(first_obs: dict, eff_nodes: dict, n: int) -> bool:
+    """True only if S.7 cannot fire: every scan observes one write of every
+    cell, each cell's writes form a ≺-chain, and the scans' vectors of
+    chain ranks are totally ordered componentwise.  S.7 asks for two scans
+    whose vectors are incomparable."""
+    ranks = [eff_nodes[i].rank if i in eff_nodes else {} for i in range(n)]
+    vecs = []
+    for obs in first_obs.values():
+        v = tuple(ranks[i].get(obs.get(i)) for i in range(n))
+        if len(obs) != n or None in v:
+            return False
+        vecs.append(v)
+    vecs.sort()
+    return all(x <= y for u, v in zip(vecs, vecs[1:]) for x, y in zip(u, v))
 
 
 # -- F -------------------------------------------------------------------------
@@ -435,16 +563,21 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
                     _viol(out, "F+.fbBuniq", (e.id,), f"unexpected value writer of {reg}")
     # sconuniq: observing the phase flag == being inside the on..off window
     x_reads = idx.read_likes("X") if "X" in idx.regs else []
+    xnodes = None
     for sigma in sigmas:
         on, off = sigma.slot("on"), sigma.slot("off")
-        if on is None or off is None:
+        if on is None or off is None or not x_reads:
             continue
-        for e in x_reads:
-            observed = on in idx.rf_src.get(e.id, ())
-            inside = rhb.hb(on, e.id) and not rhb.hb(off, e.id)
-            if observed != inside:
-                _viol(out, "F+.sconuniq", (sigma.id, on, e.id),
-                      "phase observation disagrees with the on..off window")
+        if xnodes is None:
+            xnodes = _Nodes(rhb, [e.id for e in x_reads])
+        inside = rhb.succ_mask(on) & ~rhb.succ_mask(off) & xnodes.mask
+        observed = 0
+        for e in idx.rf_out.get(on, ()):
+            if rhb.pos[e] in xnodes.index:
+                observed |= 1 << rhb.pos[e]
+        for k in xnodes.members(inside ^ observed):
+            _viol(out, "F+.sconuniq", (sigma.id, on, x_reads[k].id),
+                  "phase observation disagrees with the on..off window")
     # scan structure chain: r < on rf= on_obs < a < off rf= off_obs < b
     for sigma in sigmas:
         on, on_obs = sigma.slot("on"), sigma.slot("on_obs")

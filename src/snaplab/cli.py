@@ -28,9 +28,17 @@ def _load_script(path: str) -> OpScript:
         return OpScript.from_json(fh.read())
 
 
+class MalformedHistory(Exception):
+    """A history file that is not a serialized History."""
+
+
 def _load_history(path: str) -> History:
     with open(path) as fh:
-        return History.from_json(fh.read())
+        text = fh.read()
+    try:
+        return History.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedHistory(f"malformed history {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(obj, out: str | None) -> None:
@@ -156,10 +164,7 @@ def cmd_linearize(args) -> int:
         except SizeGuard as exc:
             result["oracle"] = {"skipped": str(exc)}
         else:
-            if isinstance(verdict, Linearization):
-                result["oracle"] = verdict.to_obj()
-            else:
-                result["oracle"] = verdict.to_obj()
+            result["oracle"] = verdict.to_obj()
     _emit(result, args.out)
     return code
 
@@ -266,6 +271,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except MalformedHistory as exc:
+        print(f"snaplab: {exc}", file=sys.stderr)
+        return 2
     except (ScriptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

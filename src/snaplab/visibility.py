@@ -113,9 +113,6 @@ class HbClosure:
     def hb(self, a: int, b: int) -> bool:
         return (self._reach[self.pos[a]] >> self.pos[b]) & 1 == 1
 
-    def hb_eq(self, a: int, b: int) -> bool:
-        return a == b or self.hb(a, b)
-
     def succ_mask(self, a: int) -> int:
         return self._reach[self.pos[a]]
 

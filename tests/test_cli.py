@@ -105,6 +105,16 @@ def test_usage_errors_exit_two(script_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ['{"events": []}', "not json {"],
+                         ids=["missing-meta", "not-json"])
+def test_malformed_history_exits_two(tmp_path, capsys, text):
+    hist = tmp_path / "bad.json"
+    hist.write_text(text)
+    rc = main(["check", "--history", str(hist)])
+    assert rc == 2
+    assert f"snaplab: malformed history {hist}:" in capsys.readouterr().err
+
+
 def test_exhaustive_cap_instructs_switching(tmp_path, capsys):
     p = tmp_path / "wide.json"
     p.write_text(json.dumps({"threads": [
