@@ -34,7 +34,7 @@ def main() -> int:
     summary = stress(StressConfig(args.alg, args.n, script, runs=args.runs,
                                   suites=("RB", "S")), per_run=tick)
     print(f"{summary.runs} runs in {time.perf_counter() - t0:.1f}s, "
-          f"{summary.violations} violations")
+          f"{summary.violations} violations, {summary.worker_errors} worker errors")
     for report in summary.failing:
         for v in report.all_violations()[:10]:
             print(" ", v.render())

@@ -46,18 +46,24 @@ class OpScript:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "OpScript":
+        """Raises ScriptError on an unknown op, a missing key or a wrong type."""
         threads = []
-        for t in obj["threads"]:
-            ops = []
-            for op in t["ops"]:
-                if op == "scan":
-                    ops.append((SCAN,))
-                elif isinstance(op, dict) and "write" in op:
-                    i, v = op["write"]
-                    ops.append((WRITE, int(i), v))
-                else:
-                    raise ScriptError(f"unknown op {op!r}")
-            threads.append(ThreadScript(int(t["pid"]), tuple(ops)))
+        try:
+            for t in obj["threads"]:
+                ops = []
+                for op in t["ops"]:
+                    if op == "scan":
+                        ops.append((SCAN,))
+                    elif isinstance(op, dict) and "write" in op:
+                        i, v = op["write"]
+                        ops.append((WRITE, int(i), v))
+                    else:
+                        raise ScriptError(f"unknown op {op!r}")
+                threads.append(ThreadScript(int(t["pid"]), tuple(ops)))
+        except ScriptError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScriptError(f"malformed script: {type(exc).__name__}: {exc}") from exc
         return cls(tuple(threads))
 
     @classmethod

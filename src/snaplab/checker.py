@@ -14,9 +14,26 @@ HbClosure refuses every cycle.  So V.1 holds whenever the closure builds
 (given unique event ids, which RB's EV.id checks), and its witnesses are
 enumerated only when the closure finds a cycle.
 
-L4.3 costs O(P·G + P²) for P LL/SC pairs and G successful ones: two masks
-over the successful pairs, built once per event, meet in one AND per pair
-of windows.  Suites:
+The LL/SC lemmas of a register with P LL/SC pairs, G of them successful
+SCs, and W write-likes follow chains along ≺ (a valid history orders the
+successful windows and the write-likes totally):
+
+  L4.1  O(G) consecutive tests when the successful SCs form a chain;
+        else, or when a test fails, the pairs are enumerated.
+  L4.2  one O(log W) binary search per window when the write-likes form a
+        chain; else O(W) mask tests per window.
+  L4.3  O(P log P) while few windows overlap: each window tests the few
+        candidates that no other candidate returns before, with one
+        O(log G) binary search per LL when the successful windows form one
+        chain, or two masks over the successful pairs (O(G) per event)
+        when they do not.  If a tested candidate fails, or an LL starts no
+        earlier than its SC, the window's candidates are enumerated, O(P)
+        each.
+  M+.llobsparent  O(k) per pair: only the k LLs of the SC's own parent
+        operation can intervene.
+
+L4.2 and L4.3 skip that set-up on registers with at most _FEW write-likes
+or closed SC pairs, and test each.  Suites:
 
   RB   interval structure of returns-before and subevents
   M    plain atomic registers
@@ -30,6 +47,7 @@ of windows.  Suites:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -136,8 +154,10 @@ class _Nodes:
         r = self.rank.get(a) if m.bit_count() > _FEW else None
         if r is None:
             return [k for k in self.members(m) if hb.hb(self.ids[k], b)]
+        chain = self.chain
         ks: list[int] = []
-        for k in self.chain[r + 1:]:
+        for i in range(r + 1, len(chain)):
+            k = chain[i]
             if not hb.hb(self.ids[k], b):
                 break  # every later node succeeds this one, so misses b too
             ks.append(k)
@@ -206,6 +226,9 @@ def check_llregs(d: Derived, out: list) -> None:
                     w2 = wc[k]
                     if w2.id != w and w2.id != r.id:
                         _viol(out, "M+.nowrbetween", (w, w2.id, r.id), f"stale read of {reg}")
+        lls_of: dict[int, list] = {}  # parent -> its LLs of reg: only these can intervene
+        for l2 in ops.lls:
+            lls_of.setdefault(l2.parent, []).append(l2)
         for c in ops.scs + ops.vls:
             if c.terminated and not isinstance(c.output, bool):
                 _viol(out, "M+.vl-io", (c.id,), "SC/VL must report success as a boolean")
@@ -219,9 +242,8 @@ def check_llregs(d: Derived, out: list) -> None:
                     _viol(out, "M+.llobspop", (l, c.id), "pairing LL did not terminate")
                 if le.parent != c.parent:
                     _viol(out, "M+.llobsparent", (l, c.id), "LL pair crosses threads")
-                for l2 in ops.lls:
-                    if l2.id != l and l2.parent == le.parent and \
-                            hb.hb(l, l2.id) and hb.hb(l2.id, c.id):
+                for l2 in lls_of.get(le.parent, ()):
+                    if l2.id != l and hb.hb(l, l2.id) and hb.hb(l2.id, c.id):
                         _viol(out, "M+.llobsparent", (l, l2.id, c.id),
                               "another LL intervenes in the pair")
                 w = idx.single_rf(l)
@@ -240,6 +262,12 @@ def check_llregs(d: Derived, out: list) -> None:
 
 # -- L ------------------------------------------------------------------------
 
+def _prefix_len(masks: list[int], p: int) -> int:
+    """How many of masks hold bit p, given that those holding it come first,
+    as the successor masks of a ≺-chain in chain order do."""
+    return bisect_left(masks, True, key=lambda m: not m >> p & 1)
+
+
 def check_llsc_lemmas(d: Derived, out: list) -> None:
     idx = d.idx
     h = d.history
@@ -251,55 +279,150 @@ def check_llsc_lemmas(d: Derived, out: list) -> None:
         for c in ops.scs + ops.vls:
             for l in idx.ll_src.get(c.id, []):
                 pairs.append((l, c))
-        wc = idx.write_likes(reg)
         sc_pairs = [(l, c) for l, c in pairs if idx.rep_info[c.id][3] == "sc"]
         good = [(l, c) for l, c in sc_pairs if c.id in idx.success and c.terminated]
-        if len(good) > 1:
-            good_scs = _Nodes(hb, [c.id for _, c in good])
-            for l, c in good:
-                for k in good_scs.after(c.id):
-                    l2, c2 = good[k]
-                    if c is not c2 and not hb.hb(c.id, l2):
-                        _viol(out, "L4.1", (l, c.id, l2, c2.id),
-                              "successful LL/SC pairs overlap")
-        wc_reach = [(w.id, hb.succ_mask(w.id)) for w in wc]
-        for l, c in pairs:
-            memop = idx.rep_info[c.id][3]
-            if not c.terminated:
-                continue
-            if memop == "vl" and c.id in idx.success:
-                continue
-            pl, pc = hb.pos[l], hb.pos[c.id]
-            if not any(not m >> pl & 1 and (w == c.id or m >> pc & 1) for w, m in wc_reach):
-                _viol(out, "L4.2", (l, c.id),
-                      "no write-like event inside the LL..SC/VL window")
-        plain = ops.writes
-        # L4.3 over masks on the index of `good`, built once per event:
-        # unlinked[l] = {j : not l3_j ≺ l}, stored[c2] = {j : c3_j ≼ c2}
-        reach = None  # successor masks of the good pairs, on first use
-        unlinked: dict[int, int] = {}
-        stored: dict[int, int] = {}
+        chain = _check_l41(hb, good, out)
+        windows = [(l, c) for l, c in pairs if c.terminated and
+                   not (c.id in idx.success and idx.rep_info[c.id][3] == "vl")]
+        _check_l42(hb, idx.write_likes(reg), windows, out)
         closed = [(l, c, h.event(l)) for l, c in sc_pairs if c.terminated]
+        _check_l43(hb, ops.writes, closed, good, chain, out)
+
+
+def _check_l41(hb: HbClosure, good: list, out: list) -> Optional[list]:
+    """L4.1: of two successful pairs with c ≺ c2, c ≺ l2.  Returns the pairs
+    in ≺ order if they form one chain l_0 ≺ c_0 ≺ l_1 ≺ c_1 ≺ …, else None.
+
+    When the SCs form a chain, c_i ≼ c_{j-1} ≺ l_j for every i < j, so the
+    consecutive pairs decide the lemma: O(G) tests.  Otherwise, or when a
+    consecutive test fails, the pairs are enumerated."""
+    if len(good) < 2:
+        return good
+    scs = _Nodes(hb, [c.id for _, c in good])
+    if scs.chain is not None:
+        chain = [good[k] for k in scs.chain]
+        if all(hb.hb(c.id, l2) for (_, c), (l2, _) in zip(chain, chain[1:])):
+            return chain
+    for l, c in good:
+        for k in scs.after(c.id):
+            l2, c2 = good[k]
+            if c is not c2 and not hb.hb(c.id, l2):
+                _viol(out, "L4.1", (l, c.id, l2, c2.id), "successful LL/SC pairs overlap")
+    return None
+
+
+def _check_l42(hb: HbClosure, wc: list, windows: list, out: list) -> None:
+    """L4.2: each window l..c holds a write-like w with not w ≺ l and w ≼ c.
+
+    When the write-likes form a chain, those ≺ x are a prefix of it, and
+    l ≺ c (the ll edge) makes l's prefix part of c's.  A window is then
+    empty iff c is no write-like and the first write-like past l's prefix
+    does not reach c: one binary search per window."""
+    if not windows:
+        return
+    wnodes = _Nodes(hb, [w.id for w in wc]) if len(wc) > _FEW else None
+    if wnodes is None or wnodes.chain is None:
+        reach = [(w.id, hb.succ_mask(w.id)) for w in wc]
+        for l, c in windows:
+            pl, pc = hb.pos[l], hb.pos[c.id]
+            if not any(not m >> pl & 1 and (w == c.id or m >> pc & 1) for w, m in reach):
+                _viol(out, "L4.2", (l, c.id), "no write-like event inside the LL..SC/VL window")
+        return
+    masks = [hb.succ_mask(wc[k].id) for k in wnodes.chain]
+    for l, c in windows:
+        if c.id in wnodes.rank:
+            continue
+        k = _prefix_len(masks, hb.pos[l])
+        if k == len(masks) or not masks[k] >> hb.pos[c.id] & 1:
+            _viol(out, "L4.2", (l, c.id), "no write-like event inside the LL..SC/VL window")
+
+
+def _check_l43(hb: HbClosure, plain: list, closed: list, good: list,
+               chain: Optional[list], out: list) -> None:
+    """L4.3: between windows l..c and l2..c2, c returning before l2 and no
+    plain write mutating l..c2, lies a successful pair: some good (l3, c3)
+    with not l3 ≺ l and c3 ≼ c2.
+
+    With the good pairs in one chain (from L4.1), the l3 ≺ l form a prefix
+    of it, so only the first pair past that prefix can lie in the window:
+    one binary search per l.  Without a chain, two masks over the good
+    pairs, built once per event, meet in one AND.
+
+    Candidates (l2, c2) for a window l..c are pruned: if c2* returns before
+    c2, then c2* ≺ c2, so a good pair that lies within l..c2* lies within
+    l..c2, and a plain write that mutates l..c2 mutates l..c2* too.  So if
+    any candidate fails, one whose c2 starts no later than the least end m
+    of a candidate's c2 fails.  With the closed pairs sorted by l2.start and
+    each l2 starting before its c2, those are found by a short scan from the
+    first l2 after c; only when one fails are all candidates enumerated.
+
+    A lone window has no candidate: c returning before its own l would
+    close a cycle with the ll edge, which the closure refuses."""
+    if len(closed) < 2:
+        return
+    if chain is not None:
+        lmasks = [hb.succ_mask(l3) for l3, _ in chain]
+        first_after: dict[int, Optional[int]] = {}  # l -> c3 of the first good pair past l
+
+        def holds(l: int, c2: int) -> bool:
+            if l not in first_after:
+                j = _prefix_len(lmasks, hb.pos[l])
+                first_after[l] = chain[j][1].id if j < len(chain) else None
+            c3 = first_after[l]
+            return c3 is not None and (c3 == c2 or hb.hb(c3, c2))
+    else:
+        reach = None  # successor masks of the good pairs, on first use
+        unlinked: dict[int, int] = {}  # l -> {j : not l3_j ≺ l}
+        stored: dict[int, int] = {}  # c2 -> {j : c3_j ≼ c2}
+
+        def holds(l: int, c2: int) -> bool:
+            nonlocal reach
+            if reach is None:
+                reach = [(hb.succ_mask(l3), c3.id, hb.succ_mask(c3.id)) for l3, c3 in good]
+            if l not in unlinked:
+                p = hb.pos[l]
+                unlinked[l] = sum(1 << j for j, (m, _, _) in enumerate(reach)
+                                  if not m >> p & 1)
+            if c2 not in stored:
+                p = hb.pos[c2]
+                stored[c2] = sum(1 << j for j, (_, c3, m) in enumerate(reach)
+                                 if c3 == c2 or m >> p & 1)
+            return unlinked[l] & stored[c2] != 0
+
+    def mutation(le) -> float:
+        # a plain write mutates the window l..c2 iff it does not return
+        # before l and starts no later than c2 returns
+        return min((w.start for w in plain if not returns_before(w, le)), default=INF)
+
+    def enumerate_candidates(l, c, mutated) -> None:
+        for l2, c2, l2e in closed:
+            if returns_before(c, l2e) and mutated > c2.end and not holds(l, c2.id):
+                _viol(out, "L4.3", (l, c.id, l2, c2.id),
+                      "no successful pair within consecutive LL/SC windows")
+
+    if len(closed) <= _FEW or any(c.start <= le.start for _, c, le in closed):
         for l, c, le in closed:
-            # a plain write mutates the window l..c2 iff it does not return
-            # before l and starts no later than c2 returns
-            mutated = min((w.start for w in plain if not returns_before(w, le)), default=INF)
-            for l2, c2, l2e in closed:
-                if not returns_before(c, l2e) or mutated <= c2.end:
-                    continue
-                if reach is None:
-                    reach = [(hb.succ_mask(l3), c3.id, hb.succ_mask(c3.id)) for l3, c3 in good]
-                if l not in unlinked:
-                    p = hb.pos[l]
-                    unlinked[l] = sum(1 << j for j, (m, _, _) in enumerate(reach)
-                                      if not m >> p & 1)
-                if c2.id not in stored:
-                    p = hb.pos[c2.id]
-                    stored[c2.id] = sum(1 << j for j, (_, c3, m) in enumerate(reach)
-                                        if c3 == c2.id or m >> p & 1)
-                if not unlinked[l] & stored[c2.id]:
-                    _viol(out, "L4.3", (l, c.id, l2, c2.id),
-                          "no successful pair within consecutive LL/SC windows")
+            enumerate_candidates(l, c, mutation(le))
+        return
+    by_start = sorted(closed, key=lambda t: t[2].start)
+    starts = [le.start for _, _, le in by_start]
+    least_end = [INF] * (len(by_start) + 1)  # least c2.end over by_start[i:]
+    for i in range(len(by_start) - 1, -1, -1):
+        least_end[i] = min(least_end[i + 1], by_start[i][1].end)
+    for l, c, le in closed:
+        i = bisect_right(starts, c.end)
+        m = least_end[i]
+        mutated = None
+        while i < len(by_start) and starts[i] < m:
+            c2 = by_start[i][1]
+            i += 1
+            if c2.start > m or holds(l, c2.id):
+                continue
+            if mutated is None:
+                mutated = mutation(le)
+            if mutated > c2.end:
+                enumerate_candidates(l, c, mutated)
+                break
 
 
 # -- S ------------------------------------------------------------------------

@@ -25,7 +25,11 @@ DEFAULT_SUITES = ("S",)
 
 def _load_script(path: str) -> OpScript:
     with open(path) as fh:
-        return OpScript.from_json(fh.read())
+        text = fh.read()
+    try:
+        return OpScript.from_json(text)
+    except ValueError as exc:  # ScriptError and JSONDecodeError are ValueErrors
+        raise ScriptError(f"{path}: {exc}") from exc
 
 
 class MalformedHistory(Exception):
@@ -121,7 +125,8 @@ def cmd_stress(args) -> int:
     cfg = StressConfig(algorithm=args.alg, n=args.n, script=script,
                        runs=args.runs, suites=suites)
     summary = stress(cfg)
-    _emit({"runs": summary.runs, "violations": summary.violations}, None)
+    _emit({"runs": summary.runs, "violations": summary.violations,
+           "worker_errors": summary.worker_errors}, None)
     for report in summary.failing:
         _report_failures(report)
     return 0 if summary.clean else 1
@@ -271,11 +276,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except MalformedHistory as exc:
+    except (MalformedHistory, ValueError, OSError) as exc:  # ScriptError is a ValueError
         print(f"snaplab: {exc}", file=sys.stderr)
-        return 2
-    except (ScriptError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -438,7 +438,10 @@ class StressConfig:
     initial: Optional[tuple] = None
 
 
-def stress_once(cfg: StressConfig) -> History:
+def stress_once(cfg: StressConfig, errors: Optional[list] = None) -> History:
+    """One real-thread run of the script.  A worker that raises appends its
+    exception to ``errors`` and re-raises it, so that ``threading.excepthook``
+    still reports it; the history keeps its unfinished operation."""
     adef = ALGORITHMS[cfg.algorithm]
     adef.validate(cfg.script, cfg.n)
     initial = list(cfg.initial) if cfg.initial is not None else [0] * cfg.n
@@ -475,7 +478,15 @@ def stress_once(cfg: StressConfig) -> History:
                     rec.finish(abs_ev, UNIT if op[0] == WRITE else list(stop.value))
                     break
 
-    workers = [threading.Thread(target=drive, args=(ts,)) for ts in cfg.script.threads]
+    def worker(ts):
+        try:
+            drive(ts)
+        except Exception as exc:
+            if errors is not None:
+                errors.append(exc)
+            raise
+
+    workers = [threading.Thread(target=worker, args=(ts,)) for ts in cfg.script.threads]
     for w in workers:
         w.start()
     for w in workers:
@@ -487,20 +498,23 @@ def stress_once(cfg: StressConfig) -> History:
 class StressSummary:
     runs: int = 0
     violations: int = 0
+    worker_errors: int = 0  # exceptions raised by worker threads
     failing: list = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return self.violations == 0
+        return self.violations == 0 and self.worker_errors == 0
 
 
 def stress(cfg: StressConfig, per_run=None) -> StressSummary:
     summary = StressSummary()
     for _ in range(cfg.runs):
-        h = stress_once(cfg)
+        errors: list = []
+        h = stress_once(cfg, errors)
         d = derive(h)
         report = run_checks(d, cfg.suites)
         summary.runs += 1
+        summary.worker_errors += len(errors)
         nviol = sum(len(s.violations) for s in report.suites.values())
         summary.violations += nviol
         if nviol and len(summary.failing) < 3:

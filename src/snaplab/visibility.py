@@ -30,7 +30,8 @@ class HbClosure:
     """Transitive closure of (returns-before ∪ edges) over interval nodes.
 
     Nodes are given as {id: (start, end)}; edges are sparse id pairs.
-    Raises CorruptHistory when the combined relation has a cycle.
+    Raises CorruptHistory when an edge names no node or the combined
+    relation has a cycle.
     """
 
     def __init__(self, intervals: dict[int, tuple], edges: Iterable[tuple[int, int]]):
@@ -42,8 +43,11 @@ class HbClosure:
         self.starts = [intervals[eid][0] for eid in order]
         self.ends = [intervals[eid][1] for eid in order]
         sparse: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edges:
-            sparse[self.pos[a]].append(self.pos[b])
+        try:
+            for a, b in edges:
+                sparse[self.pos[a]].append(self.pos[b])
+        except KeyError:
+            raise CorruptHistory("edge references a missing event", (a, b)) from None
         self._sparse = sparse
         # chain node k stands for "every node with start >= starts[k]"
         chain_to = [bisect_right(self.starts, self.ends[k]) for k in range(n)]

@@ -1,16 +1,16 @@
 """The checker against the frozen baseline in ``perfbench/snaplab_baseline``.
 
 The suites read V.1, the register signatures, the LL/SC lemmas and the
-snapshot axioms from the masks of the happens-before closure; the frozen
-copy enumerates them pair by pair.  Both must give the same report,
-violation order included, or raise the same exception type, on every
-history here: the corruption fixtures, seeded mutations of alg2 DFS and
-small alg3 random histories, and hand-built histories for the axioms that
+snapshot axioms from the masks of the happens-before closure, and the
+LL/SC lemmas from chains along it; the frozen copy enumerates them pair by
+pair.  Both must give the same report, violation order included, or raise
+the same exception type, on every history here: the corruption fixtures,
+seeded mutations of alg2 DFS, small alg3 random and long alg3 random
+histories, and hand-built histories for the axioms and fallbacks that
 mutation seldom reaches.  The test also asserts that each rewritten axiom
 fires somewhere in the set, since equal clean reports would prove nothing
-for it.
+for it.  ``scripts/diff_checker.py`` runs the same comparison at any size.
 """
-import json
 import random
 import sys
 from pathlib import Path
@@ -20,26 +20,19 @@ import snaplab
 from snaplab import ABS, REP, UNIT, Event, History, OpScript, random_script
 from snaplab.harness import DfsBounded, ExploreConfig, RandomWalks, iter_sims
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 import snaplab_baseline  # noqa: E402  (read-only: the frozen yardstick)
+from diff_checker import mutants, mutate, verdict  # noqa: E402
 
-SUITES = ("M", "M+", "L", "F+", "F", "S")
 MUTANTS = 1500
+LONG_MUTANTS = 60  # of alg3 histories with 20 operations per thread
 
-# every axiom whose check was rewritten over closure masks; either wrtotal
-# proves the shared fast path, so they count as one
+# every axiom whose check was rewritten over closure masks or chains; either
+# wrtotal proves the shared fast path, so they count as one
 REWRITTEN = ("V.1", "L4.1", "L4.2", "L4.3", "M.nowrbetween", "M+.nowrbetween",
-             ("M.wrtotal", "M+.wrtotal"), "S.2", "S.4", "S.7", "F+.sconuniq")
-
-
-def _verdict(lib, text: str):
-    h = lib.History.from_json(text)
-    try:
-        report = lib.run_checks(lib.derive(h), SUITES).to_obj()
-    except Exception as exc:  # the baseline's exception type is the answer
-        return type(exc).__name__
-    del report["stats"]["wall_s"]
-    return report
+             ("M.wrtotal", "M+.wrtotal"), "M+.llobsparent", "S.2", "S.4", "S.7",
+             "F+.sconuniq")
 
 
 # -- hand-built histories -------------------------------------------------------
@@ -109,34 +102,67 @@ def _scans_disagree_on_order() -> History:
                    rf=[(1, 5), (7, 9), (3, 10), (12, 13)])
 
 
-HAND_BUILT = (_llsc_no_successful_pair, _overlapping_writes, _overlapping_cell_writes,
-              _scans_disagree_on_order)
+def _llsc_windows(spans, successes, extra_lls=()) -> History:
+    """LL/SC windows on register K of one probe, after an initial write.
+
+    Window k has its LL start at ``spans[k][0]`` and its SC at
+    ``spans[k][1]``, and succeeds iff ``successes[k]``; ``extra_lls`` are
+    starts of unlinked LLs.  Every rep event lasts two ticks.  Every LL/SC observes the latest successful
+    SC that returned before it started, or else the initial write."""
+    events = [Event(1, REP, "u.w", 0, UNIT, 1, 2, 0, "K")]
+    ll = []
+    for (l_start, c_start), ok in zip(spans, successes):
+        l, c = len(events) + 1, len(events) + 2
+        events.append(Event(l, REP, "u.ll", None, 0, l_start, l_start + 2, 0, "K"))
+        events.append(Event(c, REP, "u.sc", 0, ok, c_start, c_start + 2, 0, "K"))
+        ll.append((l, c))
+    for start in extra_lls:
+        events.append(Event(len(events) + 1, REP, "u.ll", None, 0, start, start + 2, 0, "K"))
+    rf = []
+    for e in events[1:]:
+        done = [w for w in events if w.end < e.start and (w.id == 1 or w.output is True)]
+        rf.append((max(done, key=lambda w: w.end).id, e.id))
+    end = max(e.end for e in events) + 1
+    probe = Event(0, ABS, "probe", None, UNIT, 0, end)
+    return History("jayanti2", 1, [0], events=[probe] + events, rf=rf, ll=ll)
+
+
+def _llsc_reversed_link() -> History:
+    """Ten windows; window 8's LL starts after its SC does, which forces the
+    L4.3 candidate pruning back to enumeration.  Windows 3 and 4 fail with
+    no write-like inside (L4.2) and no successful pair between them (L4.3),
+    and an unlinked LL intervenes in window 7 (M+.llobsparent)."""
+    spans = [(10 * k + 4, 10 * k + 10) for k in range(10)]
+    spans[8] = (85, 84)
+    return _llsc_windows(spans, [k not in (3, 4) for k in range(10)], extra_lls=[77])
+
+
+def _llsc_nested_window() -> History:
+    """Ten windows; failing window 5 nests inside successful window 4, so
+    the candidate (4) that starts first after window 3 holds a successful
+    pair while the nested one (5) does not (L4.3 on windows 3 and 5)."""
+    spans = [(10 * k + 4, 10 * k + 10) for k in range(10)]
+    spans[4], spans[5] = (44, 60), (48, 52)
+    return _llsc_windows(spans, [k not in (3, 5) for k in range(10)])
+
+
+def _llsc_overlapping_successes() -> History:
+    """Twelve windows; successful windows 5 and 6 interleave (L4.1), so the
+    good pairs form no chain and L4.3 falls back to masks.  The successful
+    SCs of windows 9 and 10 overlap, so the write-likes form no chain and
+    L4.2 falls back too.  Windows 2 and 3 fail with no write-like inside and
+    no successful pair between them."""
+    spans = [(10 * k + 4, 10 * k + 10) for k in range(12)]
+    spans[5], spans[6] = (54, 62), (58, 66)
+    spans[10] = (97, 101)
+    return _llsc_windows(spans, [k not in (2, 3) for k in range(12)])
+
+
+HAND_BUILT = (_llsc_no_successful_pair, _llsc_reversed_link, _llsc_nested_window,
+              _llsc_overlapping_successes, _overlapping_writes, _overlapping_cell_writes, _scans_disagree_on_order)
 
 
 # -- seeded mutations -------------------------------------------------------------
-
-def _mutate(text: str, rng: random.Random) -> str:
-    """Drop, add or reverse one rf/ll edge, or flip one SC/VL outcome."""
-    obj = json.loads(text)
-    reps = [e for e in obj["events"] if e["kind"] == REP]
-    edges = obj[rng.choice(("rf", "ll"))]
-    kind = rng.choice(("drop", "add", "reverse", "flip"))
-    if kind == "drop" and edges:
-        edges.pop(rng.randrange(len(edges)))
-    elif kind == "reverse" and edges:
-        k = rng.randrange(len(edges))
-        edges[k] = edges[k][::-1]
-    elif kind == "add":
-        a = rng.choice(reps)
-        b = rng.choice([e for e in reps if e["object"] == a["object"]])
-        edges.append([a["id"], b["id"]])
-    elif kind == "flip":
-        conds = [e for e in reps if e["op"].endswith((".sc", ".vl")) and e["end"] != "inf"]
-        if conds:
-            c = rng.choice(conds)
-            c["output"] = not c["output"]
-    return json.dumps(obj)
-
 
 def _seed_histories() -> list[History]:
     script = OpScript.from_lists([[("write", 0, 2)], [("write", 0, 3)], [("scan",)]])
@@ -156,16 +182,17 @@ def _inputs() -> list[str]:
     for _ in range(MUTANTS):
         text = rng.choice(seeds).to_json()
         for _ in range(rng.randint(1, 3)):
-            text = _mutate(text, rng)
+            text = mutate(text, rng)
         texts.append(text)
+    texts += mutants("jayanti3", 20, LONG_MUTANTS, seed=3)
     return texts
 
 
 def test_reports_match_frozen_baseline():
     fired: set[str] = set()
     for text in _inputs():
-        ours = _verdict(snaplab, text)
-        theirs = _verdict(snaplab_baseline, text)
+        ours = verdict(snaplab, text)
+        theirs = verdict(snaplab_baseline, text)
         assert ours == theirs, text[:500]
         if isinstance(ours, dict):
             fired.update(v["axiom"] for s in ours["suites"].values() for v in s["violations"])
@@ -176,10 +203,13 @@ def test_reports_match_frozen_baseline():
 
 def test_hand_built_histories_fire_their_axioms():
     want = {_llsc_no_successful_pair: {"L4.3"},
+            _llsc_reversed_link: {"L4.2", "L4.3", "M+.llobsparent"},
+            _llsc_nested_window: {"L4.2", "L4.3"},
+            _llsc_overlapping_successes: {"L4.1", "L4.2", "L4.3"},
             _overlapping_writes: {"M.wrtotal", "M+.wrtotal"},
             _overlapping_cell_writes: {"S.4"},
             _scans_disagree_on_order: {"S.7"}}
     for build, axioms in want.items():
-        report = _verdict(snaplab, build().to_json())
+        report = verdict(snaplab, build().to_json())
         got = {v["axiom"] for s in report["suites"].values() for v in s["violations"]}
         assert axioms <= got, (build.__name__, sorted(got))

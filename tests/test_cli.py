@@ -126,3 +126,47 @@ def test_exhaustive_cap_instructs_switching(tmp_path, capsys):
                "--mode", "exhaustive:50"])
     assert rc == 2
     assert "dfs:" in capsys.readouterr().err
+
+
+def test_check_edge_to_missing_event_reports_axioms(tmp_path, capsys):
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    hist = tmp_path / "jayanti1_fig3.history.json"
+    obj = json.loads(hist.read_text())
+    scan = next(e["id"] for e in obj["events"] if e["op"] == "scan")
+    obj["rf"].append([999, scan])
+    hist.write_text(json.dumps(obj))
+    rc = main(["check", "--history", str(hist), "--suites", "RB,M,F,S"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"H.edge-ref[999,{scan}]" in err
+    assert f"H.corrupt[999,{scan}] edge references a missing event" in err
+
+
+@pytest.mark.parametrize("threads", [
+    [{"ops": ["scan"]}],
+    [{"pid": 0, "ops": [{"write": 3}]}],
+    [{"pid": "zero", "ops": ["scan"]}],
+    "scan",
+], ids=["missing-pid", "write-not-pair", "pid-not-int", "threads-not-list"])
+def test_malformed_script_exits_two(tmp_path, capsys, threads):
+    p = tmp_path / "script.json"
+    p.write_text(json.dumps({"threads": threads}))
+    rc = main(["explore", "--alg", "jayanti3", "--n", "1", "--script", str(p)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"snaplab: {p}: malformed script: ")
+
+
+def test_stress_worker_exception_exits_one(monkeypatch, capsys):
+    import threading
+
+    import snaplab.harness as harness
+
+    def failing(adef, bank, n, pid, op):
+        raise RuntimeError("scan failed")
+
+    monkeypatch.setattr(harness, "op_generator", failing)
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+    rc = main(["stress", "--alg", "jayanti3", "--n", "1", "--threads", "2", "--ops", "2"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["worker_errors"] == 2

@@ -103,6 +103,32 @@ def test_stress_summary_counts_runs():
     assert summary.clean
 
 
+def test_stress_worker_exception_is_counted(monkeypatch):
+    """A scan that raises in its worker thread still reaches
+    threading.excepthook, and the run is not clean."""
+    import threading
+
+    import snaplab.harness as harness
+
+    real = harness.op_generator
+    raised = []
+
+    def failing_once(adef, bank, n, pid, op):
+        if op[0] == "scan" and not raised:
+            raised.append(pid)
+            raise RuntimeError("scan failed")
+        return real(adef, bank, n, pid, op)
+
+    hooked = []
+    monkeypatch.setattr(harness, "op_generator", failing_once)
+    monkeypatch.setattr(threading, "excepthook", lambda args: hooked.append(args.exc_type))
+    script = OpScript.from_lists([[("write", 0, 2), ("scan",)], [("scan",), ("write", 1, 3)]])
+    summary = stress(StressConfig("jayanti3", 2, script, runs=2, suites=("RB", "S")))
+    assert summary.runs == 2
+    assert summary.worker_errors == 1 and hooked == [RuntimeError]
+    assert not summary.clean
+
+
 def _single_scanner(script):
     """Rewrite a random script so only thread 0 scans (single-scanner rule)."""
     rows = []
