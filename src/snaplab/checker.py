@@ -541,6 +541,63 @@ def _direct_bot(d: Derived, sigma, i) -> Optional[bool]:
     return r in d.idx.rf_src.get(b, ())
 
 
+def _check_io(d: Derived, axiom: str, out: list) -> None:
+    """F.io, F+.io: a terminated scan's virtual scan observed its returned
+    values."""
+    h, fl = d.history, d.flevel
+    for s in d.idx.abs_scans:
+        if not s.terminated:
+            continue
+        sid = d.sigma_of.get(s.id)
+        if sid is None:
+            _viol(out, axiom, (s.id,), "terminated scan has no virtual scan")
+            continue
+        for i in range(h.n):
+            got = fl.obs.get((sid, i), ())
+            if not any(h.event(w).input == s.output[i] for w, _ in got):
+                _viol(out, axiom, (s.id, sid),
+                      f"virtual scan observes no write matching output at cell {i}")
+
+
+def _check_sigma_order(sigmas: list, axiom: str, out: list) -> None:
+    """F.2a, F+.sctotal: virtual scans are totally ordered by returns-before."""
+    order = sorted(sigmas, key=lambda s: (s.start, s.id))
+    for s1, s2 in zip(order, order[1:]):
+        if not s1.end < s2.start:
+            _viol(out, axiom, (s1.id, s2.id), "virtual scans overlap")
+
+
+def _check_main_writers(d: Derived, axiom: str, out: list) -> None:
+    """F.3a, F+.wrauniq: only abs writes write into the main array."""
+    h, idx = d.history, d.idx
+    for reg, ops in sorted(idx.regs.items()):
+        if not reg.startswith("A["):
+            continue
+        cell = int(reg[2:-1])
+        for e in ops.writes:
+            base = idx.rep_info[e.id][0]
+            parent_op = h.event(e.parent).op if e.parent is not None else None
+            if base != "wa" or parent_op != f"write[{cell}]":
+                _viol(out, axiom, (e.id,), f"foreign write into {reg}")
+
+
+def _check_bottom_writers(d: Derived, axiom: str, note: str, out: list,
+                          value_axiom: Optional[str] = None) -> None:
+    """F.3b, F+.scruniq: bottom goes into forwarding cells only by scan
+    resets.  F+ also asks, as ``value_axiom``, that values go in only by
+    forwarding SCs; both are reported per write, in register order."""
+    idx = d.idx
+    for reg in sorted(idx.regs):
+        if not (reg.startswith("B[") or reg.startswith("Bp[")):
+            continue
+        for e in idx.write_likes(reg):
+            base = idx.rep_info[e.id][0]
+            if (e.input is BOT) != (base in _RESET_BASES):
+                _viol(out, axiom, (e.id,), f"{note} {reg}")
+            if value_axiom and (e.input is not BOT) != (base == "fsc"):
+                _viol(out, value_axiom, (e.id,), f"unexpected value writer of {reg}")
+
+
 def check_forwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
@@ -551,24 +608,8 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
     fl = d.flevel
     rhb = d.rep.hb
     by_slot = _fwd_by_slot(d)
-    # F.io: a terminated scan's virtual scan observed its returned values
-    for s in idx.abs_scans:
-        if not s.terminated:
-            continue
-        sid = d.sigma_of.get(s.id)
-        if sid is None:
-            _viol(out, "F.io", (s.id,), "terminated scan has no virtual scan")
-            continue
-        for i in range(h.n):
-            got = fl.obs.get((sid, i), ())
-            if not any(h.event(w).input == s.output[i] for w, _ in got):
-                _viol(out, "F.io", (s.id, sid),
-                      f"virtual scan observes no write matching output at cell {i}")
-    # F.2a: virtual scans are totally ordered by returns-before
-    order = sorted(sigmas, key=lambda s: (s.start, s.id))
-    for s1, s2 in zip(order, order[1:]):
-        if not s1.end < s2.start:
-            _viol(out, "F.2a", (s1.id, s2.id), "virtual scans overlap")
+    _check_io(d, "F.io", out)
+    _check_sigma_order(sigmas, "F.2a", out)
     # F.2b: reset before cell read before forward read
     for sigma in sigmas:
         for i in range(h.n):
@@ -577,24 +618,8 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
                 continue
             if not (h.event(r).end < h.event(a).start and h.event(a).end < h.event(b).start):
                 _viol(out, "F.2b", (r, a, b), f"scan structure broken at cell {i}")
-    # F.3a: only abs writes write into the main array
-    for reg, ops in sorted(idx.regs.items()):
-        if not reg.startswith("A["):
-            continue
-        cell = int(reg[2:-1])
-        for e in ops.writes:
-            base = idx.rep_info[e.id][0]
-            parent_op = h.event(e.parent).op if e.parent is not None else None
-            if base != "wa" or parent_op != f"write[{cell}]":
-                _viol(out, "F.3a", (e.id,), f"foreign write into {reg}")
-    # F.3b: bottom goes into forwarding cells only by scan resets
-    for reg, ops in sorted(idx.regs.items()):
-        if not (reg.startswith("B[") or reg.startswith("Bp[")):
-            continue
-        for e in idx.write_likes(reg):
-            base = idx.rep_info[e.id][0]
-            if (e.input is BOT) != (base in _RESET_BASES):
-                _viol(out, "F.3b", (e.id,), f"unexpected writer of {reg}")
+    _check_main_writers(d, "F.3a", out)
+    _check_bottom_writers(d, "F.3b", "unexpected writer of", out)
     # F.4a: at most one forwarded write per scan and cell
     for (sid, i), ws in sorted(by_slot.items()):
         if len(set(ws)) > 1:
@@ -652,38 +677,11 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
     rhb = d.rep.hb
     sigmas = [s for s in d.sigmas if s.complete]
     out.extend(_sigma_containment(d, axiom="F+.vrtinscan"))
-    fl = d.flevel
-    for s in idx.abs_scans:
-        if not s.terminated:
-            continue
-        sid = d.sigma_of.get(s.id)
-        if sid is None:
-            _viol(out, "F+.io", (s.id,), "terminated scan has no virtual scan")
-            continue
-        for i in range(h.n):
-            got = fl.obs.get((sid, i), ())
-            if not any(h.event(w).input == s.output[i] for w, _ in got):
-                _viol(out, "F+.io", (s.id, sid),
-                      f"virtual scan observes no write matching output at cell {i}")
-    order = sorted(sigmas, key=lambda s: (s.start, s.id))
-    for s1, s2 in zip(order, order[1:]):
-        if not s1.end < s2.start:
-            _viol(out, "F+.sctotal", (s1.id, s2.id), "virtual scans overlap")
-    for reg, ops in sorted(idx.regs.items()):
-        if reg.startswith("A["):
-            cell = int(reg[2:-1])
-            for e in ops.writes:
-                base = idx.rep_info[e.id][0]
-                parent_op = h.event(e.parent).op if e.parent is not None else None
-                if base != "wa" or parent_op != f"write[{cell}]":
-                    _viol(out, "F+.wrauniq", (e.id,), f"foreign write into {reg}")
-        if reg.startswith("B[") or reg.startswith("Bp["):
-            for e in idx.write_likes(reg):
-                base = idx.rep_info[e.id][0]
-                if (e.input is BOT) != (base in _RESET_BASES):
-                    _viol(out, "F+.scruniq", (e.id,), f"unexpected bottom writer of {reg}")
-                if (e.input is not BOT) != (base == "fsc"):
-                    _viol(out, "F+.fbBuniq", (e.id,), f"unexpected value writer of {reg}")
+    _check_io(d, "F+.io", out)
+    _check_sigma_order(sigmas, "F+.sctotal", out)
+    _check_main_writers(d, "F+.wrauniq", out)
+    _check_bottom_writers(d, "F+.scruniq", "unexpected bottom writer of", out,
+                          value_axiom="F+.fbBuniq")
     # sconuniq: observing the phase flag == being inside the on..off window
     x_reads = idx.read_likes("X") if "X" in idx.regs else []
     xnodes = None

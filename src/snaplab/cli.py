@@ -20,9 +20,6 @@ from .linearize import Linearization, LinearizeError, SizeGuard, \
 from .report import CheckReport
 from .visibility import derive
 
-DEFAULT_SUITES = ("S",)
-
-
 def _load_script(path: str) -> OpScript:
     with open(path) as fh:
         text = fh.read()
@@ -68,7 +65,7 @@ def _parse_mode_arg(text: str):
 
 def cmd_explore(args) -> int:
     script = _load_script(args.script)
-    suites = tuple(args.check.split(",")) if args.check else DEFAULT_SUITES
+    suites = tuple(args.check.split(",")) if args.check else ("S",)
     cfg = ExploreConfig(
         algorithm=args.alg, n=args.n, script=script, mode=_parse_mode_arg(args.mode),
         suites=suites, linearize=True, oracle=args.oracle,
@@ -109,13 +106,11 @@ def cmd_explore(args) -> int:
     if summary.stream_sha256:
         out["stream_sha256"] = summary.stream_sha256
     _emit(out, None)
-    for res in summary.failing:
-        if isinstance(res, dict):  # compact failure record from a worker
-            print(json.dumps(res), file=sys.stderr)
-            continue
-        _report_failures(res.report)
-        if res.lin_error:
-            print(res.lin_error, file=sys.stderr)
+    for failure in summary.failing:
+        print(json.dumps({"schedule": list(failure.schedule)}), file=sys.stderr)
+        _report_failures(failure.report)
+        if failure.lin_error:
+            print(failure.lin_error, file=sys.stderr)
     return 0 if summary.clean else 1
 
 
@@ -135,7 +130,7 @@ def cmd_stress(args) -> int:
 def cmd_check(args) -> int:
     h = _load_history(args.history)
     d = derive(h)
-    suites = tuple(args.suites.split(",")) if args.suites else DEFAULT_SUITES
+    suites = tuple(args.suites.split(",")) if args.suites else ("RB", "S")
     lin_ok = None
     if "CHAIN" in suites:
         try:
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="run axiom suites over a recorded history")
     ck.add_argument("--history", required=True)
-    ck.add_argument("--suites", default="S")
+    ck.add_argument("--suites", default="RB,S")
     ck.add_argument("--out", default=None)
     ck.set_defaults(fn=cmd_check)
 

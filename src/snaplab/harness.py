@@ -2,9 +2,10 @@
 
 The simulator runs the algorithms as step machines, one register
 operation per scheduling point, under exhaustive DFS, bounded DFS,
-seeded random, or fixed schedules.  The stress runner drives the same
-generators on real threads against the threadsafe recorder.  Both emit
-recorded histories that are checked post hoc.
+seeded random, or fixed schedules.  The stress runner steps the same
+simulator from real threads, one per script thread, against the
+threadsafe recorder.  Both emit recorded histories that are checked post
+hoc.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import hashlib
 import random
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .algorithms import ALGORITHMS, LL, R, SC, UPD, VL, W, WRITE, OpScript, \
@@ -35,7 +37,7 @@ class ReproMismatch(AssertionError):
 
 
 class _Thread:
-    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "cur_op")
+    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "op_key")
 
     def __init__(self, pid, ops):
         self.pid = pid
@@ -44,7 +46,7 @@ class _Thread:
         self.gen = None
         self.pending = None
         self.abs_ev = None
-        self.cur_op = None
+        self.op_key = None  # (op kind, abs event id) of the current operation
 
 
 class SimRun:
@@ -52,10 +54,9 @@ class SimRun:
     operation of the chosen thread."""
 
     def __init__(self, algorithm: str, n: int, script: OpScript, initial=None,
-                 seed=None, threadsafe=False, validate=True):
+                 seed=None, threadsafe=False):
         adef = ALGORITHMS[algorithm]
-        if validate:
-            adef.validate(script, n)
+        adef.validate(script, n)
         initial = list(initial) if initial is not None else [0] * n
         self.adef = adef
         self.n = n
@@ -69,8 +70,7 @@ class SimRun:
             self.rec.finish(ev, UNIT)
         self.threads = [_Thread(t.pid, t.ops) for t in script.threads]
         self.schedule: list[int] = []
-        self.op_steps: dict[int, int] = {}
-        self._op_kind: dict[int, str] = {}
+        self.op_steps: dict[tuple[str, int], int] = {}
 
     def enabled(self) -> list[int]:
         return [k for k, t in enumerate(self.threads)
@@ -99,25 +99,30 @@ class SimRun:
         raise ValueError(f"bad step descriptor {desc!r}")
 
     def step(self, k: int) -> None:
-        t = self.threads[k]
+        key = self._advance(self.threads[k])
+        self.op_steps[key] = self.op_steps.get(key, 0) + 1
+        self.schedule.append(k)
+
+    def _advance(self, t: _Thread) -> tuple[str, int]:
+        """Run the next register operation of ``t`` and return its
+        ``op_key``.  Stress workers call this, each for its own thread, and
+        keep out of ``step``'s schedule bookkeeping."""
         if t.gen is None:
             op = t.ops[t.op_idx]
-            t.cur_op = op
             t.abs_ev = self.rec.begin(ABS, op_name(op), op_input(op), None, None)
+            t.op_key = ("write" if op[0] == WRITE else "scan", t.abs_ev.id)
             t.gen = op_generator(self.adef, self.bank, self.n, t.pid, op)
             t.pending = next(t.gen)
-            self._op_kind[t.abs_ev.id] = "write" if op[0] == WRITE else "scan"
+        key = t.op_key
         res = self._exec(t.pending, t)
-        self.op_steps[t.abs_ev.id] = self.op_steps.get(t.abs_ev.id, 0) + 1
-        self.schedule.append(k)
         try:
             t.pending = t.gen.send(res)
         except StopIteration as stop:
-            out = UNIT if t.cur_op[0] == WRITE else list(stop.value)
-            self.rec.finish(t.abs_ev, out)
+            self.rec.finish(t.abs_ev, UNIT if key[0] == "write" else list(stop.value))
             t.gen = None
             t.abs_ev = None
             t.op_idx += 1
+        return key
 
     def run_schedule(self, schedule: Iterable[int]) -> None:
         for k in schedule:
@@ -135,8 +140,7 @@ class SimRun:
 
     def max_steps(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for eid, steps in self.op_steps.items():
-            kind = self._op_kind[eid]
+        for (kind, _), steps in self.op_steps.items():
             if steps > out.get(kind, 0):
                 out[kind] = steps
         return out
@@ -230,12 +234,11 @@ class ExploreSummary:
                 and self.oracle_mismatches == 0)
 
 
-def evaluate(cfg: ExploreConfig, sim: SimRun, want_lin=None) -> EvalResult:
+def evaluate(cfg: ExploreConfig, sim: SimRun) -> EvalResult:
     history = sim.history()
     d = derive(history)
-    do_lin = cfg.linearize if want_lin is None else want_lin
     lin = lin_ok = lin_err = None
-    if do_lin or cfg.oracle or "CHAIN" in cfg.suites:
+    if cfg.linearize or cfg.oracle or "CHAIN" in cfg.suites:
         try:
             lin = linearize(d)
             lin_ok = lin.legal
@@ -257,13 +260,18 @@ def evaluate(cfg: ExploreConfig, sim: SimRun, want_lin=None) -> EvalResult:
     return res
 
 
-def _iter_dfs(new_sim: Callable[[], SimRun], limit: Optional[int]):
+def _new_sim(cfg: ExploreConfig) -> SimRun:
+    seed = cfg.mode.seed if isinstance(cfg.mode, RandomWalks) else None
+    return SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial, seed=seed)
+
+
+def _iter_dfs(cfg: ExploreConfig, limit: Optional[int]):
     """Depth-first enumeration of complete schedules; one full execution
     per emitted leaf, with recorded branch points for backtracking."""
     frames: list[list] = []  # [choices, index]
     count = 0
     while True:
-        sim = new_sim()
+        sim = _new_sim(cfg)
         for choices, i in frames:
             sim.step(choices[i])
         while True:
@@ -284,146 +292,116 @@ def _iter_dfs(new_sim: Callable[[], SimRun], limit: Optional[int]):
 
 
 def iter_sims(cfg: ExploreConfig):
-    def new_sim():
-        seed = cfg.mode.seed if isinstance(cfg.mode, RandomWalks) else None
-        return SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial, seed=seed)
-
     mode = cfg.mode
     if isinstance(mode, Exhaustive):
         count = 0
-        for sim in _iter_dfs(new_sim, mode.cap + 1):
+        for sim in _iter_dfs(cfg, mode.cap + 1):
             count += 1
             if count > mode.cap:
                 raise ExploreCapExceeded(
                     f"more than {mode.cap} interleavings; use dfs:LIMIT or random:SEED:SAMPLES")
             yield sim
     elif isinstance(mode, DfsBounded):
-        yield from _iter_dfs(new_sim, mode.limit)
+        yield from _iter_dfs(cfg, mode.limit)
     elif isinstance(mode, RandomWalks):
         rng = random.Random(mode.seed)
         for _ in range(mode.samples):
-            sim = new_sim()
+            sim = _new_sim(cfg)
             sim.run_all(lambda en: en[rng.randrange(len(en))])
             yield sim
     elif isinstance(mode, FixedSchedule):
-        sim = new_sim()
+        sim = _new_sim(cfg)
         sim.run_schedule(mode.schedule)
         yield sim
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _result_digest(res: EvalResult) -> bytes:
-    payload = res.history.to_json()
-    if res.lin is not None:
-        payload += "\n" + res.lin.to_json()
-    return hashlib.sha256(payload.encode()).digest()
+@dataclass
+class Failure:
+    """A failing schedule: replay it with ``FixedSchedule(schedule)``."""
+    schedule: tuple[int, ...]
+    report: CheckReport
+    lin_error: Optional[str] = None
 
 
-def _fold_result(summary: ExploreSummary, cfg: ExploreConfig, res: EvalResult,
-                 sim: SimRun, keep_failing: int) -> None:
-    summary.schedules += 1
-    nviol = sum(len(s.violations) for s in res.report.suites.values())
-    summary.violations += nviol
+@dataclass
+class _Outcome:
+    """What the summary keeps of one evaluated schedule; small enough to
+    send back from a pool worker."""
+    digest: bytes
+    violations: int
+    lin_failed: bool
+    mismatch: bool
+    oracle_skipped: bool
+    max_steps: dict
+    ec: int
+    view_return: bool
+    failure: Optional[Failure]
+
+
+def _outcome(cfg: ExploreConfig, sim: SimRun, per_result=None) -> _Outcome:
+    res = evaluate(cfg, sim)
+    if per_result is not None:
+        per_result(res)
+    digest = b""
+    if cfg.hash_stream:
+        payload = res.history.to_json()
+        if res.lin is not None:
+            payload += "\n" + res.lin.to_json()
+        digest = hashlib.sha256(payload.encode()).digest()
+    nviol = len(res.report.all_violations())
     bad = nviol > 0 or res.lin_ok is False or res.agree is False
-    if res.lin_ok is False:
-        summary.lin_failures += 1
-    if res.agree is False:
-        summary.oracle_mismatches += 1
-    if cfg.oracle and res.oracle is None:
-        summary.oracle_skipped += 1
-    if bad:
-        summary.failed += 1
-        if len(summary.failing) < keep_failing:
-            summary.failing.append(res)
-    else:
-        summary.passed += 1
-    for k, v in sim.max_steps().items():
-        summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
-    if res.derived.afek_recursed:
-        summary.afek_view_returns += 1
-    summary.max_ec = max(summary.max_ec, len(completed_set(res.derived)))
+    return _Outcome(digest, nviol, res.lin_ok is False, res.agree is False,
+                    cfg.oracle and res.oracle is None, sim.max_steps(),
+                    len(completed_set(res.derived)), bool(res.derived.afek_recursed),
+                    Failure(res.schedule, res.report, res.lin_error) if bad else None)
+
+
+def _fold(cfg: ExploreConfig, outcomes: Iterable[_Outcome], keep_failing: int) -> ExploreSummary:
+    summary = ExploreSummary()
+    hasher = hashlib.sha256()
+    for o in outcomes:
+        summary.schedules += 1
+        summary.violations += o.violations
+        summary.lin_failures += o.lin_failed
+        summary.oracle_mismatches += o.mismatch
+        summary.oracle_skipped += o.oracle_skipped
+        if o.failure is None:
+            summary.passed += 1
+        else:
+            summary.failed += 1
+            if len(summary.failing) < keep_failing:
+                summary.failing.append(o.failure)
+        for k, v in o.max_steps.items():
+            summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
+        summary.max_ec = max(summary.max_ec, o.ec)
+        summary.afek_view_returns += o.view_return
+        hasher.update(o.digest)
+    if cfg.hash_stream:
+        summary.stream_sha256 = hasher.hexdigest()
+    return summary
 
 
 def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None]] = None,
             keep_failing: int = 5, jobs: int = 1) -> ExploreSummary:
+    """Evaluate every schedule of ``cfg.mode``.  With ``jobs > 1`` (and no
+    ``per_result``) schedules are enumerated here and re-executed and
+    checked in a pool; the summary is the same as with one job."""
     if jobs > 1 and per_result is None:
-        return _explore_parallel(cfg, jobs, keep_failing)
-    summary = ExploreSummary()
-    hasher = hashlib.sha256() if cfg.hash_stream else None
-    for sim in iter_sims(cfg):
-        res = evaluate(cfg, sim)
-        _fold_result(summary, cfg, res, sim, keep_failing)
-        if hasher is not None:
-            hasher.update(_result_digest(res))
-        if per_result is not None:
-            per_result(res)
-    if hasher is not None:
-        summary.stream_sha256 = hasher.hexdigest()
-    return summary
+        import multiprocessing
+
+        schedules = (tuple(sim.schedule) for sim in iter_sims(cfg))
+        with multiprocessing.Pool(jobs) as pool:
+            return _fold(cfg, pool.imap(partial(_pool_eval, cfg), schedules, chunksize=32),
+                         keep_failing)
+    return _fold(cfg, (_outcome(cfg, sim, per_result) for sim in iter_sims(cfg)), keep_failing)
 
 
-_WORKER_CFG: Optional[ExploreConfig] = None
-
-
-def _pool_init(cfg: ExploreConfig) -> None:
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
-
-def _pool_eval(schedule: tuple):
-    cfg = _WORKER_CFG
-    sim = SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial,
-                 seed=cfg.mode.seed if isinstance(cfg.mode, RandomWalks) else None,
-                 validate=False)
+def _pool_eval(cfg: ExploreConfig, schedule: tuple) -> _Outcome:
+    sim = _new_sim(cfg)
     sim.run_schedule(schedule)
-    res = evaluate(cfg, sim)
-    nviol = sum(len(s.violations) for s in res.report.suites.values())
-    bad = nviol > 0 or res.lin_ok is False or res.agree is False
-    return (
-        _result_digest(res) if cfg.hash_stream else b"",
-        nviol,
-        res.lin_ok is False,
-        res.agree is False,
-        cfg.oracle and res.oracle is None,
-        sim.max_steps(),
-        len(completed_set(res.derived)),
-        bool(res.derived.afek_recursed),
-        res.report.to_obj() if bad else None,
-    )
-
-
-def _explore_parallel(cfg: ExploreConfig, jobs: int, keep_failing: int) -> ExploreSummary:
-    """Enumerate schedules in-process, farm the re-execution and checking out
-    to a pool; summary and stream hash match the sequential order."""
-    import multiprocessing
-
-    summary = ExploreSummary()
-    hasher = hashlib.sha256() if cfg.hash_stream else None
-    schedules = (tuple(sim.schedule) for sim in iter_sims(cfg))
-    with multiprocessing.Pool(jobs, initializer=_pool_init, initargs=(cfg,)) as pool:
-        for digest, nviol, lin_fail, mismatch, skipped, steps, ec, view, fail in \
-                pool.imap(_pool_eval, schedules, chunksize=32):
-            summary.schedules += 1
-            summary.violations += nviol
-            summary.lin_failures += int(lin_fail)
-            summary.oracle_mismatches += int(mismatch)
-            summary.oracle_skipped += int(skipped)
-            if nviol or lin_fail or mismatch:
-                summary.failed += 1
-                if len(summary.failing) < keep_failing:
-                    summary.failing.append(fail)
-            else:
-                summary.passed += 1
-            for k, v in steps.items():
-                summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
-            summary.max_ec = max(summary.max_ec, ec)
-            summary.afek_view_returns += int(view)
-            if hasher is not None:
-                hasher.update(digest)
-    if hasher is not None:
-        summary.stream_sha256 = hasher.hexdigest()
-    return summary
+    return _outcome(cfg, sim)
 
 
 # -- stress ---------------------------------------------------------------------
@@ -442,56 +420,23 @@ def stress_once(cfg: StressConfig, errors: Optional[list] = None) -> History:
     """One real-thread run of the script.  A worker that raises appends its
     exception to ``errors`` and re-raises it, so that ``threading.excepthook``
     still reports it; the history keeps its unfinished operation."""
-    adef = ALGORITHMS[cfg.algorithm]
-    adef.validate(cfg.script, cfg.n)
-    initial = list(cfg.initial) if cfg.initial is not None else [0] * cfg.n
-    rec = HistoryRecorder(cfg.algorithm, cfg.n, initial, threadsafe=True)
-    mem = Memory(rec, threadsafe=True)
-    bank = adef.make_bank(mem, cfg.n, cfg.script.pids(), initial)
-    for i in range(cfg.n):
-        ev = rec.begin(ABS, f"write[{i}]", initial[i], None, None)
-        mem.write(bank.A[i], adef.initial_cell(initial[i], initial), ev.id, "wa")
-        rec.finish(ev, UNIT)
+    sim = SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial, threadsafe=True)
 
-    def drive(ts):
-        for op in ts.ops:
-            abs_ev = rec.begin(ABS, op_name(op), op_input(op), None, None)
-            gen = op_generator(adef, bank, cfg.n, ts.pid, op)
-            desc = next(gen)
-            while True:
-                kind, reg, val, label = desc
-                if kind == R:
-                    res = mem.read(reg, abs_ev.id, label)
-                elif kind == W:
-                    res = mem.write(reg, val, abs_ev.id, label)
-                elif kind == LL:
-                    res = mem.ll(reg, ts.pid, abs_ev.id, label)
-                elif kind == SC:
-                    res = mem.sc(reg, ts.pid, val, abs_ev.id, label)
-                elif kind == VL:
-                    res = mem.vl(reg, ts.pid, abs_ev.id, label)
-                else:
-                    res = mem.update(reg, val, abs_ev.id, label)
-                try:
-                    desc = gen.send(res)
-                except StopIteration as stop:
-                    rec.finish(abs_ev, UNIT if op[0] == WRITE else list(stop.value))
-                    break
-
-    def worker(ts):
+    def worker(t):
         try:
-            drive(ts)
+            while t.gen is not None or t.op_idx < len(t.ops):
+                sim._advance(t)
         except Exception as exc:
             if errors is not None:
                 errors.append(exc)
             raise
 
-    workers = [threading.Thread(target=worker, args=(ts,)) for ts in cfg.script.threads]
+    workers = [threading.Thread(target=worker, args=(t,)) for t in sim.threads]
     for w in workers:
         w.start()
     for w in workers:
         w.join()
-    return rec.history()
+    return sim.history()
 
 
 @dataclass
@@ -515,7 +460,7 @@ def stress(cfg: StressConfig, per_run=None) -> StressSummary:
         report = run_checks(d, cfg.suites)
         summary.runs += 1
         summary.worker_errors += len(errors)
-        nviol = sum(len(s.violations) for s in report.suites.values())
+        nviol = len(report.all_violations())
         summary.violations += nviol
         if nviol and len(summary.failing) < 3:
             summary.failing.append(report)

@@ -679,6 +679,19 @@ class FLevel:
     threshold: dict = field(default_factory=dict)  # sigma_id -> max start
 
 
+def _effectful_writes(idx: EventIndex, edges: Optional[list]) -> dict:
+    """The intervals of the effectful writes; appends each cell's write
+    order to ``edges`` unless it is None."""
+    intervals = {}
+    for ws in idx.effectful.values():
+        for w in ws:
+            intervals[w.id] = (w.start, w.end)
+        if edges is not None:
+            for a, b in zip(ws, ws[1:]):
+                edges.append((a.id, b.id))
+    return intervals
+
+
 def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
     h = idx.h
     fl = FLevel()
@@ -704,13 +717,8 @@ def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
                 fl.obs[(sigma.id, i)] = got
                 for w, _ in got:
                     fl.rf_pairs.add((w, sigma.id))
-    intervals = {}
     edges = list(fl.rf_pairs)
-    for ws in idx.effectful.values():
-        for w in ws:
-            intervals[w.id] = (w.start, w.end)
-        for a, b in zip(ws, ws[1:]):
-            edges.append((a.id, b.id))
+    intervals = _effectful_writes(idx, edges)
     for sigma in sigmas:
         intervals[sigma.id] = sigma.interval()
     for s in idx.abs_scans:
@@ -743,38 +751,32 @@ class SnapView:
     prec_edges: list = field(default_factory=list)
 
 
-def derive_snapshot(idx: EventIndex, sigmas, sigma_of, flevel: Optional[FLevel],
-                    afek_obs=None, with_sc: bool = True,
-                    with_wr: bool = True) -> SnapView:
-    h = idx.h
-    sv = SnapView()
-    sigma_by_id = {s.id: s for s in sigmas}
-    for s in idx.abs_scans:
-        sid = sigma_of.get(s.id)
-        if sid is None:
-            continue
-        per_cell: dict[int, list[int]] = {}
-        for i in range(h.n):
-            if flevel is not None:
-                got = [w for w, _ in flevel.obs.get((sid, i), ())]
-            else:
-                got = afek_obs.get((sid, i), []) if afek_obs else []
-            if got:
-                per_cell[i] = got
-                for w in got:
-                    sv.rf_pairs.add((w, s.id))
-        sv.obs[s.id] = per_cell
+def _lifted(idx: EventIndex, read: int) -> list[int]:
+    """The abs writes whose cell writes the rep read ``read`` observed."""
+    out = []
+    for src in idx.rf_src.get(read, ()):
+        w = idx.h.event(src).parent
+        if w is not None:
+            out.append(w)
+    return out
+
+
+def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
+                    ordered: bool = True) -> SnapView:
+    """The snapshot-level closure.  ``obs`` maps each abs scan to
+    ``{cell: [observed abs writes]}``.  Unless ``ordered`` is false (afek),
+    the closure also orders each cell's effectful writes, and it orders
+    the abs scans of consecutive complete virtual ``sigmas``."""
+    sv = SnapView(obs=obs)
+    for sid, per_cell in obs.items():
+        for got in per_cell.values():
+            for w in got:
+                sv.rf_pairs.add((w, sid))
     edges = list(sv.rf_pairs)
-    intervals = {}
-    for ws in idx.effectful.values():
-        for w in ws:
-            intervals[w.id] = (w.start, w.end)
-        if with_wr:
-            for a, b in zip(ws, ws[1:]):
-                edges.append((a.id, b.id))
+    intervals = _effectful_writes(idx, edges if ordered else None)
     for s in idx.abs_scans:
         intervals[s.id] = (s.start, s.end)
-    if with_sc and sigmas:
+    if sigmas:
         order = sorted((s for s in sigmas if s.complete), key=lambda s: s.start)
         groups = []
         for sigma in order:
@@ -786,41 +788,6 @@ def derive_snapshot(idx: EventIndex, sigmas, sigma_of, flevel: Optional[FLevel],
                 for b in g2:
                     edges.append((a, b))
                     sv.sc_pairs.append((a, b))
-    sv.prec_edges = edges
-    sv.hb = HbClosure(intervals, edges)
-    return sv
-
-
-def derive_naive_snapshot(idx: EventIndex) -> SnapView:
-    """The naive control: abs rf is the rep reads-from of the scan's cell
-    reads, lifted directly (no forwarding layer exists)."""
-    h = idx.h
-    sv = SnapView()
-    for s in idx.abs_scans:
-        per_cell: dict[int, list[int]] = {}
-        for e in idx.kids.get(s.id, ()):
-            base, i, _, _ = idx.rep_info[e.id]
-            if base != "a":
-                continue
-            got = []
-            for src in idx.rf_src.get(e.id, ()):
-                w = h.event(src).parent
-                if w is not None:
-                    got.append(w)
-            if got:
-                per_cell[i] = got
-                for w in got:
-                    sv.rf_pairs.add((w, s.id))
-        sv.obs[s.id] = per_cell
-    edges = list(sv.rf_pairs)
-    intervals = {}
-    for ws in idx.effectful.values():
-        for w in ws:
-            intervals[w.id] = (w.start, w.end)
-        for a, b in zip(ws, ws[1:]):
-            edges.append((a.id, b.id))
-    for s in idx.abs_scans:
-        intervals[s.id] = (s.start, s.end)
     sv.prec_edges = edges
     sv.hb = HbClosure(intervals, edges)
     return sv
@@ -841,7 +808,6 @@ class Derived:
         self._fwd_edges = None
         self._flevel = None
         self._snap = None
-        self._afek_obs = None
         self._afek_recursed: set[int] = set()
 
     @property
@@ -914,31 +880,45 @@ class Derived:
     @property
     def snap(self) -> SnapView:
         if self._snap is None:
-            algo = self.algorithm
-            if algo == "naive":
-                self._snap = derive_naive_snapshot(self.idx)
-            elif algo == "afek":
-                afek_obs = {}
-                for sigma in self.sigmas:
-                    for i in range(self.history.n):
-                        a = sigma.slot(f"a[{i}]")
-                        if a is None:
-                            continue
-                        got = []
-                        for src in self.idx.rf_src.get(a, ()):
-                            w = self.history.event(src).parent
-                            if w is not None:
-                                got.append(w)
-                        if got:
-                            afek_obs[(sigma.id, i)] = got
-                self._afek_obs = afek_obs
-                self._snap = derive_snapshot(self.idx, self.sigmas, self.sigma_of,
-                                             None, afek_obs=afek_obs,
-                                             with_sc=False, with_wr=False)
+            if self.algorithm == "afek":
+                self._snap = derive_snapshot(self.idx, self._observed(), ordered=False)
             else:
-                self._snap = derive_snapshot(self.idx, self.sigmas, self.sigma_of,
-                                             self.flevel)
+                self._snap = derive_snapshot(self.idx, self._observed(), self.sigmas,
+                                             self.sigma_of)
         return self._snap
+
+    def _observed(self) -> dict:
+        """Each abs scan's observed abs writes, ``{scan: {cell: [writes]}}``.
+        With no forwarding layer, a cell's writes are those whose cell
+        write was read by the scan's own a-read (naive) or by its virtual
+        scan's (afek); otherwise they are the virtual scan's
+        forwarding-level observations."""
+        idx = self.idx
+        obs: dict[int, dict[int, list[int]]] = {}
+        if self.algorithm == "naive":
+            for s in idx.abs_scans:
+                per_cell = obs[s.id] = {}
+                for e in idx.kids.get(s.id, ()):
+                    base, i, _, _ = idx.rep_info[e.id]
+                    got = _lifted(idx, e.id) if base == "a" else None
+                    if got:
+                        per_cell[i] = got
+            return obs
+        if self.algorithm == "afek":
+            sigma = {sg.id: sg for sg in self.sigmas}
+
+            def seen(sid, i):
+                return _lifted(idx, sigma[sid].slot(f"a[{i}]"))
+        else:
+            fl_obs = self.flevel.obs
+
+            def seen(sid, i):
+                return [w for w, _ in fl_obs.get((sid, i), ())]
+        for s in idx.abs_scans:
+            sid = self.sigma_of.get(s.id)
+            if sid is not None:
+                obs[s.id] = {i: got for i in range(self.history.n) if (got := seen(sid, i))}
+        return obs
 
     def edge_set(self, label: str) -> list[tuple]:
         """Derived relations as exportable edge lists, keyed by label."""

@@ -143,6 +143,58 @@ def test_check_edge_to_missing_event_reports_axioms(tmp_path, capsys):
     assert f"H.corrupt[999,{scan}] edge references a missing event" in err
 
 
+
+def test_check_defaults_to_structural_and_snapshot_suites(tmp_path, capsys):
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    hist = tmp_path / "jayanti1_fig3.history.json"
+    obj = json.loads(hist.read_text())
+    scan = next(e["id"] for e in obj["events"] if e["op"] == "scan")
+    obj["rf"].append([999, scan])
+    hist.write_text(json.dumps(obj))
+    assert main(["check", "--history", str(hist)]) == 1
+    assert f"H.edge-ref[999,{scan}]" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def naive_script(tmp_path):
+    p = tmp_path / "naive.json"
+    p.write_text(json.dumps({"threads": [
+        {"pid": 0, "ops": ["scan"]},
+        {"pid": 1, "ops": [{"write": [0, 2]}]},
+        {"pid": 2, "ops": [{"write": [1, 3]}]},
+    ]}))
+    return str(p)
+
+
+def _explore_naive(script, capsys, *extra):
+    rc = main(["explore", "--alg", "naive", "--n", "2", "--script", script, *extra])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_explore_failure_output_is_the_same_for_any_jobs(naive_script, capsys):
+    one = _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--jobs", "1")
+    two = _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--jobs", "2")
+    assert one == two
+    assert one[0] == 1
+    assert "CycleError: write order has a cycle" in one[2]
+
+
+def test_explore_failure_replays_from_its_schedule_line(naive_script, tmp_path, capsys):
+    _, _, err = _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--jobs", "2")
+    lines = err.splitlines()
+    starts = [k for k, line in enumerate(lines) if line.startswith('{"schedule": ')]
+    assert starts
+    block = lines[starts[0]:starts[1] if len(starts) > 1 else None]
+    fixed = tmp_path / "failure.json"
+    fixed.write_text(block[0] + "\n")
+    rc, _, again = _explore_naive(naive_script, capsys, "--mode", f"fixed:{fixed}")
+    assert rc == 1
+    assert again.splitlines() == block
+    assert any(line.startswith("S.") for line in block)
+
+
 @pytest.mark.parametrize("threads", [
     [{"ops": ["scan"]}],
     [{"pid": 0, "ops": [{"write": 3}]}],
