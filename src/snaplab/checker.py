@@ -168,96 +168,104 @@ class _Nodes:
 # -- M / M+ -------------------------------------------------------------------
 
 def check_aregs(d: Derived, out: list) -> None:
-    idx = d.idx
-    h = d.history
     hb = _rep_closure(d, out)
     if hb is None:
         return
-    for reg, ops in sorted(idx.regs.items()):
-        if idx.is_llsc_reg(reg):
-            continue
-        writes = ops.writes
-        wnodes = _Nodes(hb, [w.id for w in writes])
-        for r in ops.reads:
-            srcs = idx.rf_src.get(r.id, [])
-            if len(srcs) > 1:
-                _viol(out, "M.robsuniq", (*srcs, r.id), f"read of {reg} observes two writes")
-            if r.terminated:
-                if not any(h.event(w).input == r.output for w in srcs):
-                    _viol(out, "M.io", (r.id,), f"read of {reg} returns unwritten value")
-            for w in srcs:
-                for k in wnodes.between(w, r.id):
-                    w2 = writes[k]
-                    if w2.id != w:
-                        _viol(out, "M.nowrbetween", (w, w2.id, r.id),
-                              f"stale read of {reg}")
-        if wnodes.chain is not None:
-            continue
-        for i, w1 in enumerate(writes):
-            for w2 in writes[i + 1:]:
-                if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
-                    _viol(out, "M.wrtotal", (w1.id, w2.id), f"unordered writes to {reg}")
+    for reg, ops in sorted(d.idx.regs.items()):
+        if not d.idx.is_llsc_reg(reg):
+            check_areg(d, hb, reg, ops, out)
+
+
+def check_areg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
+    """M on the plain register ``reg``."""
+    idx = d.idx
+    h = d.history
+    writes = ops.writes
+    wnodes = _Nodes(hb, [w.id for w in writes])
+    for r in ops.reads:
+        srcs = idx.rf_src.get(r.id, [])
+        if len(srcs) > 1:
+            _viol(out, "M.robsuniq", (*srcs, r.id), f"read of {reg} observes two writes")
+        if r.terminated:
+            if not any(h.event(w).input == r.output for w in srcs):
+                _viol(out, "M.io", (r.id,), f"read of {reg} returns unwritten value")
+        for w in srcs:
+            for k in wnodes.between(w, r.id):
+                w2 = writes[k]
+                if w2.id != w:
+                    _viol(out, "M.nowrbetween", (w, w2.id, r.id),
+                          f"stale read of {reg}")
+    if wnodes.chain is not None:
+        return
+    for i, w1 in enumerate(writes):
+        for w2 in writes[i + 1:]:
+            if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
+                _viol(out, "M.wrtotal", (w1.id, w2.id), f"unordered writes to {reg}")
 
 
 def check_llregs(d: Derived, out: list) -> None:
-    idx = d.idx
-    h = d.history
     hb = _rep_closure(d, out)
     if hb is None:
         return
-    for reg, ops in sorted(idx.regs.items()):
-        if not idx.is_llsc_reg(reg):
+    for reg, ops in sorted(d.idx.regs.items()):
+        if d.idx.is_llsc_reg(reg):
+            check_llreg(d, hb, reg, ops, out)
+
+
+def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
+    """M+ on the LL/SC register ``reg``."""
+    idx = d.idx
+    h = d.history
+    wc = idx.write_likes(reg)
+    wcnodes = _Nodes(hb, [e.id for e in wc])
+    read_likes = idx.read_likes(reg)
+    for r in read_likes:
+        srcs = idx.rf_src.get(r.id, [])
+        if len(srcs) > 1:
+            _viol(out, "M+.robsuniq", (*srcs, r.id), f"read-like of {reg} observes two writes")
+        if r.terminated and not srcs:
+            _viol(out, "M+.robspop", (r.id,), f"read-like of {reg} observes nothing")
+        memop = idx.rep_info[r.id][3]
+        if r.terminated and memop in ("r", "ll"):
+            if srcs and not any(h.event(w).input == r.output for w in srcs):
+                _viol(out, "M+.io", (r.id,), f"read of {reg} returns unwritten value")
+        for w in srcs:
+            for k in wcnodes.between(w, r.id):
+                w2 = wc[k]
+                if w2.id != w and w2.id != r.id:
+                    _viol(out, "M+.nowrbetween", (w, w2.id, r.id), f"stale read of {reg}")
+    lls_of: dict[int, list] = {}  # parent -> its LLs of reg: only these can intervene
+    for l2 in ops.lls:
+        lls_of.setdefault(l2.parent, []).append(l2)
+    for c in ops.scs + ops.vls:
+        if c.terminated and not isinstance(c.output, bool):
+            _viol(out, "M+.vl-io", (c.id,), "SC/VL must report success as a boolean")
+        links = idx.ll_src.get(c.id, [])
+        if not links:
+            _viol(out, "M+.llobspop", (c.id,), "SC/VL without a pairing LL")
             continue
-        wc = idx.write_likes(reg)
-        wcnodes = _Nodes(hb, [e.id for e in wc])
-        read_likes = idx.read_likes(reg)
-        for r in read_likes:
-            srcs = idx.rf_src.get(r.id, [])
-            if len(srcs) > 1:
-                _viol(out, "M+.robsuniq", (*srcs, r.id), f"read-like of {reg} observes two writes")
-            if r.terminated and not srcs:
-                _viol(out, "M+.robspop", (r.id,), f"read-like of {reg} observes nothing")
-            memop = idx.rep_info[r.id][3]
-            if r.terminated and memop in ("r", "ll"):
-                if srcs and not any(h.event(w).input == r.output for w in srcs):
-                    _viol(out, "M+.io", (r.id,), f"read of {reg} returns unwritten value")
-            for w in srcs:
-                for k in wcnodes.between(w, r.id):
-                    w2 = wc[k]
-                    if w2.id != w and w2.id != r.id:
-                        _viol(out, "M+.nowrbetween", (w, w2.id, r.id), f"stale read of {reg}")
-        lls_of: dict[int, list] = {}  # parent -> its LLs of reg: only these can intervene
-        for l2 in ops.lls:
-            lls_of.setdefault(l2.parent, []).append(l2)
-        for c in ops.scs + ops.vls:
-            if c.terminated and not isinstance(c.output, bool):
-                _viol(out, "M+.vl-io", (c.id,), "SC/VL must report success as a boolean")
-            links = idx.ll_src.get(c.id, [])
-            if not links:
-                _viol(out, "M+.llobspop", (c.id,), "SC/VL without a pairing LL")
-                continue
-            for l in links:
-                le = h.event(l)
-                if not le.terminated:
-                    _viol(out, "M+.llobspop", (l, c.id), "pairing LL did not terminate")
-                if le.parent != c.parent:
-                    _viol(out, "M+.llobsparent", (l, c.id), "LL pair crosses threads")
-                for l2 in lls_of.get(le.parent, ()):
-                    if l2.id != l and hb.hb(l, l2.id) and hb.hb(l2.id, c.id):
-                        _viol(out, "M+.llobsparent", (l, l2.id, c.id),
-                              "another LL intervenes in the pair")
-                w = idx.single_rf(l)
-                w2 = idx.single_rf(c.id)
-                if w is not None and w2 is not None:
-                    if (w == w2) != (c.id in idx.success):
-                        _viol(out, "M+.llsc-success", (l, c.id, w, w2),
-                              "success must equal observing the linked write")
-        if wcnodes.chain is not None:
-            continue
-        for i, w1 in enumerate(wc):
-            for w2 in wc[i + 1:]:
-                if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
-                    _viol(out, "M+.wrtotal", (w1.id, w2.id), f"unordered write-likes to {reg}")
+        for l in links:
+            le = h.event(l)
+            if not le.terminated:
+                _viol(out, "M+.llobspop", (l, c.id), "pairing LL did not terminate")
+            if le.parent != c.parent:
+                _viol(out, "M+.llobsparent", (l, c.id), "LL pair crosses threads")
+            for l2 in lls_of.get(le.parent, ()):
+                if l2.id != l and hb.hb(l, l2.id) and hb.hb(l2.id, c.id):
+                    _viol(out, "M+.llobsparent", (l, l2.id, c.id),
+                          "another LL intervenes in the pair")
+            w = idx.single_rf(l)
+            w2 = idx.single_rf(c.id)
+            if w is not None and w2 is not None:
+                if (w == w2) != (c.id in idx.success):
+                    _viol(out, "M+.llsc-success", (l, c.id, w, w2),
+                          "success must equal observing the linked write")
+    if wcnodes.chain is not None:
+        return
+    for i, w1 in enumerate(wc):
+        for w2 in wc[i + 1:]:
+            if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
+                _viol(out, "M+.wrtotal", (w1.id, w2.id), f"unordered write-likes to {reg}")
 
 
 # -- L ------------------------------------------------------------------------
@@ -269,24 +277,28 @@ def _prefix_len(masks: list[int], p: int) -> int:
 
 
 def check_llsc_lemmas(d: Derived, out: list) -> None:
+    hb = d.rep.hb
+    for reg, ops in sorted(d.idx.regs.items()):
+        if d.idx.is_llsc_reg(reg):
+            check_llsc_reg(d, hb, reg, ops, out)
+
+
+def check_llsc_reg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
+    """L on the LL/SC register ``reg``."""
     idx = d.idx
     h = d.history
-    hb = d.rep.hb
-    for reg, ops in sorted(idx.regs.items()):
-        if not idx.is_llsc_reg(reg):
-            continue
-        pairs = []
-        for c in ops.scs + ops.vls:
-            for l in idx.ll_src.get(c.id, []):
-                pairs.append((l, c))
-        sc_pairs = [(l, c) for l, c in pairs if idx.rep_info[c.id][3] == "sc"]
-        good = [(l, c) for l, c in sc_pairs if c.id in idx.success and c.terminated]
-        chain = _check_l41(hb, good, out)
-        windows = [(l, c) for l, c in pairs if c.terminated and
-                   not (c.id in idx.success and idx.rep_info[c.id][3] == "vl")]
-        _check_l42(hb, idx.write_likes(reg), windows, out)
-        closed = [(l, c, h.event(l)) for l, c in sc_pairs if c.terminated]
-        _check_l43(hb, ops.writes, closed, good, chain, out)
+    pairs = []
+    for c in ops.scs + ops.vls:
+        for l in idx.ll_src.get(c.id, []):
+            pairs.append((l, c))
+    sc_pairs = [(l, c) for l, c in pairs if idx.rep_info[c.id][3] == "sc"]
+    good = [(l, c) for l, c in sc_pairs if c.id in idx.success and c.terminated]
+    chain = _check_l41(hb, good, out)
+    windows = [(l, c) for l, c in pairs if c.terminated and
+               not (c.id in idx.success and idx.rep_info[c.id][3] == "vl")]
+    _check_l42(hb, idx.write_likes(reg), windows, out)
+    closed = [(l, c, h.event(l)) for l, c in sc_pairs if c.terminated]
+    _check_l43(hb, ops.writes, closed, good, chain, out)
 
 
 def _check_l41(hb: HbClosure, good: list, out: list) -> Optional[list]:
@@ -433,7 +445,7 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
     sv = d.snap
     hb = sv.hb  # built, so V.1 holds (see the module docstring)
     if d.algorithm == "afek":
-        out.extend(_sigma_containment(d))
+        out.extend(sigma_containment(d))
     for s in idx.abs_scans:
         per_cell = sv.obs.get(s.id, {})
         for i, ws in per_cell.items():
@@ -510,7 +522,7 @@ def _observations_chained(first_obs: dict, eff_nodes: dict, n: int) -> bool:
 
 # -- F -------------------------------------------------------------------------
 
-def _sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
+def sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
     out: list[Violation] = []
     h = d.history
     by_id = {s.id: s for s in d.sigmas}
@@ -601,7 +613,7 @@ def _check_bottom_writers(d: Derived, axiom: str, note: str, out: list,
 def check_forwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
-    out.extend(_sigma_containment(d))
+    out.extend(sigma_containment(d))
     if d.algorithm == "afek":
         return  # only the virtual-scan containment applies
     sigmas = [s for s in d.sigmas if s.complete]
@@ -676,7 +688,7 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
     idx = d.idx
     rhb = d.rep.hb
     sigmas = [s for s in d.sigmas if s.complete]
-    out.extend(_sigma_containment(d, axiom="F+.vrtinscan"))
+    out.extend(sigma_containment(d, axiom="F+.vrtinscan"))
     _check_io(d, "F+.io", out)
     _check_sigma_order(sigmas, "F+.sctotal", out)
     _check_main_writers(d, "F+.wrauniq", out)
@@ -828,20 +840,37 @@ def applicable_suites(algorithm: str, requested: Iterable[str]) -> list[str]:
     return out
 
 
+# The suites that check each register on its own: name -> (whether they
+# check the LL/SC registers or the plain ones, the per-register body).
+REGISTER_SUITES = {
+    "M": (False, check_areg),
+    "M+": (True, check_llreg),
+    "L": (True, check_llsc_reg),
+}
+
+
+def run_suite(d: Derived, name: str) -> SuiteResult:
+    """One suite (not CHAIN) on ``d``; a corrupt history is a violation."""
+    res = SuiteResult(name)
+    try:
+        _SUITE_FNS[name](d, res.violations)
+    except CorruptHistory as exc:
+        res.violations.append(Violation("H.corrupt", exc.witnesses, str(exc)))
+    return res
+
+
 def run_checks(d: Derived, suites: Iterable[str], lin_ok: Optional[bool] = None,
-               label: str = "") -> CheckReport:
+               label: str = "", done: Optional[dict] = None) -> CheckReport:
+    """Run the applicable ``suites`` on ``d``.  ``done`` maps suite names to
+    results already known for this history; those suites are not run."""
     t0 = time.perf_counter()
     names = applicable_suites(d.algorithm, suites)
     report = CheckReport(history=label or d.algorithm)
     for name in names:
         if name == "CHAIN":
             continue
-        res = SuiteResult(name)
-        try:
-            _SUITE_FNS[name](d, res.violations)
-        except CorruptHistory as exc:
-            res.violations.append(Violation("H.corrupt", exc.witnesses, str(exc)))
-        report.suites[name] = res
+        res = done.get(name) if done else None
+        report.suites[name] = res if res is not None else run_suite(d, name)
     if "CHAIN" in names:
         res = SuiteResult("CHAIN")
         check_chain(report.suites, lin_ok, res.violations)

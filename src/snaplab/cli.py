@@ -14,7 +14,8 @@ from .algorithms import ALGORITHMS, OpScript, ScriptError
 from .checker import run_checks
 from .events import History
 from .harness import ExploreCapExceeded, ExploreConfig, FixedSchedule, \
-    ReproMismatch, StressConfig, explore, parse_mode, random_script, repro, stress
+    ReproMismatch, ScheduleError, StressConfig, explore, parse_mode, random_script, \
+    repro, stress
 from .linearize import Linearization, LinearizeError, SizeGuard, \
     brute_force_linearize, linearize
 from .report import CheckReport
@@ -56,18 +57,28 @@ def _report_failures(report: CheckReport) -> None:
         print(v.render(), file=sys.stderr)
 
 
-def _parse_mode_arg(text: str):
-    if text.startswith("fixed:"):
-        with open(text.split(":", 1)[1]) as fh:
-            return FixedSchedule(tuple(json.load(fh)["schedule"]))
-    return parse_mode(text)
+def _load_schedule(path: str) -> FixedSchedule:
+    """A ``{"schedule": [thread indices]}`` file.  SimRun.run_schedule
+    checks each index against the script."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        schedule = json.loads(text)["schedule"]
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ScheduleError(f"{path}: malformed schedule: {type(exc).__name__}: {exc}") \
+            from exc
+    if not isinstance(schedule, list):
+        raise ScheduleError(f"{path}: malformed schedule: \"schedule\" is not a list")
+    return FixedSchedule(tuple(schedule))
 
 
 def cmd_explore(args) -> int:
     script = _load_script(args.script)
     suites = tuple(args.check.split(",")) if args.check else ("S",)
+    fixed = args.mode.split(":", 1)[1] if args.mode.startswith("fixed:") else None
     cfg = ExploreConfig(
-        algorithm=args.alg, n=args.n, script=script, mode=_parse_mode_arg(args.mode),
+        algorithm=args.alg, n=args.n, script=script,
+        mode=_load_schedule(fixed) if fixed else parse_mode(args.mode),
         suites=suites, linearize=True, oracle=args.oracle,
         hash_stream=args.hash)
     written = 0
@@ -78,6 +89,8 @@ def cmd_explore(args) -> int:
             base = os.path.join(args.out, f"history_{written:06d}")
             with open(base + ".json", "w") as fh:
                 fh.write(res.history.to_json() + "\n")
+            with open(base + ".schedule.json", "w") as fh:  # a fixed:PATH file
+                fh.write(json.dumps({"schedule": list(res.schedule)}) + "\n")
             with open(base + ".report.json", "w") as fh:
                 json.dump(res.report.to_obj(), fh, indent=2)
             if res.lin is not None:
@@ -93,6 +106,8 @@ def cmd_explore(args) -> int:
     except ExploreCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except ScheduleError as exc:
+        raise ScheduleError(f"{fixed}: malformed schedule: {exc}") from exc
     out = {
         "schedules": summary.schedules,
         "passed": summary.passed,
@@ -102,6 +117,8 @@ def cmd_explore(args) -> int:
         "oracle_mismatches": summary.oracle_mismatches,
         "oracle_skipped": summary.oracle_skipped,
         "max_steps": summary.max_steps,
+        "distinct_snapshot_keys": summary.distinct_snapshot_keys,
+        "distinct_register_keys": summary.distinct_register_keys,
     }
     if summary.stream_sha256:
         out["stream_sha256"] = summary.stream_sha256

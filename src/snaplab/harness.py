@@ -22,8 +22,9 @@ from .events import ABS, UNIT, History, HistoryRecorder
 from .linearize import Linearization, LinearizeError, SizeGuard, \
     brute_force_linearize, completed_set, linearize
 from .registers import Memory
-from .report import CheckReport
-from .checker import run_checks
+from .report import CheckReport, SuiteResult
+from .checker import applicable_suites, run_checks, run_suite
+from .memo import Memo
 from .visibility import Derived, derive
 
 
@@ -34,6 +35,11 @@ class ExploreCapExceeded(RuntimeError):
 
 class ReproMismatch(AssertionError):
     """A scripted scenario did not reproduce its expected outputs."""
+
+
+class ScheduleError(ValueError):
+    """A fixed schedule steps a thread that does not exist or has
+    finished."""
 
 
 class _Thread:
@@ -125,7 +131,14 @@ class SimRun:
         return key
 
     def run_schedule(self, schedule: Iterable[int]) -> None:
-        for k in schedule:
+        threads = self.threads
+        for pos, k in enumerate(schedule):
+            if type(k) is not int or not 0 <= k < len(threads):
+                raise ScheduleError(f"step {pos} names thread {k!r}, but the script "
+                                    f"has threads 0..{len(threads) - 1}")
+            t = threads[k]
+            if t.gen is None and t.op_idx >= len(t.ops):
+                raise ScheduleError(f"step {pos} runs thread {k}, which has finished")
             self.step(k)
 
     def run_all(self, choose: Callable[[list[int]], int]) -> None:
@@ -210,6 +223,8 @@ class EvalResult:
     oracle: object = None
     oracle_ok: Optional[bool] = None
     agree: Optional[bool] = None
+    snapshot_key: Optional[bytes] = None  # the memo's keys (see memo.py)
+    register_keys: tuple = ()
 
 
 @dataclass
@@ -227,6 +242,8 @@ class ExploreSummary:
     complete: bool = True
     afek_view_returns: int = 0
     max_ec: int = 0
+    distinct_snapshot_keys: int = 0  # behaviours the snapshot layer checked
+    distinct_register_keys: int = 0  # register traces M, M+ and L checked
 
     @property
     def clean(self) -> bool:
@@ -234,10 +251,18 @@ class ExploreSummary:
                 and self.oracle_mismatches == 0)
 
 
-def evaluate(cfg: ExploreConfig, sim: SimRun) -> EvalResult:
-    history = sim.history()
-    d = derive(history)
-    lin = lin_ok = lin_err = None
+@dataclass
+class _SnapshotLayer:
+    """What S, the linearizer and the oracle found for one behaviour."""
+    s: Optional[SuiteResult] = None
+    lin: Optional[Linearization] = None
+    lin_ok: Optional[bool] = None
+    lin_error: Optional[str] = None
+    oracle: object = None
+
+
+def _snapshot_layer(cfg: ExploreConfig, d: Derived, with_s: bool) -> _SnapshotLayer:
+    lin = lin_ok = lin_err = verdict = None
     if cfg.linearize or cfg.oracle or "CHAIN" in cfg.suites:
         try:
             lin = linearize(d)
@@ -245,18 +270,35 @@ def evaluate(cfg: ExploreConfig, sim: SimRun) -> EvalResult:
         except LinearizeError as exc:
             lin_ok = False
             lin_err = f"{type(exc).__name__}: {exc}"
-    report = run_checks(d, cfg.suites, lin_ok=lin_ok)
-    res = EvalResult(tuple(sim.schedule), history, d, report,
-                     lin=lin, lin_ok=lin_ok, lin_error=lin_err)
+    s = run_suite(d, "S") if with_s else None
     if cfg.oracle:
         try:
             verdict = brute_force_linearize(d, cfg.oracle_guard)
         except SizeGuard:
             verdict = None
-        res.oracle = verdict
-        if verdict is not None:
-            res.oracle_ok = isinstance(verdict, Linearization)
-            res.agree = res.oracle_ok == bool(lin_ok)
+    return _SnapshotLayer(s, lin, lin_ok, lin_err, verdict)
+
+
+def evaluate(cfg: ExploreConfig, sim: SimRun, memo: Memo) -> EvalResult:
+    """Derive, check, linearize and run the oracle on ``sim``'s history;
+    a behaviour ``memo`` has seen is not checked again."""
+    history = sim.history()
+    d = derive(history)
+    names = applicable_suites(cfg.algorithm, cfg.suites)
+    snap_key = None
+    layer = _SnapshotLayer()
+    if "S" in names or cfg.linearize or cfg.oracle or "CHAIN" in cfg.suites:
+        layer, snap_key = memo.snapshot(d, partial(_snapshot_layer, cfg, d, "S" in names))
+    done, reg_keys = memo.register_suites(d, names)
+    if layer.s is not None:
+        done["S"] = SuiteResult("S", list(layer.s.violations))
+    report = run_checks(d, cfg.suites, lin_ok=layer.lin_ok, done=done)
+    res = EvalResult(tuple(sim.schedule), history, d, report, lin=layer.lin,
+                     lin_ok=layer.lin_ok, lin_error=layer.lin_error, oracle=layer.oracle,
+                     snapshot_key=snap_key, register_keys=reg_keys)
+    if layer.oracle is not None:
+        res.oracle_ok = isinstance(layer.oracle, Linearization)
+        res.agree = res.oracle_ok == bool(layer.lin_ok)
     return res
 
 
@@ -338,10 +380,12 @@ class _Outcome:
     ec: int
     view_return: bool
     failure: Optional[Failure]
+    snapshot_key: Optional[bytes]
+    register_keys: tuple
 
 
-def _outcome(cfg: ExploreConfig, sim: SimRun, per_result=None) -> _Outcome:
-    res = evaluate(cfg, sim)
+def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, per_result=None) -> _Outcome:
+    res = evaluate(cfg, sim, memo)
     if per_result is not None:
         per_result(res)
     digest = b""
@@ -355,12 +399,15 @@ def _outcome(cfg: ExploreConfig, sim: SimRun, per_result=None) -> _Outcome:
     return _Outcome(digest, nviol, res.lin_ok is False, res.agree is False,
                     cfg.oracle and res.oracle is None, sim.max_steps(),
                     len(completed_set(res.derived)), bool(res.derived.afek_recursed),
-                    Failure(res.schedule, res.report, res.lin_error) if bad else None)
+                    Failure(res.schedule, res.report, res.lin_error) if bad else None,
+                    res.snapshot_key, res.register_keys)
 
 
 def _fold(cfg: ExploreConfig, outcomes: Iterable[_Outcome], keep_failing: int) -> ExploreSummary:
     summary = ExploreSummary()
     hasher = hashlib.sha256()
+    snapshot_keys: set = set()
+    register_keys: set = set()
     for o in outcomes:
         summary.schedules += 1
         summary.violations += o.violations
@@ -378,30 +425,46 @@ def _fold(cfg: ExploreConfig, outcomes: Iterable[_Outcome], keep_failing: int) -
         summary.max_ec = max(summary.max_ec, o.ec)
         summary.afek_view_returns += o.view_return
         hasher.update(o.digest)
+        if o.snapshot_key is not None:
+            snapshot_keys.add(o.snapshot_key)
+        register_keys.update(o.register_keys)
     if cfg.hash_stream:
         summary.stream_sha256 = hasher.hexdigest()
+    summary.distinct_snapshot_keys = len(snapshot_keys)
+    summary.distinct_register_keys = len(register_keys)
     return summary
 
 
 def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None]] = None,
             keep_failing: int = 5, jobs: int = 1) -> ExploreSummary:
-    """Evaluate every schedule of ``cfg.mode``.  With ``jobs > 1`` (and no
-    ``per_result``) schedules are enumerated here and re-executed and
-    checked in a pool; the summary is the same as with one job."""
+    """Evaluate every schedule of ``cfg.mode``, each behaviour once (see
+    memo.py).  With ``jobs > 1`` (and no ``per_result``) schedules are
+    enumerated here and re-executed and checked in a pool, each worker
+    with its own memo; the summary is the same as with one job."""
     if jobs > 1 and per_result is None:
         import multiprocessing
 
         schedules = (tuple(sim.schedule) for sim in iter_sims(cfg))
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(jobs, initializer=_start_worker) as pool:
             return _fold(cfg, pool.imap(partial(_pool_eval, cfg), schedules, chunksize=32),
                          keep_failing)
-    return _fold(cfg, (_outcome(cfg, sim, per_result) for sim in iter_sims(cfg)), keep_failing)
+    memo = Memo()
+    return _fold(cfg, (_outcome(cfg, sim, memo, per_result) for sim in iter_sims(cfg)),
+                 keep_failing)
+
+
+_worker_memo: Optional[Memo] = None  # a pool worker's memo, for one explore() call
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = Memo()
 
 
 def _pool_eval(cfg: ExploreConfig, schedule: tuple) -> _Outcome:
     sim = _new_sim(cfg)
     sim.run_schedule(schedule)
-    return _outcome(cfg, sim)
+    return _outcome(cfg, sim, _worker_memo)
 
 
 # -- stress ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .events import ABS, INF, REP, Event, History
@@ -52,7 +53,16 @@ class HbClosure:
         # chain node k stands for "every node with start >= starts[k]"
         chain_to = [bisect_right(self.starts, self.ends[k]) for k in range(n)]
         self._chain_to = chain_to
-        self._reach = self._close()
+        if all(c == k + 1 for k, c in enumerate(chain_to)) \
+                and all(k < s for k, succs in enumerate(sparse) for s in succs):
+            # Each interval returns before the next starts, and every edge
+            # points forward: returns-before is a total order that already
+            # holds the edges, so each node reaches exactly the later ones.
+            # (Simulator rep events, which run one at a time.)
+            full = (1 << n) - 1
+            self._reach = [full ^ ((2 << k) - 1) for k in range(n)]
+        else:
+            self._reach = self._close()
 
     def _succs(self, node: int) -> list[int]:
         n = self.n
@@ -726,29 +736,30 @@ def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
             intervals[s.id] = (s.start, s.end)
     fl.hb = HbClosure(intervals, edges)
     maxstart = fl.hb.max_pred_start()
-    for sigma in sigmas:
-        best = -1
-        for (sid, _i), got in fl.obs.items():
-            if sid != sigma.id:
-                continue
-            for w, _how in got:
-                ms = maxstart.get(w, -1)
-                if ms > best:
-                    best = ms
-        fl.threshold[sigma.id] = best
+    fl.threshold = dict.fromkeys((sigma.id for sigma in sigmas), -1)
+    for (sid, _i), got in fl.obs.items():
+        for w, _how in got:
+            ms = maxstart.get(w, -1)
+            if ms > fl.threshold[sid]:
+                fl.threshold[sid] = ms
     return fl
 
 
 @dataclass
 class SnapView:
     """Snapshot-level visibility: effectful writes, rf into scans, the
-    scan order from virtual scans, and the abs happens-before closure."""
+    scan order from virtual scans, and the abs happens-before closure
+    over ``intervals`` and ``prec_edges``, built on first use."""
 
+    obs: dict                                      # scan_id -> {i: [w,...]}
+    intervals: dict = field(default_factory=dict)  # abs id -> (start, end)
     rf_pairs: set = field(default_factory=set)
-    obs: dict = field(default_factory=dict)      # scan_id -> {i: [w,...]}
     sc_pairs: list = field(default_factory=list)
-    hb: Optional[HbClosure] = None
     prec_edges: list = field(default_factory=list)
+
+    @cached_property
+    def hb(self) -> HbClosure:
+        return HbClosure(self.intervals, self.prec_edges)
 
 
 def _lifted(idx: EventIndex, read: int) -> list[int]:
@@ -777,19 +788,18 @@ def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
     for s in idx.abs_scans:
         intervals[s.id] = (s.start, s.end)
     if sigmas:
+        members: dict[int, list[int]] = {}  # sigma id -> its abs scans
+        for sc, sid in sigma_of.items():
+            members.setdefault(sid, []).append(sc)
         order = sorted((s for s in sigmas if s.complete), key=lambda s: s.start)
-        groups = []
-        for sigma in order:
-            members = [sc for sc in sigma_of if sigma_of[sc] == sigma.id]
-            if members:
-                groups.append(members)
+        groups = [members[sigma.id] for sigma in order if sigma.id in members]
         for g1, g2 in zip(groups, groups[1:]):
             for a in g1:
                 for b in g2:
                     edges.append((a, b))
                     sv.sc_pairs.append((a, b))
     sv.prec_edges = edges
-    sv.hb = HbClosure(intervals, edges)
+    sv.intervals = intervals
     return sv
 
 

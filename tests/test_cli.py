@@ -222,3 +222,49 @@ def test_stress_worker_exception_exits_one(monkeypatch, capsys):
     rc = main(["stress", "--alg", "jayanti3", "--n", "1", "--threads", "2", "--ops", "2"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["worker_errors"] == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"sched": [0]}', "KeyError: 'schedule'"),
+    ("[0, 1]", "TypeError"),
+    ("not json", "JSONDecodeError"),
+    ('{"schedule": 0}', '"schedule" is not a list'),
+    ('{"schedule": [0, "1"]}', "step 1 names thread '1', but the script has threads 0..2"),
+    ('{"schedule": [1, -1]}', "step 1 names thread -1, but the script has threads 0..2"),
+    ('{"schedule": [3]}', "step 0 names thread 3, but the script has threads 0..2"),
+    ('{"schedule": [0, 0, 0, 0, 0]}', "step 2 runs thread 0, which has finished"),
+], ids=["missing-key", "not-an-object", "not-json", "not-a-list", "not-an-int",
+        "negative", "out-of-range", "finished-thread"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_malformed_fixed_schedule_exits_two(naive_script, tmp_path, capsys, text, message,
+                                            jobs):
+    fixed = tmp_path / "schedule.json"
+    fixed.write_text(text)
+    rc, out, err = _explore_naive(naive_script, capsys, "--mode", f"fixed:{fixed}",
+                                  "--jobs", jobs)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"snaplab: {fixed}: malformed schedule: ")
+    assert message in err and "Traceback" not in err
+
+
+def test_explore_out_writes_replayable_schedules(naive_script, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--out", str(runs))
+    for k in (0, 5, 11):
+        base = runs / f"history_{k:06d}"
+        again = tmp_path / f"again_{k}"
+        _explore_naive(naive_script, capsys, "--mode", f"fixed:{base}.schedule.json",
+                       "--out", str(again))
+        assert (again / "history_000000.json").read_text() == base.with_suffix(".json").read_text()
+        first = json.loads((runs / f"history_{k:06d}.report.json").read_text())
+        replayed = json.loads((again / "history_000000.report.json").read_text())
+        assert first["suites"] == replayed["suites"]
+
+
+def test_explore_prints_distinct_keys(script_file, capsys):
+    rc = main(["explore", "--alg", "jayanti2", "--n", "1", "--script", script_file,
+               "--mode", "exhaustive", "--check", "M,M+,L,F+,F,S,CHAIN"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0 < out["distinct_snapshot_keys"] < out["schedules"]
+    assert out["distinct_register_keys"] > 0

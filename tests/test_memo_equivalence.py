@@ -1,0 +1,244 @@
+"""explore()'s memo is exact: every schedule's report, linearization and
+oracle verdict equal a fresh derivation of its own history."""
+import pytest
+
+from snaplab import ExploreConfig, Exhaustive, History, Linearization, OpScript, SimRun, \
+    brute_force_linearize, derive, explore, linearize, random_script, run_checks
+from snaplab.checker import sigma_containment
+from snaplab.harness import DfsBounded, RandomWalks
+from snaplab.linearize import LinearizeError, SizeGuard
+from snaplab.memo import register_traces, snapshot_key
+from snaplab.registers import Memory
+
+# RB runs for every schedule, memo or not, and its quadruple enumeration
+# would dominate the time here.
+SUITES = ("M", "M+", "L", "F+", "F", "S", "CHAIN")
+
+
+def _report(report) -> dict:
+    obj = report.to_obj()
+    obj["stats"] = {k: v for k, v in obj["stats"].items() if k != "wall_s"}
+    return obj
+
+
+def _verdict(v):
+    if v is None:
+        return None
+    return ("lin", v.to_json()) if isinstance(v, Linearization) else ("not", v.to_obj())
+
+
+def _fresh(cfg, history):
+    """The report, linearization JSON, linearizer error and oracle verdict
+    of ``history``, derived from scratch."""
+    d = derive(history)
+    lin = lin_ok = lin_err = None
+    try:
+        lin = linearize(d)
+        lin_ok = lin.legal
+    except LinearizeError as exc:
+        lin_ok = False
+        lin_err = f"{type(exc).__name__}: {exc}"
+    report = run_checks(d, cfg.suites, lin_ok=lin_ok)
+    try:
+        verdict = brute_force_linearize(d, cfg.oracle_guard)
+    except SizeGuard:
+        verdict = None
+    return (_report(report), list(report.suites), lin and lin.to_json(), lin_err,
+            _verdict(verdict))
+
+
+def _sweep(cfg):
+    """Explore ``cfg`` and compare every schedule with a fresh derivation;
+    returns the results and the summary."""
+    results = []
+
+    def per_result(res):
+        got = (_report(res.report), list(res.report.suites), res.lin and res.lin.to_json(),
+               res.lin_error, _verdict(res.oracle))
+        assert got == _fresh(cfg, res.history), res.schedule
+        results.append(res)
+
+    summary = explore(cfg, per_result=per_result)
+    return results, summary
+
+
+CASES = {
+    "alg2-dfs": ("jayanti2", 1, [[("write", 0, 2)], [("write", 0, 3)], [("scan",)]],
+                 DfsBounded(1500)),
+    "alg1-exhaustive": ("jayanti1", 1, [[("write", 0, 2), ("write", 0, 3)], [("scan",)]],
+                        Exhaustive()),
+    # one cell, so that scans borrow views
+    "afek-exhaustive": ("afek", 1, [[("write", 0, 1), ("write", 0, 2)], [("scan",)]],
+                        Exhaustive()),
+    # two three-step scans repeat a behaviour when their middle steps swap
+    "naive-exhaustive": ("naive", 3, [[("scan",)], [("scan",)], [("write", 0, 2)],
+                                      [("write", 2, 3)]], Exhaustive()),
+    "alg3-random": ("jayanti3", 1, [[("write", 0, 2)], [("scan",)], [("scan",)]],
+                    RandomWalks(7, 150)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_memo_matches_fresh_derivation(name):
+    algorithm, n, threads, mode = CASES[name]
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), mode, suites=SUITES,
+                        linearize=True, oracle=True)
+    results, summary = _sweep(cfg)
+    # the sweep repeats behaviours, so the memo was used
+    assert 0 < summary.distinct_snapshot_keys < summary.schedules
+    if name == "naive-exhaustive":
+        assert summary.violations > 0  # S fires on the naive algorithm
+    if algorithm in ("jayanti2", "jayanti3"):
+        assert summary.distinct_register_keys > 0
+
+
+def test_memo_on_long_random_histories():
+    cfg = ExploreConfig("jayanti3", 2, random_script(2, 2, 6, 3), RandomWalks(3, 4),
+                        suites=SUITES, linearize=True, oracle=True)
+    _sweep(cfg)
+
+
+def _break_second_vl(monkeypatch):
+    """The second validate of a run succeeds whatever happened, and so lets
+    the SC after it succeed: M+.llsc-success."""
+    vl = Memory.vl
+
+    def broken_vl(self, name, thread, parent, label):
+        self.vl_calls = getattr(self, "vl_calls", 0) + 1
+        link = self._links.get((thread, name))
+        if self.vl_calls == 2 and link is not None:
+            link.version = self.cells[name].version
+        return vl(self, name, thread, parent, label)
+
+    monkeypatch.setattr(Memory, "vl", broken_vl)
+    return "M+.llsc-success"
+
+
+def _break_third_read(monkeypatch):
+    """The third read of a run records a value nobody wrote: M.io or M+.io."""
+    read = Memory.read
+
+    def broken_read(self, name, parent, label):
+        self.read_calls = getattr(self, "read_calls", 0) + 1
+        value = read(self, name, parent, label)
+        if self.read_calls == 3:
+            self.recorder._events[-1].output = "stale"
+        return value
+
+    monkeypatch.setattr(Memory, "read", broken_read)
+    return ".io"
+
+
+def _break_third_read_source(monkeypatch):
+    """The third read of a run records that it read the register's first
+    write, though it returns the latest: M.nowrbetween or M+.nowrbetween."""
+    read = Memory.read
+
+    def broken_read(self, name, parent, label):
+        self.read_calls = getattr(self, "read_calls", 0) + 1
+        value = read(self, name, parent, label)
+        if self.read_calls == 3:
+            rec = self.recorder
+            first = next(e.id for e in rec._events if e.object == name)
+            rec._rf[-1] = (first, rec._rf[-1][1])
+        return value
+
+    monkeypatch.setattr(Memory, "read", broken_read)
+    return ".nowrbetween"
+
+
+@pytest.mark.parametrize("broken", [_break_second_vl, _break_third_read,
+                                    _break_third_read_source],
+                         ids=["vl", "read-value", "read-source"])
+def test_memo_maps_register_witnesses_back(monkeypatch, broken):
+    """A broken register makes M, M+ or L fire; the memo's hits must name
+    each schedule's own event ids."""
+    axiom = broken(monkeypatch)
+    algorithm, n, threads, mode = CASES["alg2-dfs"]
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(600),
+                        suites=SUITES, linearize=True, oracle=True)
+    results, summary = _sweep(cfg)
+    fired = {v.axiom for res in results for v in res.report.all_violations()}
+    assert any(a.endswith(axiom) for a in fired), fired
+    # some register trace fired in schedules that gave its events other ids
+    witnesses: dict = {}
+    for res in results:
+        for suite in ("M", "M+", "L"):
+            ws = tuple(v.witnesses for v in res.report.suites[suite].violations)
+            if ws:
+                witnesses.setdefault((suite, res.register_keys), set()).add(ws)
+    assert any(len(seen) > 1 for seen in witnesses.values())
+
+
+def test_keys_counted_the_same_under_jobs():
+    algorithm, n, threads, mode = CASES["alg2-dfs"]
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(300),
+                        suites=SUITES, linearize=True, oracle=True, hash_stream=True)
+    one, two = explore(cfg), explore(cfg, jobs=2)
+    assert (one.distinct_snapshot_keys, one.distinct_register_keys, one.stream_sha256) == \
+        (two.distinct_snapshot_keys, two.distinct_register_keys, two.stream_sha256)
+    assert 0 < one.distinct_snapshot_keys < one.schedules
+
+
+def _afek_history():
+    """write[0] | scan | write[0] | write[0], with every tick scaled by ten
+    so that events can move between their neighbours."""
+    sim = SimRun("afek", 1, OpScript.from_lists([[("write", 0, 1), ("write", 0, 2)],
+                                                 [("scan",)]]))
+    sim.run_schedule([1, 1, 0, 0, 0, 0, 0, 0])
+    h = History.from_json(sim.history().to_json())
+    for e in h.events:
+        e.start *= 10
+        e.end *= 10
+    return h
+
+
+def _keys(h):
+    d = derive(h)
+    traces = register_traces(d)
+    return snapshot_key(d), traces and traces[0]
+
+
+def test_keys_read_the_order_of_ticks_not_their_values():
+    h = _afek_history()
+    for e in h.events:
+        e.start, e.end = e.start * 3 + 1, e.end * 3 + 1
+    assert _keys(h) == _keys(_afek_history())
+
+
+def test_keys_change_with_what_the_checks_read():
+    base = _keys(_afek_history())
+    scan = lambda h: next(e for e in h.events if e.op == "scan")
+    first_write = lambda h: next(e for e in h.events if e.op == "write[0]" and e.input == 0)
+
+    def changed(edit, fires=None):
+        h = _afek_history()
+        edit(h)
+        if fires is not None:
+            assert fires(derive(h))
+        return _keys(h)
+
+    # the scan now overlaps the initial write: the abs order changed
+    snap, regs = changed(lambda h: setattr(scan(h), "start", first_write(h).end - 5))
+    assert snap != base[0] and regs == base[1]
+
+    # a read of the scan's virtual scan ends after the scan: F.1 fires
+    def escape(h):
+        last = max((e for e in h.events if e.parent == scan(h).id), key=lambda e: e.end)
+        last.end = scan(h).end + 5
+    assert not sigma_containment(derive(_afek_history()))
+    snap, regs = changed(escape, fires=sigma_containment)
+    assert snap != base[0]
+
+    # a rep read returns another value, or belongs to another operation
+    def reread(h):
+        r = next(e for e in h.events if e.op.endswith(".r") and e.parent != scan(h).id)
+        r.output = [9, 9, [9]]
+    snap, regs = changed(reread)
+    assert regs != base[1]
+
+    def reparent(h):
+        r = next(e for e in h.events if e.op.endswith(".r") and e.parent != scan(h).id)
+        r.parent = max(e.id for e in h.events if e.op == "write[0]")
+    snap, regs = changed(reparent)
+    assert regs != base[1]
