@@ -10,8 +10,8 @@ Two checkouts that print the same lines report the same things.
 
 Sweeps: criteria 3 (alg1) and 6 (afek) in full, prefixes of criteria 4
 (alg2, the first 20,000 DFS schedules) and 5 (alg3, 2,000 random walks),
-and the naive control: about 9 minutes on one core of a 2-vCPU machine.
-``--quick`` takes a shorter prefix of every sweep instead (about a minute).
+and the naive control: about a minute on one core of a 2-vCPU machine.
+``--quick`` takes a shorter prefix of every sweep instead (about 12 s).
 
 Usage: python scripts/report_stream.py [--quick]
 """
@@ -24,10 +24,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
-from snaplab import ExploreConfig, OpScript, explore  # noqa: E402
+from snaplab import explore  # noqa: E402
 from snaplab.checker import SUITES  # noqa: E402
 from snaplab.harness import DfsBounded, RandomWalks  # noqa: E402
-from sweep import SWEEPS  # noqa: E402
+from sweep import sweep_config  # noqa: E402
 
 EDGES = ("sc", "rf-abs", "hb1", "hb")
 FULL = {"alg1": None, "afek": None, "alg2": DfsBounded(20_000),
@@ -50,9 +50,7 @@ def _line(hasher, obj) -> None:
 
 
 def sweep_hash(name: str, mode) -> tuple[int, str]:
-    algorithm, n, threads, full_mode, _ = SWEEPS[name]
-    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), mode or full_mode,
-                        suites=SUITES, linearize=True, oracle=True, hash_stream=True)
+    cfg = sweep_config(name, mode, suites=SUITES, hash_stream=True)
     hasher = hashlib.sha256()
 
     def per_result(res):

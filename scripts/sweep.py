@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
-"""Run one of the standard schedule sweeps and print a one-line verdict.
+"""The standard schedule sweeps, and a runner that prints a one-line
+verdict for one of them.
+
+``SWEEPS`` is the one registry of the sweeps: criteria 3 (alg1), 4
+(alg2), 5 (alg3) and 6 (afek) of ``tests/test_acceptance.py``, and the
+naive control.  ``scripts/report_stream.py`` and the acceptance tests
+build their configs from it through ``sweep_config``.
 
 Usage: python scripts/sweep.py [alg1|alg2|alg3|afek|naive] [--fast]
 """
 import sys
 import time
+from dataclasses import replace
 
 from snaplab import ExploreConfig, Exhaustive, OpScript, explore
 from snaplab.harness import DfsBounded, RandomWalks
@@ -25,14 +32,19 @@ SWEEPS = {
 FAST = {"alg2": DfsBounded(10_000), "alg3": RandomWalks(20260808, 500)}
 
 
+def sweep_config(name: str, mode=None, **overrides) -> ExploreConfig:
+    """Sweep ``name`` with the linearizer and the oracle on, run in ``mode``
+    instead of its own if one is given; ``overrides`` replace any other
+    ExploreConfig fields."""
+    algorithm, n, threads, own_mode, suites = SWEEPS[name]
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), mode or own_mode,
+                        suites=suites, linearize=True, oracle=True)
+    return replace(cfg, **overrides)
+
+
 def main() -> int:
     name = sys.argv[1] if len(sys.argv) > 1 else "alg1"
-    fast = "--fast" in sys.argv
-    algorithm, n, threads, mode, suites = SWEEPS[name]
-    if fast and name in FAST:
-        mode = FAST[name]
-    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), mode,
-                        suites=suites, linearize=True, oracle=True)
+    cfg = sweep_config(name, FAST.get(name) if "--fast" in sys.argv else None)
     t0 = time.perf_counter()
     summary = explore(cfg)
     dt = time.perf_counter() - t0

@@ -35,7 +35,7 @@ successful windows and the write-likes totally):
 L4.2 and L4.3 skip that set-up on registers with at most _FEW write-likes
 or closed SC pairs, and test each.  Suites:
 
-  RB   interval structure of returns-before and subevents
+  RB   event and history structure (see check_rb)
   M    plain atomic registers
   M+   LL/SC/VL registers
   L    the three LL/SC interaction lemmas (L4.1-L4.3)
@@ -51,8 +51,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .events import BOT, INF, REP, returns_before, validate_history, \
-    check_interval_order, check_subevent_rb
+from .events import BOT, INF, REP, returns_before, validate_history
 from .report import CheckReport, SuiteResult, Violation
 from .visibility import CorruptHistory, Derived, HbClosure, abs_write_cell, \
     prec_closure_pairs
@@ -69,10 +68,22 @@ def _viol(out, axiom, witnesses, note=""):
 # -- RB ---------------------------------------------------------------------
 
 def check_rb(d: Derived, out: list) -> None:
-    h = d.history
-    out.extend(validate_history(h))
-    out.extend(check_interval_order(h))
-    out.extend(check_subevent_rb(h))
+    """The event and history structure (``validate_history``).
+
+    Two properties of returns-before (x < y iff x.end < y.start) are
+    theorems of the timestamps, so no history can violate them and they
+    are not enumerated:
+
+    - Interval order (no 2+2 pattern).  A pattern a1 < a2, b1 < b2 with
+      neither a1 < b2 nor b1 < a2 makes all four ticks comparable (the two
+      ``<`` facts rule out NaN), and then gives b2.start <= a1.end <
+      a2.start <= b1.end < b2.start, which is impossible.  The proof does
+      not use start <= end, so a corrupted history cannot break it either.
+    - Subevents keep their parents' order.  If e1 lies in p1, e2 in p2 and
+      p1 < p2, then e1.end <= p1.end < p2.start <= e2.start.  Only a child
+      that escapes its parent could break it, and EV.parent reports that.
+    """
+    out.extend(validate_history(d.history))
 
 
 # -- rep-level wfobs ----------------------------------------------------------

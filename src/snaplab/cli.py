@@ -11,7 +11,7 @@ import os
 import sys
 
 from .algorithms import ALGORITHMS, OpScript, ScriptError
-from .checker import run_checks
+from .checker import SUITES, run_checks
 from .events import History
 from .harness import ExploreCapExceeded, ExploreConfig, FixedSchedule, \
     ReproMismatch, ScheduleError, StressConfig, explore, parse_mode, random_script, \
@@ -19,7 +19,7 @@ from .harness import ExploreCapExceeded, ExploreConfig, FixedSchedule, \
 from .linearize import Linearization, LinearizeError, SizeGuard, \
     brute_force_linearize, linearize
 from .report import CheckReport
-from .visibility import derive
+from .visibility import CorruptHistory, derive
 
 def _load_script(path: str) -> OpScript:
     with open(path) as fh:
@@ -57,6 +57,15 @@ def _report_failures(report: CheckReport) -> None:
         print(v.render(), file=sys.stderr)
 
 
+def _suites(text: str) -> tuple[str, ...]:
+    """A comma list of suite names; a name that is no suite is a usage error."""
+    names = tuple(text.split(","))
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; have {','.join(SUITES)}")
+    return names
+
+
 def _load_schedule(path: str) -> FixedSchedule:
     """A ``{"schedule": [thread indices]}`` file.  SimRun.run_schedule
     checks each index against the script."""
@@ -74,12 +83,11 @@ def _load_schedule(path: str) -> FixedSchedule:
 
 def cmd_explore(args) -> int:
     script = _load_script(args.script)
-    suites = tuple(args.check.split(",")) if args.check else ("S",)
     fixed = args.mode.split(":", 1)[1] if args.mode.startswith("fixed:") else None
     cfg = ExploreConfig(
         algorithm=args.alg, n=args.n, script=script,
         mode=_load_schedule(fixed) if fixed else parse_mode(args.mode),
-        suites=suites, linearize=True, oracle=args.oracle,
+        suites=_suites(args.check), linearize=True, oracle=args.oracle,
         hash_stream=args.hash)
     written = 0
 
@@ -133,9 +141,8 @@ def cmd_explore(args) -> int:
 
 def cmd_stress(args) -> int:
     script = random_script(args.n, args.threads, args.ops, args.seed)
-    suites = tuple(args.check.split(",")) if args.check else ("RB", "S")
     cfg = StressConfig(algorithm=args.alg, n=args.n, script=script,
-                       runs=args.runs, suites=suites)
+                       runs=args.runs, suites=_suites(args.check))
     summary = stress(cfg)
     _emit({"runs": summary.runs, "violations": summary.violations,
            "worker_errors": summary.worker_errors}, None)
@@ -145,14 +152,13 @@ def cmd_stress(args) -> int:
 
 
 def cmd_check(args) -> int:
-    h = _load_history(args.history)
-    d = derive(h)
-    suites = tuple(args.suites.split(",")) if args.suites else ("RB", "S")
+    suites = _suites(args.suites)
+    d = derive(_load_history(args.history))
     lin_ok = None
     if "CHAIN" in suites:
         try:
             lin_ok = linearize(d).legal
-        except LinearizeError:
+        except (LinearizeError, CorruptHistory):
             lin_ok = False
     report = run_checks(d, suites, lin_ok=lin_ok, label=args.history)
     _emit(report.to_obj(), args.out)
@@ -172,7 +178,7 @@ def cmd_linearize(args) -> int:
         result["linearization"] = lin.to_obj()
         if not lin.legal:
             code = 1
-    except LinearizeError as exc:
+    except (LinearizeError, CorruptHistory) as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
         code = 1
     if args.oracle:

@@ -19,7 +19,6 @@ BOT = None  # the "no forwarded value" marker stored in forwarding arrays
 
 ABS = "abs"
 REP = "rep"
-VIRTUAL = "virtual"
 
 _EVENT_FIELDS = ("id", "kind", "op", "input", "output", "start", "end", "parent", "object")
 
@@ -255,47 +254,3 @@ def validate_history(h: History) -> list[Violation]:
                                      f"{label} edge must connect events of one register"))
     return out
 
-
-def check_interval_order(h: History, pair_budget: int = 4_000_000) -> list[Violation]:
-    """Returns-before must be an interval order: for e1<e2 and e1'<e2',
-    either e1<e2' or e1'<e2.  Violations carry the four witness ids.
-
-    Timestamp-derived returns-before satisfies this structurally (the proof
-    is two comparisons), so the enumeration is a desk-scale verification;
-    for large histories the monotone-predecessor certificate is used, which
-    cannot produce a witness but is equivalent.
-    """
-    evs = [e for e in h.events]
-    if len(evs) ** 4 > pair_budget:
-        # pred({x : x.end < e.start}) is monotone in e.start, hence the
-        # predecessor sets are linearly ordered by inclusion: interval order.
-        return []
-    pairs = [(a, b) for a in evs for b in evs if a is not b and returns_before(a, b)]
-    if len(pairs) * len(pairs) > pair_budget:
-        return []
-    out = []
-    for a1, a2 in pairs:
-        for b1, b2 in pairs:
-            if not (returns_before(a1, b2) or returns_before(b1, a2)):
-                out.append(Violation("RB.1", (a1.id, a2.id, b1.id, b2.id),
-                                     "2+2 pattern in returns-before"))
-    return out
-
-
-def check_subevent_rb(h: History, pair_budget: int = 4_000_000) -> list[Violation]:
-    """If e1' returns before e2' then every subevent of e1' returns before
-    every subevent of e2'.  Checked over recorded parent/child pairs."""
-    sub_pairs = [(e, h.event(e.parent)) for e in h.events if e.parent is not None]
-    sub_pairs += [(e, e) for e in h.events]
-    if len(sub_pairs) * len(sub_pairs) > pair_budget:
-        # e1.end <= p1.end < p2.start <= e2.start holds arithmetically for
-        # contained intervals, so only containment violations (reported by
-        # validate_history) could break this.
-        return []
-    out = []
-    for e1, p1 in sub_pairs:
-        for e2, p2 in sub_pairs:
-            if returns_before(p1, p2) and not returns_before(e1, e2):
-                out.append(Violation("RB.2", (e1.id, p1.id, e2.id, p2.id),
-                                     "subevent escapes returns-before of parents"))
-    return out

@@ -168,30 +168,6 @@ class HbClosure:
                     order.append(s)
         return order
 
-    def path(self, a: int, b: int) -> list[int]:
-        """A witness chain from a to b (real node ids), if any."""
-        n = self.n
-        src, dst = self.pos[a], self.pos[b]
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            node = queue.pop(0)
-            if node == dst:
-                break
-            for s in self._succs(node):
-                if s not in prev:
-                    prev[s] = node
-                    queue.append(s)
-        if dst not in prev:
-            return []
-        chain = []
-        node = dst
-        while node is not None:
-            if node < n:
-                chain.append(self.ids[node])
-            node = prev[node]
-        return list(reversed(chain))
-
 
 def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
     """Transitive closure of the sparse edge relation alone (cycle-tolerant)."""
@@ -214,9 +190,6 @@ def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
 
 
 # -- event indexing ---------------------------------------------------------
-
-WRITE_BASES_RESET = ("r", "vr")
-
 
 def parse_rep_op(op: str) -> tuple[str, Optional[int], Optional[int], str]:
     """'fll[1]@2.ll' -> ('fll', 1, 2, 'll')"""
@@ -314,9 +287,6 @@ class EventIndex:
         for cell, ws in self.effectful.items():
             for r, w in enumerate(ws):
                 self.eff_rank[w.id] = r
-
-    def rep_events(self) -> list[Event]:
-        return [e for e in self.h.events if e.kind == REP]
 
     def single_rf(self, reader: int) -> Optional[int]:
         srcs = self.rf_src.get(reader)
@@ -442,6 +412,13 @@ def _extract_alg3(idx: EventIndex):
             groups_cache[parent] = _group_by_instance(idx, parent)
         return groups_cache[parent].get(inst, {})
 
+    def link(commit, phase):
+        """The LL that a phase-1 or phase-2 commit SC is linked to."""
+        srcs = idx.ll_src.get(commit.id)
+        if not srcs:
+            raise CorruptHistory(f"phase-{phase} commit has no load-link", (commit.id,))
+        return srcs[0]
+
     vons = []
     for reg, ops in idx.regs.items():
         if reg != "X":
@@ -472,7 +449,7 @@ def _extract_alg3(idx: EventIndex):
             raise CorruptHistory("SS write without a phase-3 entry", (vssb.id,))
         g2_parent, g2_inst = voff.parent, idx.rep_info[voff.id][2]
         g2 = group(g2_parent, g2_inst)
-        vx2 = h.event(idx.ll_src[voff.id][0])
+        vx2 = h.event(link(voff, 2))
         von_src = idx.single_rf(voff.id)
         von = h.event(von_src) if von_src is not None else None
         if von is None or idx.rep_info[von.id][0] != "von":
@@ -480,7 +457,7 @@ def _extract_alg3(idx: EventIndex):
                                  (voff.id,))
         g1_parent, g1_inst = von.parent, idx.rep_info[von.id][2]
         g1 = group(g1_parent, g1_inst)
-        x_init = idx.ll_src[von.id][0]
+        x_init = link(von, 1)
         slots: dict[str, int] = {"on": von.id, "on_obs": vx2.id, "off": voff.id,
                                  "off_obs": vx3.id, "x_init": x_init, "ss": vssb.id}
         for i, e in g1.get("vr", {}).items():

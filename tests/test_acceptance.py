@@ -5,31 +5,38 @@ criteria that reference them (the LL/SC lemma criterion re-uses the
 algorithm-2 and algorithm-3 sweeps; the determinism criterion re-runs
 each flow hashing only the emitted history/linearization stream).
 
+The sweeps of criteria 3-6 are ``scripts/sweep.py``'s registry entries;
+the criteria assert their schedule counts, so an edit to the registry
+cannot quietly shrink them.
+
 Run with:  pytest tests/test_acceptance.py -v -s
 """
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from corruptions import ALL as CORRUPTIONS
-from snaplab import ExploreConfig, Exhaustive, Linearization, NotLinearizable, \
-    OpScript, StressConfig, brute_force_linearize, derive, explore, linearize, \
-    random_script, repro, run_checks, stress
-from snaplab.harness import DfsBounded, RandomWalks
+from snaplab import ExploreConfig, NotLinearizable, StressConfig, brute_force_linearize, \
+    derive, explore, linearize, random_script, repro, run_checks, stress
 from snaplab.linearize import SizeGuard
 
-FULL_SUITES = ("M", "M+", "L", "F+", "F", "S", "CHAIN")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from sweep import sweep_config  # noqa: E402
 
 _cache: dict = {}
 
 
-def _timed(key, fn):
-    if key not in _cache:
+def _sweep(name):
+    """((config, summary), seconds) of the standard sweep ``name``, with
+    the stream hash on; run once and shared between criteria."""
+    if name not in _cache:
         t0 = time.perf_counter()
-        value = fn()
-        _cache[key] = (value, time.perf_counter() - t0)
-    return _cache[key]
+        cfg = sweep_config(name, hash_stream=True)
+        _cache[name] = ((cfg, explore(cfg)), time.perf_counter() - t0)
+    return _cache[name]
 
 
 def _ok(name, elapsed, detail=""):
@@ -70,18 +77,10 @@ def test_criterion_2_fig3_reproduction():
 
 # -- criterion 3: exhaustive sweep of the single-writer algorithm ----------------
 
-def _alg1_sweep():
-    cfg = ExploreConfig(
-        "jayanti1", 2,
-        OpScript.from_lists([[("write", 0, 2)], [("write", 1, 4)], [("scan",)]]),
-        Exhaustive(300_000), suites=("F", "S", "CHAIN"),
-        linearize=True, oracle=True, hash_stream=True)
-    return cfg, explore(cfg)
-
-
 def test_criterion_3_alg1_exhaustive_sweep():
-    (cfg, summary), elapsed = _timed("alg1", _alg1_sweep)
+    (cfg, summary), elapsed = _sweep("alg1")
     assert summary.clean, summary.failing and summary.failing[0].report.to_obj()
+    assert summary.schedules == 38_560
     assert summary.oracle_skipped == 0 and summary.oracle_mismatches == 0
     assert elapsed < 60.0
     _ok("3 (single-writer sweep)", elapsed,
@@ -90,17 +89,8 @@ def test_criterion_3_alg1_exhaustive_sweep():
 
 # -- criterion 4: the multi-writer single-scanner sweep ---------------------------
 
-def _alg2_sweep():
-    cfg = ExploreConfig(
-        "jayanti2", 1,
-        OpScript.from_lists([[("write", 0, 2)], [("write", 0, 3)], [("scan",)]]),
-        DfsBounded(200_000), suites=FULL_SUITES,
-        linearize=True, oracle=True, hash_stream=True)
-    return cfg, explore(cfg)
-
-
 def test_criterion_4_alg2_bounded_sweep():
-    (cfg, summary), elapsed = _timed("alg2", _alg2_sweep)
+    (cfg, summary), elapsed = _sweep("alg2")
     assert summary.clean, summary.failing and summary.failing[0].report.to_obj()
     assert summary.schedules == 200_000
     assert summary.oracle_mismatches == 0 and summary.oracle_skipped == 0
@@ -110,20 +100,8 @@ def test_criterion_4_alg2_bounded_sweep():
 
 # -- criterion 5: sampled multi-scanner schedules ---------------------------------
 
-ALG3_SEED = 20260808
-
-
-def _alg3_sweep():
-    cfg = ExploreConfig(
-        "jayanti3", 1,
-        OpScript.from_lists([[("write", 0, 2)], [("scan",)], [("scan",)]]),
-        RandomWalks(ALG3_SEED, 10_000), suites=FULL_SUITES,
-        linearize=True, oracle=True, hash_stream=True)
-    return cfg, explore(cfg)
-
-
 def test_criterion_5_alg3_random_sampling():
-    (cfg, summary), elapsed = _timed("alg3", _alg3_sweep)
+    (cfg, summary), elapsed = _sweep("alg3")
     assert summary.schedules == 10_000
     assert summary.clean, summary.failing and summary.failing[0].report.to_obj()
     assert "F+" in cfg.suites  # includes virtual-scan extraction checks
@@ -133,18 +111,10 @@ def test_criterion_5_alg3_random_sampling():
 
 # -- criterion 6: the version-number algorithm ------------------------------------
 
-def _afek_sweep():
-    cfg = ExploreConfig(
-        "afek", 2,
-        OpScript.from_lists([[("write", 0, 1), ("write", 0, 2)], [("scan",)]]),
-        Exhaustive(300_000), suites=("F", "S", "CHAIN"),
-        linearize=True, oracle=True, hash_stream=True)
-    return cfg, explore(cfg)
-
-
 def test_criterion_6_afek_exhaustive_sweep():
-    (cfg, summary), elapsed = _timed("afek", _afek_sweep)
+    (cfg, summary), elapsed = _sweep("afek")
     assert summary.clean, summary.failing and summary.failing[0].report.to_obj()
+    assert summary.schedules == 11_296
     assert summary.afek_view_returns > 0  # double-move schedules borrow a view
     assert elapsed < 300.0
     _ok("6 (view-borrowing sweep)", elapsed,
@@ -154,9 +124,9 @@ def test_criterion_6_afek_exhaustive_sweep():
 # -- criterion 7: LL/SC lemma suite across criteria 4-5 ----------------------------
 
 def test_criterion_7_llsc_lemmas_clean():
-    (_, s4), e4 = _timed("alg2", _alg2_sweep)
-    (_, s5), e5 = _timed("alg3", _alg3_sweep)
-    assert "L" in FULL_SUITES
+    (c4, s4), e4 = _sweep("alg2")
+    (c5, s5), e5 = _sweep("alg3")
+    assert "L" in c4.suites and "L" in c5.suites
     assert s4.violations == 0 and s5.violations == 0
     _ok("7 (LL/SC lemma instances over criteria 4-5)", e4 + e5)
 
@@ -212,8 +182,7 @@ def test_criterion_10_determinism():
     l2a = linearize(derive(repro("jayanti1_fig3").history)).to_json()
     l2b = linearize(derive(repro("jayanti1_fig3").history)).to_json()
     assert l2a == l2b
-    for key, builder in (("alg1", _alg1_sweep), ("alg2", _alg2_sweep),
-                         ("alg3", _alg3_sweep)):
-        (cfg, summary), _ = _timed(key, builder)
-        assert summary.stream_sha256 == _rerun_hash(cfg), key
+    for name in ("alg1", "alg2", "alg3"):
+        (cfg, summary), _ = _sweep(name)
+        assert summary.stream_sha256 == _rerun_hash(cfg), name
     _ok("10 (byte-identical reruns of criteria 2-5)", time.perf_counter() - t0)

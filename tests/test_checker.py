@@ -7,9 +7,7 @@ from snaplab import ExploreConfig, Exhaustive, OpScript, SimRun, derive, repro, 
     run_checks
 from snaplab.harness import DfsBounded, RandomWalks, explore
 
-# RB's four-tuple enumeration is quadratic in the returns-before pairs, so
-# bulk sweeps run the other suites; the RB checks get targeted tests.
-ALL_SUITES = ("M", "M+", "L", "F+", "F", "S", "CHAIN")
+ALL_SUITES = ("RB", "M", "M+", "L", "F+", "F", "S", "CHAIN")
 
 
 @pytest.mark.parametrize("algorithm,n,threads,mode", [

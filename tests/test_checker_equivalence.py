@@ -7,7 +7,9 @@ pair.  Both must give the same report, violation order included, or raise
 the same exception type, on every history here: the corruption fixtures,
 seeded mutations of alg2 DFS, small alg3 random and long alg3 random
 histories, and hand-built histories for the axioms and fallbacks that
-mutation seldom reaches.  The test also asserts that each rewritten axiom
+mutation seldom reaches.  ``diff_checker.agree`` names the one exception:
+where the baseline's jayanti3 virtual-scan extraction raises KeyError,
+snaplab reports H.corrupt.  The test also asserts that each rewritten axiom
 fires somewhere in the set, since equal clean reports would prove nothing
 for it.  ``scripts/diff_checker.py`` runs the same comparison at any size.
 """
@@ -23,7 +25,7 @@ from snaplab.harness import DfsBounded, ExploreConfig, RandomWalks, iter_sims
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 import snaplab_baseline  # noqa: E402  (read-only: the frozen yardstick)
-from diff_checker import mutants, mutate, verdict  # noqa: E402
+from diff_checker import agree, mutants, mutate, verdict  # noqa: E402
 
 MUTANTS = 1500
 LONG_MUTANTS = 60  # of alg3 histories with 20 operations per thread
@@ -193,7 +195,7 @@ def test_reports_match_frozen_baseline():
     for text in _inputs():
         ours = verdict(snaplab, text)
         theirs = verdict(snaplab_baseline, text)
-        assert ours == theirs, text[:500]
+        assert agree(ours, theirs, text), text[:500]
         if isinstance(ours, dict):
             fired.update(v["axiom"] for s in ours["suites"].values() for v in s["violations"])
     silent = [ax for ax in REWRITTEN

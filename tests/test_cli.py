@@ -268,3 +268,67 @@ def test_explore_prints_distinct_keys(script_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert 0 < out["distinct_snapshot_keys"] < out["schedules"]
     assert out["distinct_register_keys"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--alg", "jayanti1", "--n", "1", "--script", "{script}", "--check", "S,Q"],
+    ["stress", "--alg", "jayanti3", "--n", "1", "--threads", "2", "--ops", "2",
+     "--check", "RB,Q"],
+    ["check", "--history", "{history}", "--suites", "RB,Q"],
+], ids=["explore", "stress", "check"])
+def test_unknown_suite_exits_two(script_file, tmp_path, capsys, argv):
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    history = str(tmp_path / "jayanti1_fig3.history.json")
+    rc = main([a.format(script=script_file, history=history) for a in argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "snaplab: unknown suite 'Q'; have RB,M,M+,L,F,F+,S,CHAIN\n"
+
+
+def _fig3_history(tmp_path, capsys, edit):
+    """The fig3 history, with ``edit`` applied to its event 2 (the wa.w of
+    write 1, the only child of that write)."""
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    hist = tmp_path / "jayanti1_fig3.history.json"
+    obj = json.loads(hist.read_text())
+    edit(next(e for e in obj["events"] if e["id"] == 2))
+    hist.write_text(json.dumps(obj))
+    return str(hist)
+
+
+def test_child_escaping_parent_is_one_rb_line(tmp_path, capsys):
+    hist = _fig3_history(tmp_path, capsys, lambda e: e.update(end=6))  # the parent ends at 5
+    assert main(["check", "--history", hist, "--suites", "RB"]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        ["EV.parent[2,1] child interval escapes parent"]
+
+
+def test_missing_parent_is_reported(tmp_path, capsys):
+    hist = _fig3_history(tmp_path, capsys, lambda e: e.update(parent=999))
+    assert main(["check", "--history", hist]) == 1
+    err = capsys.readouterr().err
+    assert "EV.parent[2] parent id missing" in err.splitlines()
+    assert "Traceback" not in err
+
+
+def test_alg3_commit_without_load_link_is_corrupt(tmp_path, capsys):
+    from snaplab import OpScript
+    from snaplab.harness import ExploreConfig, RandomWalks, iter_sims
+
+    cfg = ExploreConfig("jayanti3", 1, OpScript.from_lists([[("scan",)]]), RandomWalks(0, 1))
+    obj = json.loads(next(iter_sims(cfg)).history().to_json())
+    voff = next(e["id"] for e in obj["events"] if e["op"].startswith("voff"))
+    obj["ll"] = [p for p in obj["ll"] if p[1] != voff]  # the phase-2 commit's link
+    hist = tmp_path / "h.json"
+    hist.write_text(json.dumps(obj))
+    corrupt = f"H.corrupt[{voff}] phase-2 commit has no load-link"
+
+    assert main(["check", "--history", str(hist), "--suites", "F+,F,S,CHAIN"]) == 1
+    assert capsys.readouterr().err.splitlines().count(corrupt) == 3  # F+, F and S
+
+    assert main(["linearize", "--history", str(hist), "--oracle"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "CorruptHistory: phase-2 commit has no load-link"

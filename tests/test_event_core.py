@@ -1,11 +1,17 @@
 """Events, returns-before, subevents, structural checks, and history JSON."""
 import json
+import sys
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
-from snaplab import INF, Event, History, OpScript, SimRun, repro, returns_before, subevent
-from snaplab.events import ABS, ABSENT, REP, UNIT, check_interval_order, \
-    check_subevent_rb, validate_history
+from snaplab import INF, Event, History, OpScript, SimRun, derive, repro, returns_before, \
+    run_checks, subevent
+from snaplab.events import ABS, ABSENT, REP, UNIT, validate_history
+from snaplab.harness import RandomWalks, iter_sims
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from sweep import SWEEPS, sweep_config  # noqa: E402
 
 
 def ev(i, start, end, kind=ABS, op="probe", parent=None, obj=None, output=UNIT):
@@ -15,6 +21,21 @@ def ev(i, start, end, kind=ABS, op="probe", parent=None, obj=None, output=UNIT):
 
 def hist(events, rf=(), ll=()):
     return History("naive", 1, [0], events=events, rf=list(rf), ll=list(ll))
+
+
+def two_plus_two(events):
+    """Every 2+2 pattern: a1 < a2 and b1 < b2, but neither a1 < b2 nor
+    b1 < a2 (< is returns-before)."""
+    rb = [(a, b) for a in events for b in events if returns_before(a, b)]
+    return [(a1, a2, b1, b2) for a1, a2 in rb for b1, b2 in rb
+            if not (returns_before(a1, b2) or returns_before(b1, a2))]
+
+
+def parent_order_broken(events):
+    """Every e1 in p1 and e2 in p2 (subevents) with p1 < p2 but not e1 < e2."""
+    sub = [(e, p) for e in events for p in events if subevent(e, p)]
+    return [(e1, p1, e2, p2) for e1, p1 in sub for e2, p2 in sub
+            if returns_before(p1, p2) and not returns_before(e1, e2)]
 
 
 def test_returns_before_examples():
@@ -36,23 +57,27 @@ def test_subevent_examples():
 
 def test_interval_order_on_fabricated_quadruple():
     # a=[0,5], b=[6,9], c=[0,1], d=[2,3]: c returns before b, so the
-    # four-event interval property holds (verified by the full enumeration).
+    # four-event interval property holds.
     events = [ev(0, 0, 5), ev(1, 6, 9), ev(2, 0, 1), ev(3, 2, 3)]
-    assert check_interval_order(hist(events)) == []
+    assert two_plus_two(events) == []
 
 
 def test_interval_order_trivial_cases():
-    assert check_interval_order(hist([])) == []
+    assert two_plus_two([]) == []
     h = repro("naive_03").history
-    assert check_interval_order(h) == []
-    assert check_subevent_rb(h) == []
+    assert two_plus_two(h.events) == []
+    assert parent_order_broken(h.events) == []
+    assert run_checks(derive(h), ("RB",)).passed
 
 
 def test_subevent_rb_parent_children():
     p1, p2 = ev(0, 0, 4), ev(1, 5, 9)
     c1 = ev(2, 1, 2, kind=REP, op="u.w", parent=0, obj="K")
     c2 = ev(3, 6, 7, kind=REP, op="u.w", parent=1, obj="K")
-    assert check_subevent_rb(hist([p1, p2, c1, c2])) == []
+    assert subevent(c1, p1) and subevent(c2, p2) and returns_before(p1, p2)
+    assert returns_before(c1, c2)
+    assert parent_order_broken([p1, p2, c1, c2]) == []
+    assert validate_history(hist([p1, p2, c1, c2])) == []
 
 
 def test_validator_flags_child_escaping_parent():
@@ -92,10 +117,18 @@ def test_returns_before_irreflexive_transitive(spans):
                     assert returns_before(a, c)
 
 
-@given(intervals)
+# any ticks at all: start > end, an INF end and NaN included
+ticks = st.one_of(st.integers(0, 40), st.just(INF), st.just(float("nan")))
+
+
+@given(st.lists(st.tuples(ticks, ticks), max_size=12))
 def test_interval_property_always_holds(spans):
-    events = [ev(i, s, s + d) for i, (s, d) in enumerate(spans)]
-    assert check_interval_order(hist(events)) == []
+    """Returns-before has no 2+2 pattern, and subevents keep their
+    parents' order, whatever the ticks; the RB suite relies on both
+    (checker.check_rb)."""
+    events = [ev(i, s, e) for i, (s, e) in enumerate(spans)]
+    assert two_plus_two(events) == []
+    assert parent_order_broken(events) == []
 
 
 def test_history_json_round_trip():
@@ -115,25 +148,11 @@ def test_history_json_round_trip():
 
 
 def test_harness_histories_pass_structural_checks():
-    """Every history the harness emits satisfies the interval structure."""
-    from snaplab import ExploreConfig
-    from snaplab.harness import RandomWalks, iter_sims
-    from snaplab.events import validate_history
-
-    cases = [
-        ("jayanti1", 2, [[("write", 0, 2)], [("write", 1, 4)], [("scan",)]]),
-        ("jayanti2", 1, [[("write", 0, 2)], [("write", 0, 3)], [("scan",)]]),
-        ("jayanti3", 1, [[("write", 0, 2)], [("scan",)], [("scan",)]]),
-        ("afek", 2, [[("write", 0, 1), ("write", 0, 2)], [("scan",)]]),
-    ]
-    for algorithm, n, threads in cases:
-        cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads),
-                            RandomWalks(17, 20))
-        for sim in iter_sims(cfg):
-            h = sim.history()
-            assert validate_history(h) == []
-            assert check_interval_order(h) == []
-            assert check_subevent_rb(h) == []
+    """Every history the harness emits on the standard sweeps' scripts
+    passes RB."""
+    for name in SWEEPS:
+        for sim in iter_sims(sweep_config(name, RandomWalks(17, 20))):
+            assert run_checks(derive(sim.history()), ("RB",)).passed, name
 
 
 def test_unfinished_ops_kept_with_inf_end():

@@ -10,9 +10,7 @@ from snaplab.linearize import LinearizeError, SizeGuard
 from snaplab.memo import register_traces, snapshot_key
 from snaplab.registers import Memory
 
-# RB runs for every schedule, memo or not, and its quadruple enumeration
-# would dominate the time here.
-SUITES = ("M", "M+", "L", "F+", "F", "S", "CHAIN")
+SUITES = ("RB", "M", "M+", "L", "F+", "F", "S", "CHAIN")
 
 
 def _report(report) -> dict:
