@@ -143,9 +143,6 @@ def _bank_jayanti1(mem, n, pids, initial):
     return bank
 
 
-_bank_jayanti2 = _bank_jayanti1
-
-
 def _bank_jayanti3(mem, n, pids, initial):
     bank = Bank()
     bank.A = [mem.make(f"A[{i}]", None) for i in range(n)]
@@ -156,12 +153,6 @@ def _bank_jayanti3(mem, n, pids, initial):
     for p in pids:
         bank.Ap[p] = [mem.make(f"Ap[{p}][{i}]", None) for i in range(n)]
         bank.Bp[p] = [mem.make(f"Bp[{p}][{i}]", BOT) for i in range(n)]
-    return bank
-
-
-def _bank_afek(mem, n, pids, initial):
-    bank = Bank()
-    bank.A = [mem.make(f"A[{i}]", None) for i in range(n)]
     return bank
 
 
@@ -328,7 +319,7 @@ def _afek_scan(bank, n, pid):
 @dataclass(frozen=True)
 class AlgorithmDef:
     name: str
-    uses_llsc: bool
+    rules: str  # its entry in visibility.RULES: derivations and signatures
     make_bank: Callable
     writer: Callable
     scanner: Callable
@@ -336,10 +327,6 @@ class AlgorithmDef:
     initial_cell: Callable  # (v0, initial array) -> stored A[i] value
     write_bound: Callable  # n -> max register steps per write
     scan_bound: Callable
-
-
-def _validate_naive(script, n):
-    _check_basic(script, n)
 
 
 def _validate_j1(script, n):
@@ -353,10 +340,6 @@ def _validate_j2(script, n):
     _check_single_scanner(script)
 
 
-def _validate_j3(script, n):
-    _check_basic(script, n)
-
-
 def _validate_afek(script, n):
     _check_basic(script, n)
     _check_single_writer_per_cell(script)
@@ -364,23 +347,23 @@ def _validate_afek(script, n):
 
 ALGORITHMS: dict[str, AlgorithmDef] = {
     "naive": AlgorithmDef(
-        "naive", False, _bank_naive, _naive_write, _naive_scan, _validate_naive,
+        "naive", "naive", _bank_naive, _naive_write, _naive_scan, _check_basic,
         lambda v0, init: v0,
         write_bound=lambda n: 1, scan_bound=lambda n: n),
     "jayanti1": AlgorithmDef(
-        "jayanti1", False, _bank_jayanti1, _j1_write, _j1_scan, _validate_j1,
+        "jayanti1", "jayanti1", _bank_jayanti1, _j1_write, _j1_scan, _validate_j1,
         lambda v0, init: v0,
         write_bound=lambda n: 3, scan_bound=lambda n: 3 * n + 2),
     "jayanti2": AlgorithmDef(
-        "jayanti2", True, _bank_jayanti2, _j2_write, _j2_scan, _validate_j2,
+        "jayanti2", "jayanti2", _bank_jayanti1, _j2_write, _j2_scan, _validate_j2,
         lambda v0, init: v0,
         write_bound=lambda n: 10, scan_bound=lambda n: 3 * n + 2),
     "jayanti3": AlgorithmDef(
-        "jayanti3", True, _bank_jayanti3, _j3_write, _j3_scan, _validate_j3,
+        "jayanti3", "jayanti3", _bank_jayanti3, _j3_write, _j3_scan, _check_basic,
         lambda v0, init: v0,
         write_bound=lambda n: 10, scan_bound=lambda n: 10 * n + 19),
     "afek": AlgorithmDef(
-        "afek", False, _bank_afek, _afek_write, _afek_scan, _validate_afek,
+        "afek", "afek", _bank_naive, _afek_write, _afek_scan, _validate_afek,
         lambda v0, init: [v0, 0, list(init)],
         write_bound=lambda n: 2 * n * (n + 2) + 1, scan_bound=lambda n: 2 * n * (n + 2)),
 }

@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional
 
 from .events import BOT, INF, REP, returns_before, validate_history
 from .report import CheckReport, SuiteResult, Violation
-from .visibility import CorruptHistory, Derived, HbClosure, abs_write_cell, \
-    prec_closure_pairs
+from .visibility import SIGNATURES, CorruptHistory, Derived, HbClosure, abs_write_cell, \
+    prec_closure_pairs, rules_for
 
 SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
 
@@ -178,15 +178,6 @@ class _Nodes:
 
 # -- M / M+ -------------------------------------------------------------------
 
-def check_aregs(d: Derived, out: list) -> None:
-    hb = _rep_closure(d, out)
-    if hb is None:
-        return
-    for reg, ops in sorted(d.idx.regs.items()):
-        if not d.idx.is_llsc_reg(reg):
-            check_areg(d, hb, reg, ops, out)
-
-
 def check_areg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     """M on the plain register ``reg``."""
     idx = d.idx
@@ -212,15 +203,6 @@ def check_areg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
         for w2 in writes[i + 1:]:
             if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
                 _viol(out, "M.wrtotal", (w1.id, w2.id), f"unordered writes to {reg}")
-
-
-def check_llregs(d: Derived, out: list) -> None:
-    hb = _rep_closure(d, out)
-    if hb is None:
-        return
-    for reg, ops in sorted(d.idx.regs.items()):
-        if d.idx.is_llsc_reg(reg):
-            check_llreg(d, hb, reg, ops, out)
 
 
 def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
@@ -285,13 +267,6 @@ def _prefix_len(masks: list[int], p: int) -> int:
     """How many of masks hold bit p, given that those holding it come first,
     as the successor masks of a ≺-chain in chain order do."""
     return bisect_left(masks, True, key=lambda m: not m >> p & 1)
-
-
-def check_llsc_lemmas(d: Derived, out: list) -> None:
-    hb = d.rep.hb
-    for reg, ops in sorted(d.idx.regs.items()):
-        if d.idx.is_llsc_reg(reg):
-            check_llsc_reg(d, hb, reg, ops, out)
 
 
 def check_llsc_reg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
@@ -455,7 +430,7 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
     h = d.history
     sv = d.snap
     hb = sv.hb  # built, so V.1 holds (see the module docstring)
-    if d.algorithm == "afek":
+    if d.rules.unforwarded:
         out.extend(sigma_containment(d))
     for s in idx.abs_scans:
         per_cell = sv.obs.get(s.id, {})
@@ -625,10 +600,10 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
     out.extend(sigma_containment(d))
-    if d.algorithm == "afek":
-        return  # only the virtual-scan containment applies
-    sigmas = [s for s in d.sigmas if s.complete]
     fl = d.flevel
+    if fl is None:
+        return  # virtual scans without forwarding: only the containment applies
+    sigmas = [s for s in d.sigmas if s.complete]
     rhb = d.rep.hb
     by_slot = _fwd_by_slot(d)
     _check_io(d, "F.io", out)
@@ -824,11 +799,29 @@ def check_chain(results: dict[str, SuiteResult], lin_ok: Optional[bool], out: li
 
 # -- orchestration ----------------------------------------------------------------
 
+# The suites that check each register on its own: name -> (whether they
+# check the LL/SC registers or the plain ones, whether a closure that
+# fails to build is reported as V.1 witnesses, the per-register body).
+REGISTER_SUITES = {
+    "M": (False, True, check_areg),
+    "M+": (True, True, check_llreg),
+    "L": (True, False, check_llsc_reg),
+}
+
+
+def _check_registers(name: str, d: Derived, out: list) -> None:
+    llsc, v1, body = REGISTER_SUITES[name]
+    hb = _rep_closure(d, out) if v1 else d.rep.hb
+    if hb is None:
+        return
+    for reg, ops in sorted(d.idx.regs.items()):
+        if d.idx.is_llsc_reg(reg) == llsc:
+            body(d, hb, reg, ops, out)
+
+
 _SUITE_FNS = {
     "RB": check_rb,
-    "M": check_aregs,
-    "M+": check_llregs,
-    "L": check_llsc_lemmas,
+    **{name: partial(_check_registers, name) for name in REGISTER_SUITES},
     "F": check_forwarding_suite,
     "F+": check_mwforwarding_suite,
     "S": check_snapshot_suite,
@@ -836,28 +829,10 @@ _SUITE_FNS = {
 
 
 def applicable_suites(algorithm: str, requested: Iterable[str]) -> list[str]:
-    has_f = algorithm in ("jayanti1", "jayanti2", "jayanti3", "afek")
-    has_fplus = algorithm in ("jayanti2", "jayanti3")
-    has_llsc = algorithm in ("jayanti2", "jayanti3")
-    out = []
-    for name in requested:
-        if name == "F" and not has_f:
-            continue
-        if name == "F+" and not has_fplus:
-            continue
-        if name in ("L", "M+") and not has_llsc:
-            continue
-        out.append(name)
-    return out
-
-
-# The suites that check each register on its own: name -> (whether they
-# check the LL/SC registers or the plain ones, the per-register body).
-REGISTER_SUITES = {
-    "M": (False, check_areg),
-    "M+": (True, check_llreg),
-    "L": (True, check_llsc_reg),
-}
+    """The suites among ``requested`` that apply to ``algorithm``: a
+    signature applies only where the algorithm's rules list it."""
+    signatures = rules_for(algorithm).signatures
+    return [name for name in requested if name not in SIGNATURES or name in signatures]
 
 
 def run_suite(d: Derived, name: str) -> SuiteResult:

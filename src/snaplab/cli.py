@@ -38,9 +38,12 @@ def _load_history(path: str) -> History:
     with open(path) as fh:
         text = fh.read()
     try:
-        return History.from_json(text)
+        h = History.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedHistory(f"malformed history {path}: {type(exc).__name__}: {exc}") from exc
+    if h.algorithm not in ALGORITHMS:
+        raise MalformedHistory(f"malformed history {path}: unknown algorithm {h.algorithm!r}")
+    return h
 
 
 def _emit(obj, out: str | None) -> None:
@@ -223,10 +226,14 @@ def cmd_repro(args) -> int:
 
 
 def cmd_dump_edges(args) -> int:
-    h = _load_history(args.history)
-    d = derive(h)
-    labels = args.labels.split(",")
-    out = [{"label": lab, "pairs": [list(p) for p in d.edge_set(lab)]} for lab in labels]
+    d = derive(_load_history(args.history))
+    out = []
+    for lab in args.labels.split(","):
+        try:
+            pairs = d.edge_set(lab)
+        except CorruptHistory as exc:  # the relation cannot be derived
+            raise MalformedHistory(f"{args.history}: cannot derive {lab}: {exc}") from exc
+        out.append({"label": lab, "pairs": [list(p) for p in pairs]})
     _emit(out, args.out)
     return 0
 

@@ -398,7 +398,7 @@ def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, per_result=None) -> _O
     bad = nviol > 0 or res.lin_ok is False or res.agree is False
     return _Outcome(digest, nviol, res.lin_ok is False, res.agree is False,
                     cfg.oracle and res.oracle is None, sim.max_steps(),
-                    len(completed_set(res.derived)), bool(res.derived.afek_recursed),
+                    len(completed_set(res.derived)), bool(res.derived.borrowed_views),
                     Failure(res.schedule, res.report, res.lin_error) if bad else None,
                     res.snapshot_key, res.register_keys)
 

@@ -98,7 +98,8 @@ class WriteOrder:
 
 
 def build_whb(d: Derived):
-    """Direct whb adjacency over effectful writes; raises CycleError."""
+    """Direct whb adjacency over effectful writes.  It may hold a cycle,
+    which extend_total_writes reports."""
     sv = d.snap
     ids = sorted(w for ws in d.idx.effectful.values() for w in (x.id for x in ws))
     pos = {w: k for k, w in enumerate(ids)}
@@ -110,41 +111,12 @@ def build_whb(d: Derived):
                 adj[k] |= 1 << pos[w2]
     for a, b in wrdiff_pairs(d):
         adj[pos[a]] |= 1 << pos[b]
-    _assert_acyclic(adj, ids)
     return ids, pos, adj
-
-
-def _assert_acyclic(adj: list[int], ids: list[int]) -> None:
-    n = len(ids)
-    color = [0] * n
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, adj[root])]
-        color[root] = 1
-        path = [root]
-        while stack:
-            node, rest = stack[-1]
-            if rest:
-                low = rest & -rest
-                stack[-1] = (node, rest ^ low)
-                s = low.bit_length() - 1
-                if color[s] == 0:
-                    color[s] = 1
-                    stack.append((s, adj[s]))
-                    path.append(s)
-                elif color[s] == 1:
-                    cyc = [ids[x] for x in path[path.index(s):]]
-                    raise CycleError("write order has a cycle", cyc)
-            else:
-                color[node] = 2
-                stack.pop()
-                path.pop()
 
 
 def extend_total_writes(d: Derived, whb=None) -> WriteOrder:
     """Deterministic topological extension of whb; ties broken by
-    (end timestamp, event id)."""
+    (end timestamp, event id).  Raises CycleError if whb has a cycle."""
     ids, pos, adj = whb if whb is not None else build_whb(d)
     h = d.history
     n = len(ids)

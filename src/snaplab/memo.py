@@ -11,8 +11,9 @@ Snapshot layer: the snapshot closure, S, the linearizer and the oracle.
 They read the abs events (id, op, input, output, and the order of their
 start and end ticks, not the ticks themselves), each scan's observed
 writes, each cell's effectful-write order, the edges of the snapshot
-closure (the derived scan order among them) and, for afek, the F.1
-containment outcome that S reports first.
+closure (the derived scan order among them) and, for virtual scans
+without forwarding (afek), the F.1 containment outcome that S reports
+first.
 
 Per-register layer: M, M+ and L, one entry per register.  When the rep
 events are pairwise disjoint and every rf/ll edge joins two events of
@@ -63,7 +64,7 @@ def snapshot_key(d: Derived) -> Optional[bytes]:
     try:
         sv = d.snap
         f1 = [(v.axiom, v.witnesses, v.note) for v in sigma_containment(d)] \
-            if d.algorithm == "afek" else None
+            if d.rules.unforwarded else None
     except CorruptHistory:
         return None
     abs_events = [e for e in h.events if e.kind == ABS]
@@ -160,7 +161,7 @@ class Memo:
             entry = self._regs.setdefault(keys[reg], {})
             trace = traces[reg]
             for suite in wanted:
-                on_llsc, body = REGISTER_SUITES[suite]
+                on_llsc, _, body = REGISTER_SUITES[suite]
                 if on_llsc != llsc:
                     continue
                 out = results[suite].violations

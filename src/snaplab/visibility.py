@@ -1,5 +1,6 @@
 """Derived relations over a history: happens-before closures, virtual
-scans, forwarding edges, and the snapshot-level visibility.
+scans, forwarding edges, and the snapshot-level visibility, each derived
+as the algorithm's entry in ``RULES`` says.
 
 All closures are computed exactly by reachability over the finite event
 graph.  Returns-before successors are folded in through a suffix chain
@@ -11,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
+from .algorithms import ALGORITHMS
 from .events import ABS, INF, REP, Event, History
 
 
@@ -61,6 +63,7 @@ class HbClosure:
             # (Simulator rep events, which run one at a time.)
             full = (1 << n) - 1
             self._reach = [full ^ ((2 << k) - 1) for k in range(n)]
+            self._topo = None
         else:
             self._reach = self._close()
 
@@ -107,6 +110,7 @@ class HbClosure:
                     topo.append(node)
                     stack.pop()
                     path.pop()
+        self._topo = topo
         reach = [0] * total
         for node in topo:  # topo is reverse topological order
             m = 0
@@ -142,31 +146,16 @@ class HbClosure:
     def max_pred_start(self) -> dict[int, int]:
         """For each node a: max start over {x : x = a or x happens-before a}."""
         n = self.n
+        if self._topo is None:
+            # the chain case: every predecessor starts no later than a
+            return dict(zip(self.ids, self.starts))
         best = list(self.starts) + [-1] * n
-        order = self._topo_forward()
-        for node in order:
+        for node in reversed(self._topo):  # _topo is reverse topological order
             b = best[node]
             for s in self._succs(node):
                 if best[s] < b:
                     best[s] = b
         return {self.ids[k]: best[k] for k in range(n)}
-
-    def _topo_forward(self) -> list[int]:
-        total = 2 * self.n
-        indeg = [0] * total
-        for node in range(total):
-            for s in self._succs(node):
-                indeg[s] += 1
-        order = [node for node in range(total) if indeg[node] == 0]
-        i = 0
-        while i < len(order):
-            node = order[i]
-            i += 1
-            for s in self._succs(node):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    order.append(s)
-        return order
 
 
 def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
@@ -234,7 +223,6 @@ class EventIndex:
         self.rf_src: dict[int, list[int]] = {}
         self.rf_out: dict[int, list[int]] = {}
         self.ll_src: dict[int, list[int]] = {}
-        self.ll_out: dict[int, list[int]] = {}
         self.abs_writes: dict[int, list[Event]] = {}
         self.abs_scans: list[Event] = []
         self.success: set[int] = set()
@@ -276,7 +264,6 @@ class EventIndex:
             self.rf_out.setdefault(a, []).append(b)
         for a, b in h.ll:
             self.ll_src.setdefault(b, []).append(a)
-            self.ll_out.setdefault(a, []).append(b)
         # effectful writes per cell, in serialization (wa interval) order
         self.effectful: dict[int, list[Event]] = {}
         for cell, ws in self.abs_writes.items():
@@ -359,7 +346,8 @@ def _slot_interval(h: History, slot_ids: list[int]) -> tuple:
     return (min(e.start for e in evs), max(e.end for e in evs))
 
 
-def _identity_sigmas(idx: EventIndex, with_onoff_obs: bool):
+def _identity_sigmas(idx: EventIndex):
+    """Each abs scan is its own virtual scan."""
     sigmas, sigma_of = [], {}
     n = idx.h.n
     for s in idx.abs_scans:
@@ -370,11 +358,10 @@ def _identity_sigmas(idx: EventIndex, with_onoff_obs: bool):
                 slots[f"{base}[{i}]"] = e.id
             elif base in ("on", "off"):
                 slots[base] = e.id
-        if with_onoff_obs:
-            if "on" in slots:
-                slots["on_obs"] = slots["on"]
-            if "off" in slots:
-                slots["off_obs"] = slots["off"]
+        if "on" in slots:
+            slots["on_obs"] = slots["on"]
+        if "off" in slots:
+            slots["off_obs"] = slots["off"]
         complete = s.terminated and all(
             f"{b}[{i}]" in slots for b in ("r", "a", "b") for i in range(n))
         sigmas.append(VirtualScan(s.id, slots, "B", s.start, s.end, owner=s.id,
@@ -515,7 +502,6 @@ def _extract_afek(idx: EventIndex):
     sigmas: list[VirtualScan] = []
     by_owner: dict[int, VirtualScan] = {}
     sigma_of: dict[int, int] = {}
-    recursed: set[int] = set()
 
     def rounds_of(entity: int):
         rounds: dict[int, dict[str, dict[int, Event]]] = {}
@@ -568,7 +554,6 @@ def _extract_afek(idx: EventIndex):
         if writer is None or not rounds_of(writer):
             raise CorruptHistory("borrowed view from a write with no embedded collect",
                                  (entity, wa_src))
-        recursed.add(entity)
         return resolve(writer, stack + (entity,))
 
     for s in idx.abs_scans:
@@ -577,7 +562,7 @@ def _extract_afek(idx: EventIndex):
         sid = resolve(s.id, ())
         if sid is not None:
             sigma_of[s.id] = sid
-    return sigmas, sigma_of, [], recursed
+    return sigmas, sigma_of, []
 
 
 # -- forwarding -------------------------------------------------------------
@@ -752,9 +737,9 @@ def _lifted(idx: EventIndex, read: int) -> list[int]:
 def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
                     ordered: bool = True) -> SnapView:
     """The snapshot-level closure.  ``obs`` maps each abs scan to
-    ``{cell: [observed abs writes]}``.  Unless ``ordered`` is false (afek),
-    the closure also orders each cell's effectful writes, and it orders
-    the abs scans of consecutive complete virtual ``sigmas``."""
+    ``{cell: [observed abs writes]}``.  Unless ``ordered`` is false, the
+    closure also orders each cell's effectful writes, and it orders the
+    abs scans of consecutive complete virtual ``sigmas``."""
     sv = SnapView(obs=obs)
     for sid, per_cell in obs.items():
         for got in per_cell.values():
@@ -764,7 +749,7 @@ def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
     intervals = _effectful_writes(idx, edges if ordered else None)
     for s in idx.abs_scans:
         intervals[s.id] = (s.start, s.end)
-    if sigmas:
+    if ordered and sigmas:
         members: dict[int, list[int]] = {}  # sigma id -> its abs scans
         for sc, sid in sigma_of.items():
             members.setdefault(sid, []).append(sc)
@@ -780,109 +765,129 @@ def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
     return sv
 
 
+# -- per-algorithm rules ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rules:
+    """How an algorithm's histories are derived, and which signatures
+    check them.  Everything else that differs between algorithms follows
+    from these three fields.
+
+    ``sigmas`` maps an EventIndex to ``(virtual scans, {abs scan: virtual
+    scan id}, partial virtual scans)``.  Without it, each abs scan
+    observes what its own cell reads observed.
+
+    ``forwards`` maps an EventIndex and the virtual scans to the forwarding
+    edges ``(write, virtual scan id, cell)``.  With it there is a
+    forwarding level (``Derived.flevel``), and the abs scans observe
+    through it.
+
+    Virtual scans without forwarding (``unforwarded``) observe what their
+    own cell reads observed.  Their snapshot closure orders neither the
+    writes of a cell nor the scans, F is the containment F.1 alone, and S
+    reports F.1 first.
+
+    ``signatures`` are the suites among ``SIGNATURES`` that apply; RB, M,
+    S and CHAIN apply to every algorithm."""
+
+    sigmas: Optional[Callable[[EventIndex], tuple]]
+    forwards: Optional[Callable[[EventIndex, list], list]]
+    signatures: frozenset
+
+    @property
+    def unforwarded(self) -> bool:
+        return self.sigmas is not None and self.forwards is None
+
+
+SIGNATURES = frozenset({"F", "F+", "M+", "L"})
+
+# Keyed by rules name; each algorithms.AlgorithmDef names its entry.
+RULES: dict[str, Rules] = {
+    "naive": Rules(None, None, frozenset()),
+    "jayanti1": Rules(_identity_sigmas, fwd_alg1, frozenset({"F"})),
+    "jayanti2": Rules(_identity_sigmas, fwd_mw, SIGNATURES),
+    "jayanti3": Rules(_extract_alg3, fwd_mw, SIGNATURES),
+    "afek": Rules(_extract_afek, None, frozenset({"F"})),
+}
+
+
+def rules_for(algorithm: str) -> Rules:
+    """The rules of the registered algorithm ``algorithm``."""
+    return RULES[ALGORITHMS[algorithm].rules]
+
+
 # -- the derivation bundle ----------------------------------------------------
 
 class Derived:
-    """Lazily computed derivations for one history; each closure is built
-    once and cached here."""
+    """Lazily computed derivations for one history; each is built once
+    and cached here."""
 
     def __init__(self, h: History):
         self.history = h
         self.idx = EventIndex(h)
-        self._rep: Optional[RepVisibility] = None
-        self._sigma = None
-        self._forwards = None
-        self._fwd_edges = None
-        self._flevel = None
-        self._snap = None
-        self._afek_recursed: set[int] = set()
+        self.rules = rules_for(h.algorithm)
 
     @property
     def algorithm(self) -> str:
         return self.history.algorithm
 
-    @property
+    @cached_property
     def rep(self) -> RepVisibility:
-        if self._rep is None:
-            self._rep = RepVisibility(self.idx)
-        return self._rep
+        return RepVisibility(self.idx)
 
-    def _sigma_triple(self):
-        if self._sigma is None:
-            algo = self.algorithm
-            if algo == "jayanti1":
-                self._sigma = _identity_sigmas(self.idx, with_onoff_obs=False)
-            elif algo == "jayanti2":
-                self._sigma = _identity_sigmas(self.idx, with_onoff_obs=True)
-            elif algo == "jayanti3":
-                self._sigma = _extract_alg3(self.idx)
-            elif algo == "afek":
-                sig, smap, partial, recursed = _extract_afek(self.idx)
-                self._afek_recursed = recursed
-                self._sigma = (sig, smap, partial)
-            else:
-                self._sigma = ([], {}, [])
-        return self._sigma
+    @cached_property
+    def _sigma_triple(self) -> tuple:
+        extract = self.rules.sigmas
+        return extract(self.idx) if extract is not None else ([], {}, [])
 
     @property
     def sigmas(self) -> list[VirtualScan]:
-        return self._sigma_triple()[0]
+        return self._sigma_triple[0]
 
     @property
     def sigma_of(self) -> dict[int, int]:
-        return self._sigma_triple()[1]
+        return self._sigma_triple[1]
 
     @property
     def partial_sigmas(self) -> list[VirtualScan]:
-        return self._sigma_triple()[2]
+        return self._sigma_triple[2]
 
-    @property
-    def afek_recursed(self) -> set[int]:
-        self._sigma_triple()
-        return self._afek_recursed
+    @cached_property
+    def borrowed_views(self) -> list[int]:
+        """The abs scans whose virtual scan another operation owns: afek
+        scans that returned a view borrowed from a write's collect."""
+        owner = {s.id: s.owner for s in self.sigmas}
+        return [sc for sc, sid in self.sigma_of.items() if owner[sid] not in (None, sc)]
 
-    @property
+    @cached_property
     def forwards(self) -> list[FwdInstance]:
-        if self._forwards is None:
-            self._forwards = collect_forwards(self.idx)
-        return self._forwards
+        return collect_forwards(self.idx)
 
-    @property
+    @cached_property
     def fwd_edges(self) -> list[tuple[int, int, int]]:
-        if self._fwd_edges is None:
-            if self.algorithm == "jayanti1":
-                self._fwd_edges = fwd_alg1(self.idx, self.sigmas)
-            elif self.algorithm in ("jayanti2", "jayanti3"):
-                self._fwd_edges = fwd_mw(self.idx, self.sigmas)
-            else:
-                self._fwd_edges = []
-        return self._fwd_edges
+        rule = self.rules.forwards
+        return rule(self.idx, self.sigmas) if rule is not None else []
 
-    @property
+    @cached_property
     def flevel(self) -> Optional[FLevel]:
-        if self._flevel is None and self.algorithm in ("jayanti1", "jayanti2", "jayanti3"):
-            self._flevel = derive_flevel(self.idx, self.sigmas, self.fwd_edges)
-        return self._flevel
+        if self.rules.forwards is None:
+            return None
+        return derive_flevel(self.idx, self.sigmas, self.fwd_edges)
 
-    @property
+    @cached_property
     def snap(self) -> SnapView:
-        if self._snap is None:
-            if self.algorithm == "afek":
-                self._snap = derive_snapshot(self.idx, self._observed(), ordered=False)
-            else:
-                self._snap = derive_snapshot(self.idx, self._observed(), self.sigmas,
-                                             self.sigma_of)
-        return self._snap
+        return derive_snapshot(self.idx, self._observed(), self.sigmas, self.sigma_of,
+                               ordered=not self.rules.unforwarded)
 
     def _observed(self) -> dict:
         """Each abs scan's observed abs writes, ``{scan: {cell: [writes]}}``.
-        With no forwarding layer, a cell's writes are those whose cell
-        write was read by the scan's own a-read (naive) or by its virtual
-        scan's (afek); otherwise they are the virtual scan's
+        With no forwarding level, a cell's writes are those whose cell
+        write was read by the scan's own a-read (no virtual scans) or by
+        its virtual scan's; otherwise they are the virtual scan's
         forwarding-level observations."""
         idx = self.idx
         obs: dict[int, dict[int, list[int]]] = {}
-        if self.algorithm == "naive":
+        if self.rules.sigmas is None:
             for s in idx.abs_scans:
                 per_cell = obs[s.id] = {}
                 for e in idx.kids.get(s.id, ()):
@@ -891,7 +896,7 @@ class Derived:
                     if got:
                         per_cell[i] = got
             return obs
-        if self.algorithm == "afek":
+        if self.flevel is None:
             sigma = {sg.id: sg for sg in self.sigmas}
 
             def seen(sid, i):

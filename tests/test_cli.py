@@ -98,6 +98,44 @@ def test_dump_edges(tmp_path, capsys):
     assert len(by_label["fwd"]) == 1
 
 
+def test_dump_edges_whb_prints_a_write_order_cycle(tmp_path, capsys):
+    main(["repro", "naive_03", "--out", str(tmp_path)])
+    ids = json.loads(capsys.readouterr().out)["ids"]
+    rc = main(["dump-edges", "--history", str(tmp_path / "naive_03.history.json"),
+               "--labels", "whb"])
+    assert rc == 0
+    pairs = json.loads(capsys.readouterr().out)[0]["pairs"]
+    w0, w1 = ids["w0"], ids["w1"]
+    assert [w0, w1] in pairs and [w1, w0] in pairs  # the cycle that linearize reports
+
+
+def test_dump_edges_on_a_dangling_edge_exits_two(tmp_path, capsys):
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    hist = tmp_path / "jayanti1_fig3.history.json"
+    obj = json.loads(hist.read_text())
+    scan = next(e["id"] for e in obj["events"] if e["op"] == "scan")
+    obj["rf"].append([999, scan])
+    hist.write_text(json.dumps(obj))
+    rc = main(["dump-edges", "--history", str(hist), "--labels", "rf,hb-rep"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"snaplab: {hist}: cannot derive hb-rep: edge references a missing event\n"
+
+
+@pytest.mark.parametrize("cmd", ["check", "linearize"])
+def test_unknown_algorithm_exits_two(tmp_path, capsys, cmd):
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    hist = tmp_path / "jayanti1_fig3.history.json"
+    obj = json.loads(hist.read_text())
+    obj["meta"]["algorithm"] = "bogus"
+    hist.write_text(json.dumps(obj))
+    assert main([cmd, "--history", str(hist)]) == 2
+    assert capsys.readouterr().err == \
+        f"snaplab: malformed history {hist}: unknown algorithm 'bogus'\n"
+
+
 def test_usage_errors_exit_two(script_file, capsys):
     assert main(["explore", "--alg", "nosuch", "--n", "1",
                  "--script", script_file]) == 2

@@ -160,3 +160,31 @@ def test_dfs_bounded_stops_at_limit():
     script = OpScript.from_lists([[("write", 0, 2)], [("write", 1, 3)], [("scan",)]])
     cfg = ExploreConfig("naive", 2, script, DfsBounded(5))
     assert explore(cfg).schedules == 5
+
+
+def test_renamed_algorithm_checks_like_its_original(monkeypatch):
+    """An algorithm's derivations and signatures come from the rules entry
+    its registry definition names, not from its name."""
+    from dataclasses import replace
+
+    from snaplab.algorithms import ALGORITHMS
+    from snaplab.checker import SUITES
+
+    monkeypatch.setitem(ALGORITHMS, "jayanti2-copy",
+                        replace(ALGORITHMS["jayanti2"], name="jayanti2-copy"))
+    script = OpScript.from_lists([[("write", 0, 2)], [("write", 0, 3)], [("scan",)]])
+
+    def run(algorithm):
+        seen = []
+        cfg = ExploreConfig(algorithm, 1, script, DfsBounded(2000), suites=SUITES,
+                            linearize=True, oracle=True)
+        summary = explore(cfg, per_result=lambda res: seen.append(
+            (tuple(res.report.suites),
+             [(v.axiom, v.witnesses, v.note) for v in res.report.all_violations()])))
+        counts = {k: v for k, v in vars(summary).items() if k != "failing"}
+        return counts, seen
+
+    original, copy = run("jayanti2"), run("jayanti2-copy")
+    assert copy == original
+    assert original[0]["schedules"] == 2000
+    assert original[1][0][0] == ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")

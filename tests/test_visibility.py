@@ -76,6 +76,9 @@ def test_max_pred_start():
     assert best[0] == 0
     assert best[1] == 4  # preds {0, 2}, max(0, 2, own 4)
     assert best[2] == 2
+    # a chain, where every predecessor starts earlier: each node's own start
+    chain = HbClosure({0: (0, 1), 1: (2, 3), 2: (4, 5)}, [(0, 2)])
+    assert chain.max_pred_start() == {0: 0, 1: 2, 2: 4}
 
 
 # -- rep-level visibility ------------------------------------------------------
@@ -238,10 +241,11 @@ def test_afek_view_scan_maps_to_writers_collect():
     seen = False
     for sim in iter_sims(cfg):
         d = derive(sim.history())
-        if not d.afek_recursed:
+        if not d.borrowed_views:
             continue
         seen = True
         scan = next(e for e in d.history.events if e.op == "scan")
+        assert d.borrowed_views == [scan.id]
         sigma = next(s for s in d.sigmas if s.id == d.sigma_of[scan.id])
         assert sigma.owner != scan.id  # borrowed from a write's embedded collect
         owner = d.history.event(sigma.owner)
