@@ -50,7 +50,10 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(f"{name}: {summary.schedules} schedules in {dt:.1f}s; "
           f"violations={summary.violations} lin_failures={summary.lin_failures} "
-          f"oracle_mismatches={summary.oracle_mismatches}")
+          f"oracle_mismatches={summary.oracle_mismatches}; "
+          f"distinct_snapshot_keys={summary.distinct_snapshot_keys} "
+          f"distinct_register_keys={summary.distinct_register_keys} "
+          f"steps_executed={summary.steps_executed}")
     if name == "naive":
         print("  (the naive sweep is the negative control: failures expected)")
         return 0

@@ -130,6 +130,7 @@ def cmd_explore(args) -> int:
         "max_steps": summary.max_steps,
         "distinct_snapshot_keys": summary.distinct_snapshot_keys,
         "distinct_register_keys": summary.distinct_register_keys,
+        "steps_executed": summary.steps_executed,
     }
     if summary.stream_sha256:
         out["stream_sha256"] = summary.stream_sha256

@@ -24,9 +24,12 @@ _EVENT_FIELDS = ("id", "kind", "op", "input", "output", "start", "end", "parent"
 
 
 class Event:
-    """One recorded operation: an abs-level op or a primitive register step."""
+    """One recorded operation: an abs-level op or a primitive register step.
 
-    __slots__ = _EVENT_FIELDS
+    ``_json`` is the event's record as compact JSON once a recorder's
+    history has encoded it after it returned (see ``History.to_json``)."""
+
+    __slots__ = _EVENT_FIELDS + ("_json",)
 
     def __init__(self, id, kind, op, input, output, start, end, parent=None, object=None):
         self.id = id
@@ -38,6 +41,7 @@ class Event:
         self.end = end
         self.parent = parent
         self.object = object
+        self._json = None
 
     @property
     def terminated(self) -> bool:
@@ -59,6 +63,15 @@ class Event:
             "parent": self.parent,
             "object": self.object,
         }
+
+    def encode(self) -> str:
+        """``to_record()`` as compact JSON, the bytes ``json.dumps`` gives."""
+        end = self.end
+        return (f'{{"id":{_value(self.id)},"kind":{_value(self.kind)},"op":{_value(self.op)},'
+                f'"input":{_value(self.input)},'
+                f'"output":{"null" if self.output is _ABSENT else _value(self.output)},'
+                f'"start":{_value(self.start)},"end":{_INF_JSON if end == INF else _value(end)},'
+                f'"parent":{_value(self.parent)},"object":{_value(self.object)}}}')
 
     @classmethod
     def from_record(cls, rec: dict) -> "Event":
@@ -86,6 +99,25 @@ class _Absent:
 _ABSENT = _Absent()
 ABSENT = _ABSENT
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(v, separators=...)
+_encode_str = json.encoder.encode_basestring_ascii
+_INF_JSON = '"inf"'
+
+
+def _value(v) -> str:
+    """``v`` as ``json.dumps`` writes it, with fast paths for exact ints,
+    strings, None and bools; every other value goes through the encoder."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return _encode_str(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    return _encode(v)
+
 
 def returns_before(e: Event, e2: Event) -> bool:
     """e terminated strictly before e2 started.  INF never returns-before."""
@@ -110,6 +142,7 @@ class History:
         self.rf: list[tuple[int, int]] = list(rf) if rf else []
         self.ll: list[tuple[int, int]] = list(ll) if ll else []
         self._by_id: Optional[dict[int, Event]] = None
+        self._keep_json = False  # set by the recorder, whose returned events never change
 
     def event(self, eid: int) -> Event:
         if self._by_id is None:
@@ -133,7 +166,26 @@ class History:
         }
 
     def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_obj(), indent=indent, separators=(",", ":") if indent is None else None)
+        """``json.dumps(self.to_obj())``: compact without ``indent``.  The
+        compact form joins one fragment per event; in a recorder's history
+        a returned event keeps its fragment, so histories that share it
+        (DFS siblings) encode it once."""
+        if indent is not None:
+            return json.dumps(self.to_obj(), indent=indent)
+        keep = self._keep_json
+        frags = []
+        for e in self.events:
+            frag = e._json
+            if frag is None:
+                frag = e.encode()
+                if keep and e.end != INF:
+                    e._json = frag
+            frags.append(frag)
+        meta = {"algorithm": self.algorithm, "n": self.n, "initial": self.initial}
+        if self.seed is not None:
+            meta["seed"] = self.seed
+        return (f'{{"meta":{_encode(meta)},"events":[{",".join(frags)}],'
+                f'"rf":{_encode(sorted(self.rf))},"ll":{_encode(sorted(self.ll))}}}')
 
     @classmethod
     def from_obj(cls, obj: dict) -> "History":
@@ -205,7 +257,29 @@ class HistoryRecorder:
     def history(self) -> History:
         h = History(self.algorithm, self.n, self.initial, self._events, self._rf,
                     self._ll, seed=self.seed)
+        h._keep_json = True
         return h
+
+    def mark(self) -> tuple:
+        """The lengths of the event and edge lists and the tick, for ``rewind``."""
+        return len(self._events), len(self._rf), len(self._ll), self._tick
+
+    def rewind(self, mark: tuple) -> None:
+        """Drop what was recorded after ``mark``.  Events that were open at
+        the mark and have returned since are the caller's to ``reopen``."""
+        events, rf, ll, self._tick = mark
+        del self._events[events:]
+        del self._rf[rf:]
+        del self._ll[ll:]
+
+    def reopen(self, eid: int) -> Event:
+        """Event ``eid``, open: one that has returned is replaced by an open
+        copy, so the histories that hold it keep it as it was."""
+        ev = self._events[eid]
+        if ev.end != INF:
+            ev = self._events[eid] = Event(ev.id, ev.kind, ev.op, ev.input, _ABSENT,
+                                           ev.start, INF, ev.parent, ev.object)
+        return ev
 
 
 # -- structural checks ----------------------------------------------------

@@ -25,7 +25,7 @@ from .registers import Memory
 from .report import CheckReport, SuiteResult
 from .checker import applicable_suites, run_checks, run_suite
 from .memo import Memo
-from .visibility import Derived, derive
+from .visibility import CorruptHistory, Derived, derive
 
 
 class ExploreCapExceeded(RuntimeError):
@@ -43,7 +43,7 @@ class ScheduleError(ValueError):
 
 
 class _Thread:
-    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "op_key")
+    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "op_key", "results")
 
     def __init__(self, pid, ops):
         self.pid = pid
@@ -53,11 +53,13 @@ class _Thread:
         self.pending = None
         self.abs_ev = None
         self.op_key = None  # (op kind, abs event id) of the current operation
+        self.results: list = []  # what the current operation's steps returned
 
 
 class SimRun:
     """One deterministic execution; each step() runs exactly one register
-    operation of the chosen thread."""
+    operation of the chosen thread.  ``checkpoint`` and ``restore`` take
+    it back to an earlier point, for the DFS to try another branch."""
 
     def __init__(self, algorithm: str, n: int, script: OpScript, initial=None,
                  seed=None, threadsafe=False):
@@ -77,6 +79,9 @@ class SimRun:
         self.threads = [_Thread(t.pid, t.ops) for t in script.threads]
         self.schedule: list[int] = []
         self.op_steps: dict[tuple[str, int], int] = {}
+        # calls of step() since this run was made or the DFS last yielded
+        # it, those a restore undid included
+        self.steps_run = 0
 
     def enabled(self) -> list[int]:
         return [k for k, t in enumerate(self.threads)
@@ -108,6 +113,7 @@ class SimRun:
         key = self._advance(self.threads[k])
         self.op_steps[key] = self.op_steps.get(key, 0) + 1
         self.schedule.append(k)
+        self.steps_run += 1
 
     def _advance(self, t: _Thread) -> tuple[str, int]:
         """Run the next register operation of ``t`` and return its
@@ -123,12 +129,47 @@ class SimRun:
         res = self._exec(t.pending, t)
         try:
             t.pending = t.gen.send(res)
+            t.results.append(res)
         except StopIteration as stop:
             self.rec.finish(t.abs_ev, UNIT if key[0] == "write" else list(stop.value))
             t.gen = None
             t.abs_ev = None
             t.op_idx += 1
+            t.results = []
         return key
+
+    def checkpoint(self) -> tuple:
+        """The state ``restore`` takes this run back to: the recorder's and
+        the memory's, the schedule bookkeeping, and per thread its
+        operation, its open abs event and what that operation's steps
+        returned so far."""
+        return (self.rec.mark(), self.mem.save(), len(self.schedule), dict(self.op_steps),
+                [(t.op_idx, t.abs_ev.id if t.abs_ev else None, t.op_key, tuple(t.results))
+                 for t in self.threads])
+
+    def restore(self, cp: tuple) -> None:
+        """Go back to ``checkpoint`` ``cp``.  Histories taken since keep
+        their events: an abs event that was open at ``cp`` and has returned
+        since is replaced by an open copy.  A generator cannot be copied, so
+        a thread that moved since ``cp`` gets a new one, sent the recorded
+        results again; the step machines are functions of those results."""
+        mark, mem, steps, op_steps, threads = cp
+        self.rec.rewind(mark)
+        self.mem.restore(mem)
+        del self.schedule[steps:]
+        self.op_steps = dict(op_steps)
+        for t, (op_idx, abs_id, op_key, results) in zip(self.threads, threads):
+            if t.op_idx == op_idx and len(t.results) == len(results):
+                continue  # not moved: every step changes one of the two
+            t.op_idx, t.op_key, t.results = op_idx, op_key, list(results)
+            if abs_id is None:
+                t.gen = t.pending = t.abs_ev = None
+                continue
+            t.abs_ev = self.rec.reopen(abs_id)
+            t.gen = op_generator(self.adef, self.bank, self.n, t.pid, t.ops[op_idx])
+            t.pending = next(t.gen)
+            for res in results:
+                t.pending = t.gen.send(res)
 
     def run_schedule(self, schedule: Iterable[int]) -> None:
         threads = self.threads
@@ -244,6 +285,7 @@ class ExploreSummary:
     max_ec: int = 0
     distinct_snapshot_keys: int = 0  # behaviours the snapshot layer checked
     distinct_register_keys: int = 0  # register traces M, M+ and L checked
+    steps_executed: int = 0  # register steps the enumeration ran, undone ones included
 
     @property
     def clean(self) -> bool:
@@ -267,7 +309,7 @@ def _snapshot_layer(cfg: ExploreConfig, d: Derived, with_s: bool) -> _SnapshotLa
         try:
             lin = linearize(d)
             lin_ok = lin.legal
-        except LinearizeError as exc:
+        except (LinearizeError, CorruptHistory) as exc:
             lin_ok = False
             lin_err = f"{type(exc).__name__}: {exc}"
     s = run_suite(d, "S") if with_s else None
@@ -308,32 +350,39 @@ def _new_sim(cfg: ExploreConfig) -> SimRun:
 
 
 def _iter_dfs(cfg: ExploreConfig, limit: Optional[int]):
-    """Depth-first enumeration of complete schedules; one full execution
-    per emitted leaf, with recorded branch points for backtracking."""
-    frames: list[list] = []  # [choices, index]
+    """Depth-first enumeration of complete schedules, each thread's first
+    choice first.  One SimRun runs every edge of the schedule tree once: it
+    checkpoints each node with two or more enabled threads and backtracks
+    by restoring the deepest one that has a choice left."""
+    sim = _new_sim(cfg)
+    frames: list[list] = []  # [checkpoint, enabled threads, next choice]
     count = 0
     while True:
-        sim = _new_sim(cfg)
-        for choices, i in frames:
-            sim.step(choices[i])
-        while True:
-            en = sim.enabled()
-            if not en:
-                break
-            frames.append([en, 0])
+        en = sim.enabled()
+        while en:
+            if len(en) > 1:
+                frames.append([sim.checkpoint(), en, 1])
             sim.step(en[0])
+            en = sim.enabled()
         yield sim
+        sim.steps_run = 0
         count += 1
-        if limit is not None and count >= limit:
+        if not frames or (limit is not None and count >= limit):
             return
-        while frames and frames[-1][1] + 1 >= len(frames[-1][0]):
+        frame = frames[-1]
+        cp, en, i = frame
+        if i + 1 == len(en):
             frames.pop()
-        if not frames:
-            return
-        frames[-1][1] += 1
+        else:
+            frame[2] = i + 1
+        sim.restore(cp)
+        sim.step(en[i])
 
 
 def iter_sims(cfg: ExploreConfig):
+    """The runs of ``cfg.mode``, one per schedule.  A yielded SimRun is
+    valid until the next one is asked for (the DFS modes move one SimRun
+    back and forth); the History its ``history()`` returned stays valid."""
     mode = cfg.mode
     if isinstance(mode, Exhaustive):
         count = 0
@@ -382,9 +431,20 @@ class _Outcome:
     failure: Optional[Failure]
     snapshot_key: Optional[bytes]
     register_keys: tuple
+    steps: int  # register steps the enumeration ran to reach this schedule
 
 
-def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, per_result=None) -> _Outcome:
+def _view_returned(d: Derived) -> bool:
+    """Whether a scan returned a borrowed view; False where the virtual
+    scans cannot be derived (F and S report that as H.corrupt)."""
+    try:
+        return bool(d.borrowed_views)
+    except CorruptHistory:
+        return False
+
+
+def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, steps: int,
+             per_result=None) -> _Outcome:
     res = evaluate(cfg, sim, memo)
     if per_result is not None:
         per_result(res)
@@ -398,9 +458,9 @@ def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, per_result=None) -> _O
     bad = nviol > 0 or res.lin_ok is False or res.agree is False
     return _Outcome(digest, nviol, res.lin_ok is False, res.agree is False,
                     cfg.oracle and res.oracle is None, sim.max_steps(),
-                    len(completed_set(res.derived)), bool(res.derived.borrowed_views),
+                    len(completed_set(res.derived)), _view_returned(res.derived),
                     Failure(res.schedule, res.report, res.lin_error) if bad else None,
-                    res.snapshot_key, res.register_keys)
+                    res.snapshot_key, res.register_keys, steps)
 
 
 def _fold(cfg: ExploreConfig, outcomes: Iterable[_Outcome], keep_failing: int) -> ExploreSummary:
@@ -424,6 +484,7 @@ def _fold(cfg: ExploreConfig, outcomes: Iterable[_Outcome], keep_failing: int) -
             summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
         summary.max_ec = max(summary.max_ec, o.ec)
         summary.afek_view_returns += o.view_return
+        summary.steps_executed += o.steps
         hasher.update(o.digest)
         if o.snapshot_key is not None:
             snapshot_keys.add(o.snapshot_key)
@@ -444,13 +505,13 @@ def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None
     if jobs > 1 and per_result is None:
         import multiprocessing
 
-        schedules = (tuple(sim.schedule) for sim in iter_sims(cfg))
+        schedules = ((tuple(sim.schedule), sim.steps_run) for sim in iter_sims(cfg))
         with multiprocessing.Pool(jobs, initializer=_start_worker) as pool:
             return _fold(cfg, pool.imap(partial(_pool_eval, cfg), schedules, chunksize=32),
                          keep_failing)
     memo = Memo()
-    return _fold(cfg, (_outcome(cfg, sim, memo, per_result) for sim in iter_sims(cfg)),
-                 keep_failing)
+    return _fold(cfg, (_outcome(cfg, sim, memo, sim.steps_run, per_result)
+                       for sim in iter_sims(cfg)), keep_failing)
 
 
 _worker_memo: Optional[Memo] = None  # a pool worker's memo, for one explore() call
@@ -461,10 +522,12 @@ def _start_worker() -> None:
     _worker_memo = Memo()
 
 
-def _pool_eval(cfg: ExploreConfig, schedule: tuple) -> _Outcome:
+def _pool_eval(cfg: ExploreConfig, job: tuple) -> _Outcome:
+    """Replay and check one ``(schedule, steps the enumeration ran)``."""
+    schedule, steps = job
     sim = _new_sim(cfg)
     sim.run_schedule(schedule)
-    return _outcome(cfg, sim, _worker_memo)
+    return _outcome(cfg, sim, _worker_memo, steps)
 
 
 # -- stress ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .events import UNIT
@@ -41,6 +41,7 @@ class Linearization:
     order: list[int]
     replay: list[tuple[int, list]]
     legal: bool
+    _json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def to_obj(self) -> dict:
         return {
@@ -50,7 +51,11 @@ class Linearization:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
+        """Computed once: the memo hands the same object to every schedule
+        that repeats a behaviour."""
+        if self._json is None:
+            self._json = json.dumps(self.to_obj(), separators=(",", ":"))
+        return self._json
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .events import REP, UNIT, HistoryRecorder
 
@@ -36,13 +36,12 @@ class Cell:
         self.lock = lock
 
 
-class _Link:
-    __slots__ = ("version", "ll_event", "observed")
-
-    def __init__(self, version, ll_event, observed):
-        self.version = version
-        self.ll_event = ll_event
-        self.observed = observed
+class _Link(NamedTuple):
+    """A thread's load-link on one register.  Immutable, so a saved
+    ``Memory`` state and the live run can share it."""
+    version: int
+    ll_event: int
+    observed: Any
 
 
 class Memory:
@@ -66,6 +65,18 @@ class Memory:
                 cell.version += 1
                 rec.finish(ev, UNIT)
         return name
+
+    def save(self) -> tuple:
+        """The cells' contents and the links, for ``restore``."""
+        return ([(c.value, c.last_writer, c.version) for c in self.cells.values()],
+                dict(self._links))
+
+    def restore(self, state: tuple) -> None:
+        """Put back what ``save`` returned; no cell may have been made since."""
+        cells, links = state
+        for c, (value, writer, version) in zip(self.cells.values(), cells):
+            c.value, c.last_writer, c.version = value, writer, version
+        self._links = dict(links)
 
     # -- plain register operations ---------------------------------------
 

@@ -81,6 +81,7 @@ def test_criterion_3_alg1_exhaustive_sweep():
     (cfg, summary), elapsed = _sweep("alg1")
     assert summary.clean, summary.failing and summary.failing[0].report.to_obj()
     assert summary.schedules == 38_560
+    assert summary.steps_executed == 139_410  # one per edge of the schedule tree
     assert summary.oracle_skipped == 0 and summary.oracle_mismatches == 0
     assert elapsed < 60.0
     _ok("3 (single-writer sweep)", elapsed,
@@ -115,6 +116,7 @@ def test_criterion_6_afek_exhaustive_sweep():
     (cfg, summary), elapsed = _sweep("afek")
     assert summary.clean, summary.failing and summary.failing[0].report.to_obj()
     assert summary.schedules == 11_296
+    assert summary.steps_executed == 42_891  # one per edge of the schedule tree
     assert summary.afek_view_returns > 0  # double-move schedules borrow a view
     assert elapsed < 300.0
     _ok("6 (view-borrowing sweep)", elapsed,

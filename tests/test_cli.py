@@ -300,12 +300,17 @@ def test_explore_out_writes_replayable_schedules(naive_script, tmp_path, capsys)
 
 
 def test_explore_prints_distinct_keys(script_file, capsys):
-    rc = main(["explore", "--alg", "jayanti2", "--n", "1", "--script", script_file,
-               "--mode", "exhaustive", "--check", "M,M+,L,F+,F,S,CHAIN"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    outs = []
+    for jobs in ("1", "2"):
+        rc = main(["explore", "--alg", "jayanti2", "--n", "1", "--script", script_file,
+                   "--mode", "exhaustive", "--check", "M,M+,L,F+,F,S,CHAIN", "--jobs", jobs])
+        assert rc == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    out = outs[0]
     assert 0 < out["distinct_snapshot_keys"] < out["schedules"]
     assert out["distinct_register_keys"] > 0
+    assert out["steps_executed"] > out["schedules"]
+    assert outs[1] == out  # the same summary under any --jobs
 
 
 @pytest.mark.parametrize("argv", [

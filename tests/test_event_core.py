@@ -164,3 +164,75 @@ def test_unfinished_ops_kept_with_inf_end():
     h2 = sim2.history()
     w = next(e for e in h2.events if e.op == "write[0]" and e.input == 7)
     assert not w.terminated
+
+
+# -- the compact encoder ------------------------------------------------------------
+
+def _dumps(h) -> str:
+    return json.dumps(h.to_obj(), separators=(",", ":"))
+
+
+def test_encoder_matches_json_dumps_on_recorded_histories():
+    """``History.to_json()`` joins per-event fragments; the bytes must be
+    ``json.dumps``' on sweep, stress and corruption-fixture histories, and
+    stay so when the recorder's cached fragments are reused."""
+    from corruptions import ALL as CORRUPTIONS
+    from snaplab import StressConfig, random_script
+    from snaplab.harness import DfsBounded, stress_once
+
+    histories = [fixture()[0] for fixture in CORRUPTIONS]
+    for name in SWEEPS:
+        for mode in (RandomWalks(5, 10), DfsBounded(30)):
+            histories.extend(sim.history() for sim in iter_sims(sweep_config(name, mode)))
+    histories.append(stress_once(StressConfig("jayanti3", 2, random_script(2, 2, 10, 4))))
+    sim = SimRun("jayanti1", 1, OpScript.from_lists([[("write", 0, 7)], [("scan",)]]))
+    sim.step(0)
+    histories.append(sim.history())  # an open write
+    for h in histories:
+        text = _dumps(h)
+        assert h.to_json() == text
+        assert h.to_json() == text  # with the fragments cached
+        assert History.from_json(text).to_json() == text
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**100, 2**100) | st.floats()
+    | st.text(st.characters(), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def loaded_histories(draw):
+    events = []
+    for i in range(draw(st.integers(0, 4))):
+        end = draw(st.one_of(st.integers(0, 10**30), st.just("inf")))
+        events.append({"id": i, "kind": draw(st.sampled_from((ABS, REP))),
+                       "op": draw(st.text(max_size=6)), "input": draw(json_values),
+                       "output": None if end == "inf" else draw(json_values),
+                       "start": draw(st.integers(-5, 5)), "end": end,
+                       "parent": draw(st.none() | st.integers(-3, 3)),
+                       "object": draw(st.none() | st.text(max_size=4))})
+    pairs = st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=3)
+    return {"meta": {"algorithm": draw(st.text(max_size=5)), "n": 1,
+                     "initial": draw(st.lists(json_values, max_size=2))},
+            "events": events, "rf": draw(pairs), "ll": draw(pairs)}
+
+
+@given(loaded_histories())
+def test_encoder_matches_json_dumps_on_any_values(obj):
+    """Floats (inf and nan too), bools, negative and huge ints, nested
+    lists and objects, non-ASCII and escaped strings."""
+    h = History.from_obj(obj)
+    assert h.to_json() == _dumps(h)
+
+
+def test_loaded_histories_keep_no_fragments():
+    """Only a recorder's returned events keep their fragment; an edited
+    copy encodes its edit."""
+    h = History.from_json(repro("jayanti1_fig3").history.to_json())
+    h.to_json()
+    scan = next(e for e in h.events if e.op == "scan")
+    scan.output = [9, 9]
+    assert '"output":[9,9]' in h.to_json()
