@@ -53,7 +53,7 @@ from typing import Iterable, Optional
 
 from .events import BOT, INF, REP, returns_before, validate_history
 from .report import CheckReport, SuiteResult, Violation
-from .visibility import SIGNATURES, CorruptHistory, Derived, HbClosure, abs_write_cell, \
+from .visibility import SIGNATURES, CorruptHistory, Derived, HbClosure, abs_write_cell, bits, \
     prec_closure_pairs, rules_for
 
 SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
@@ -144,11 +144,7 @@ class _Nodes:
 
     def members(self, m: int) -> list[int]:
         """Indices k, ascending, of the listed nodes whose positions are in m."""
-        ks: list[int] = []
-        while m:
-            low = m & -m
-            ks.extend(self.index[low.bit_length() - 1])
-            m ^= low
+        ks = [k for p in bits(m) for k in self.index[p]]
         ks.sort()
         return ks
 
@@ -176,14 +172,34 @@ class _Nodes:
         return ks
 
 
+def _check_between(nodes: _Nodes, w: int, reader: int, axiom: str, note: str,
+                   out: list) -> None:
+    """M.nowrbetween, M+.nowrbetween, S.2: no listed write lies between the
+    observed write ``w`` and its ``reader``.  ≺ is irreflexive, so neither
+    ``w`` nor ``reader`` lies between them."""
+    for k in nodes.between(w, reader):
+        _viol(out, axiom, (w, nodes.ids[k], reader), note)
+
+
+def _check_total(nodes: _Nodes, axiom: str, note: str, out: list) -> None:
+    """M.wrtotal, M+.wrtotal, S.4: ≺ orders the listed events totally."""
+    if nodes.chain is not None:
+        return
+    hb, ids = nodes.hb, nodes.ids
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if not (hb.hb(a, b) or hb.hb(b, a)):
+                _viol(out, axiom, (a, b), note)
+
+
 # -- M / M+ -------------------------------------------------------------------
 
 def check_areg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     """M on the plain register ``reg``."""
     idx = d.idx
     h = d.history
-    writes = ops.writes
-    wnodes = _Nodes(hb, [w.id for w in writes])
+    wnodes = _Nodes(hb, [w.id for w in ops.writes])
+    stale = f"stale read of {reg}"
     for r in ops.reads:
         srcs = idx.rf_src.get(r.id, [])
         if len(srcs) > 1:
@@ -192,17 +208,8 @@ def check_areg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
             if not any(h.event(w).input == r.output for w in srcs):
                 _viol(out, "M.io", (r.id,), f"read of {reg} returns unwritten value")
         for w in srcs:
-            for k in wnodes.between(w, r.id):
-                w2 = writes[k]
-                if w2.id != w:
-                    _viol(out, "M.nowrbetween", (w, w2.id, r.id),
-                          f"stale read of {reg}")
-    if wnodes.chain is not None:
-        return
-    for i, w1 in enumerate(writes):
-        for w2 in writes[i + 1:]:
-            if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
-                _viol(out, "M.wrtotal", (w1.id, w2.id), f"unordered writes to {reg}")
+            _check_between(wnodes, w, r.id, "M.nowrbetween", stale, out)
+    _check_total(wnodes, "M.wrtotal", f"unordered writes to {reg}", out)
 
 
 def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
@@ -211,8 +218,8 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     h = d.history
     wc = idx.write_likes(reg)
     wcnodes = _Nodes(hb, [e.id for e in wc])
-    read_likes = idx.read_likes(reg)
-    for r in read_likes:
+    stale = f"stale read of {reg}"
+    for r in idx.read_likes(reg):
         srcs = idx.rf_src.get(r.id, [])
         if len(srcs) > 1:
             _viol(out, "M+.robsuniq", (*srcs, r.id), f"read-like of {reg} observes two writes")
@@ -223,10 +230,7 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
             if srcs and not any(h.event(w).input == r.output for w in srcs):
                 _viol(out, "M+.io", (r.id,), f"read of {reg} returns unwritten value")
         for w in srcs:
-            for k in wcnodes.between(w, r.id):
-                w2 = wc[k]
-                if w2.id != w and w2.id != r.id:
-                    _viol(out, "M+.nowrbetween", (w, w2.id, r.id), f"stale read of {reg}")
+            _check_between(wcnodes, w, r.id, "M+.nowrbetween", stale, out)
     lls_of: dict[int, list] = {}  # parent -> its LLs of reg: only these can intervene
     for l2 in ops.lls:
         lls_of.setdefault(l2.parent, []).append(l2)
@@ -253,12 +257,7 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
                 if (w == w2) != (c.id in idx.success):
                     _viol(out, "M+.llsc-success", (l, c.id, w, w2),
                           "success must equal observing the linked write")
-    if wcnodes.chain is not None:
-        return
-    for i, w1 in enumerate(wc):
-        for w2 in wc[i + 1:]:
-            if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
-                _viol(out, "M+.wrtotal", (w1.id, w2.id), f"unordered write-likes to {reg}")
+    _check_total(wcnodes, "M+.wrtotal", f"unordered write-likes to {reg}", out)
 
 
 # -- L ------------------------------------------------------------------------
@@ -447,22 +446,11 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
     eff_nodes = {cell: _Nodes(hb, [w.id for w in ws]) for cell, ws in idx.effectful.items()}
     for w, s in sorted(sv.rf_pairs):
         cell = abs_write_cell(h.event(w).op)
-        if cell not in eff_nodes:
-            continue
-        ws = idx.effectful[cell]
-        for k in eff_nodes[cell].between(w, s):
-            w2 = ws[k]
-            if w2.id != w:
-                _viol(out, "S.2", (w, w2.id, s),
-                      f"write of cell {cell} intervenes before the observing scan")
-    for cell, ws in sorted(idx.effectful.items()):
-        if eff_nodes[cell].chain is not None:
-            continue
-        for i, w1 in enumerate(ws):
-            for w2 in ws[i + 1:]:
-                if not (hb.hb(w1.id, w2.id) or hb.hb(w2.id, w1.id)):
-                    _viol(out, "S.4", (w1.id, w2.id),
-                          f"effectful writes of cell {cell} unordered")
+        if cell in eff_nodes:
+            _check_between(eff_nodes[cell], w, s, "S.2",
+                           f"write of cell {cell} intervenes before the observing scan", out)
+    for cell in sorted(eff_nodes):
+        _check_total(eff_nodes[cell], "S.4", f"effectful writes of cell {cell} unordered", out)
     for cell, ws in sorted(idx.abs_writes.items()):
         for w in ws:
             if w.terminated and w.id not in idx.wa_of:
@@ -511,9 +499,8 @@ def _observations_chained(first_obs: dict, eff_nodes: dict, n: int) -> bool:
 def sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
     out: list[Violation] = []
     h = d.history
-    by_id = {s.id: s for s in d.sigmas}
     for scan_id, sid in sorted(d.sigma_of.items()):
-        sigma = by_id.get(sid)
+        sigma = d.sigma_by_id.get(sid)
         if sigma is None:
             continue
         s = h.event(scan_id)
@@ -521,13 +508,6 @@ def sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
             out.append(Violation(axiom, (scan_id, sid),
                                  "virtual scan escapes its abs scan interval"))
     return out
-
-
-def _fwd_by_slot(d: Derived) -> dict:
-    by_slot: dict[tuple[int, int], list[int]] = {}
-    for w, sid, i in d.fwd_edges:
-        by_slot.setdefault((sid, i), []).append(w)
-    return by_slot
 
 
 def _direct_bot(d: Derived, sigma, i) -> Optional[bool]:
@@ -605,7 +585,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
         return  # virtual scans without forwarding: only the containment applies
     sigmas = [s for s in d.sigmas if s.complete]
     rhb = d.rep.hb
-    by_slot = _fwd_by_slot(d)
+    by_slot = fl.fwd_by_slot
     _check_io(d, "F.io", out)
     _check_sigma_order(sigmas, "F.2a", out)
     # F.2b: reset before cell read before forward read
@@ -633,7 +613,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
                       f"forward read at cell {i} saw a value but no forward edge exists")
     # F.4c: forwarded writes wrote the cell before the forward read
     for w, sid, i in d.fwd_edges:
-        sigma = next(s for s in d.sigmas if s.id == sid)
+        sigma = d.sigma_by_id[sid]
         b = sigma.slot(f"b[{i}]")
         wa = idx.wa_of.get(w)
         if wa is None or b is None or not rhb.hb(wa.id, b):
@@ -720,11 +700,16 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
     forwards_by_write: dict[int, list] = {}
     for f in d.forwards:
         forwards_by_write.setdefault(f.write, []).append(f)
-    on_events = {s.slot("on") for s in d.sigmas} | {s.slot("on") for s in d.partial_sigmas}
+    # the on events a flag read can observe: those of the virtual scans,
+    # complete or partial
+    sigma_by_on = {on: s for s in d.sigmas if (on := s.slot("on")) is not None}
+    ons = sigma_by_on.keys() | {on for s in d.partial_sigmas if (on := s.slot("on")) is not None}
+    wx_of = {}  # abs write -> its flag read
     for cell, ws in sorted(idx.abs_writes.items()):
         for w in ws:
             wa = idx.wa_of.get(w.id)
-            wx = next((e for e in idx.kids.get(w.id, ()) if idx.rep_info[e.id][0] == "wx"), None)
+            wx = wx_of[w.id] = next(
+                (e for e in idx.kids.get(w.id, ()) if idx.rep_info[e.id][0] == "wx"), None)
             if wa is not None and wx is not None and not returns_before(wa, wx):
                 _viol(out, "F+.wrstruct", (w.id, wa.id, wx.id), "cell write after flag read")
             fs = sorted(forwards_by_write.get(w.id, []), key=lambda f: f.k)
@@ -739,8 +724,7 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
                     _viol(out, "F+.wrstruct", (w.id, e1, f2), "forwards overlap")
             if w.terminated and wx is not None:
                 src = idx.single_rf(wx.id)
-                saw_on = src in on_events if src is not None else False
-                if saw_on and len(fs) != 2:
+                if src in ons and len(fs) != 2:
                     _viol(out, "F+.wrstruct", (w.id, wx.id),
                           "write saw the scan flag but did not forward twice")
     # forward structure: fll < fa < fvl < fsc with the recorded link
@@ -757,13 +741,11 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
                 _viol(out, "F+.fwdstruct", (f.write, f.fvl),
                       "validated forward skipped its conditional store")
     # fwdprecond / fwdsccond: forwards run under an observed on, into its array
-    sigma_by_on = {s.slot("on"): s for s in d.sigmas if s.slot("on") is not None}
-    partial_ons = {s.slot("on") for s in d.partial_sigmas}
     for f in d.forwards:
         w = f.write
-        wx = next((e for e in idx.kids.get(w, ()) if idx.rep_info[e.id][0] == "wx"), None)
+        wx = wx_of.get(w)
         src = idx.single_rf(wx.id) if wx is not None else None
-        if src is None or (src not in sigma_by_on and src not in partial_ons):
+        if src not in ons:
             _viol(out, "F+.fwdprecond", (w,), "forward without an observed scan flag")
             continue
         if src in sigma_by_on:

@@ -119,6 +119,17 @@ def _value(v) -> str:
     return _encode(v)
 
 
+_META_TYPES = (("algorithm", str), ("n", int), ("initial", list))
+_RECORD_TYPES = (("id", int), ("kind", str), ("op", str), ("start", (int, float)),
+                 ("end", (int, float, str)), ("parent", (int, type(None))),
+                 ("object", (str, type(None))))
+
+
+def _expect(value, types, what: str) -> None:
+    if not isinstance(value, types):
+        raise ValueError(f"{what} is {value!r}, of type {type(value).__name__}")
+
+
 def returns_before(e: Event, e2: Event) -> bool:
     """e terminated strictly before e2 started.  INF never returns-before."""
     return e.end < e2.start
@@ -189,7 +200,25 @@ class History:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "History":
+        """Raises KeyError, TypeError or ValueError if ``obj`` is no history:
+        ValueError for a field of the wrong type or an edge that is not a
+        pair of event ids."""
         meta = obj["meta"]
+        for name, types in _META_TYPES:
+            _expect(meta[name], types, f"meta {name}")
+        for rec in obj["events"]:
+            if not isinstance(rec, dict):
+                raise ValueError(f"event record {rec!r} is not an object")
+            for name, types in _RECORD_TYPES:
+                _expect(rec.get(name), types, f"event {rec.get('id')!r} field {name}")
+            if isinstance(rec["end"], str) and rec["end"] != "inf":
+                raise ValueError(f"event {rec['id']!r} field end is {rec['end']!r}, "
+                                 "not a number or 'inf'")
+        for label in ("rf", "ll"):
+            for p in obj[label]:
+                if not (isinstance(p, (list, tuple)) and len(p) == 2
+                        and all(isinstance(x, int) for x in p)):
+                    raise ValueError(f"{label} edge {p!r} is not a pair of event ids")
         h = cls(meta["algorithm"], meta["n"], meta["initial"], seed=meta.get("seed"))
         h.events = sorted((Event.from_record(r) for r in obj["events"]), key=lambda e: e.id)
         h.rf = [tuple(p) for p in obj["rf"]]
@@ -255,7 +284,11 @@ class HistoryRecorder:
         self._ll.append((link, cond))
 
     def history(self) -> History:
-        h = History(self.algorithm, self.n, self.initial, self._events, self._rf,
+        """The events and edges recorded so far.  An event that has not
+        returned is held as an open copy, so a later ``finish`` leaves this
+        history as it was."""
+        events = [e if e.end != INF else _opened(e) for e in self._events]
+        h = History(self.algorithm, self.n, self.initial, events, self._rf,
                     self._ll, seed=self.seed)
         h._keep_json = True
         return h
@@ -277,9 +310,13 @@ class HistoryRecorder:
         copy, so the histories that hold it keep it as it was."""
         ev = self._events[eid]
         if ev.end != INF:
-            ev = self._events[eid] = Event(ev.id, ev.kind, ev.op, ev.input, _ABSENT,
-                                           ev.start, INF, ev.parent, ev.object)
+            ev = self._events[eid] = _opened(ev)
         return ev
+
+
+def _opened(ev: Event) -> Event:
+    """A copy of ``ev`` as it was before it returned."""
+    return Event(ev.id, ev.kind, ev.op, ev.input, _ABSENT, ev.start, INF, ev.parent, ev.object)
 
 
 # -- structural checks ----------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .events import UNIT
-from .visibility import Derived, abs_write_cell
+from .visibility import Derived, abs_write_cell, bits
 
 
 class LinearizeError(Exception):
@@ -103,17 +103,15 @@ class WriteOrder:
 
 
 def build_whb(d: Derived):
-    """Direct whb adjacency over effectful writes.  It may hold a cycle,
-    which extend_total_writes reports."""
-    sv = d.snap
+    """Direct whb adjacency over effectful writes: each write's successors
+    in the snapshot closure, plus wrDiff.  It may hold a cycle, which
+    extend_total_writes reports."""
+    hb = d.snap.hb
     ids = sorted(w for ws in d.idx.effectful.values() for w in (x.id for x in ws))
     pos = {w: k for k, w in enumerate(ids)}
-    nw = len(ids)
-    adj = [0] * nw
-    for k, w in enumerate(ids):
-        for w2 in ids:
-            if w2 != w and sv.hb.hb(w, w2):
-                adj[k] |= 1 << pos[w2]
+    at = {hb.pos[w]: k for k, w in enumerate(ids)}  # closure position -> index in ids
+    writes = sum(1 << p for p in at)
+    adj = [sum(1 << at[p] for p in bits(hb.succ_mask(w) & writes)) for w in ids]
     for a, b in wrdiff_pairs(d):
         adj[pos[a]] |= 1 << pos[b]
     return ids, pos, adj
@@ -126,23 +124,16 @@ def extend_total_writes(d: Derived, whb=None) -> WriteOrder:
     h = d.history
     n = len(ids)
     indeg = [0] * n
-    for k in range(n):
-        m = adj[k]
-        while m:
-            low = m & -m
-            indeg[low.bit_length() - 1] += 1
-            m ^= low
+    for m in adj:
+        for j in bits(m):
+            indeg[j] += 1
     heap = [(h.event(ids[k]).end, ids[k], k) for k in range(n) if indeg[k] == 0]
     heapq.heapify(heap)
     total = []
     while heap:
         _, w, k = heapq.heappop(heap)
         total.append(w)
-        m = adj[k]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
+        for j in bits(adj[k]):
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(heap, (h.event(ids[j]).end, ids[j], j))

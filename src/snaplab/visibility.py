@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algorithms import ALGORITHMS
 from .events import ABS, INF, REP, Event, History
@@ -28,6 +28,14 @@ class CorruptHistory(Exception):
 
 
 # -- generic reachability ---------------------------------------------------
+
+def bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of ``m``, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
 
 class HbClosure:
     """Transitive closure of (returns-before ∪ edges) over interval nodes.
@@ -136,12 +144,8 @@ class HbClosure:
 
     def pairs(self) -> Iterable[tuple[int, int]]:
         for k, eid in enumerate(self.ids):
-            m = self._reach[k]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
+            for j in bits(self._reach[k]):
                 yield (eid, self.ids[j])
-                m ^= low
 
     def max_pred_start(self) -> dict[int, int]:
         """For each node a: max start over {x : x = a or x happens-before a}."""
@@ -227,6 +231,7 @@ class EventIndex:
         self.abs_scans: list[Event] = []
         self.success: set[int] = set()
         self.wa_of: dict[int, Event] = {}
+        self._instances: dict[int, dict] = {}
         for e in h.events:
             if e.parent is not None:
                 self.kids.setdefault(e.parent, []).append(e)
@@ -274,6 +279,24 @@ class EventIndex:
         for cell, ws in self.effectful.items():
             for r, w in enumerate(ws):
                 self.eff_rank[w.id] = r
+
+    def instances(self, parent: int) -> dict:
+        """The rep events of ``parent`` grouped by their @instance tag:
+        ``{inst: {base: {cell: event}}}``, or ``{inst: {base: [events]}}``
+        for a base without a cell index.  Built once per parent."""
+        groups = self._instances.get(parent)
+        if groups is None:
+            groups = self._instances[parent] = {}
+            for e in self.kids.get(parent, ()):
+                base, i, inst, _ = self.rep_info[e.id]
+                if inst is None:
+                    continue
+                g = groups.setdefault(inst, {})
+                if i is None:
+                    g.setdefault(base, []).append(e)
+                else:
+                    g.setdefault(base, {})[i] = e
+        return groups
 
     def single_rf(self, reader: int) -> Optional[int]:
         srcs = self.rf_src.get(reader)
@@ -370,21 +393,6 @@ def _identity_sigmas(idx: EventIndex):
     return sigmas, sigma_of, []
 
 
-def _group_by_instance(idx: EventIndex, parent: int):
-    """Group a parent's rep events by their @instance tag."""
-    groups: dict[int, dict] = {}
-    for e in idx.kids.get(parent, ()):
-        base, i, inst, _ = idx.rep_info[e.id]
-        if inst is None:
-            continue
-        g = groups.setdefault(inst, {})
-        if i is None:
-            g.setdefault(base, []).append(e)
-        else:
-            g.setdefault(base, {})[i] = e
-    return groups
-
-
 def _extract_alg3(idx: EventIndex):
     h = idx.h
     n = h.n
@@ -392,12 +400,10 @@ def _extract_alg3(idx: EventIndex):
     sigmas: list[VirtualScan] = []
     sigma_of: dict[int, int] = {}
     partials: list[VirtualScan] = []
-    groups_cache: dict[int, dict] = {}
 
-    def group(parent, inst):
-        if parent not in groups_cache:
-            groups_cache[parent] = _group_by_instance(idx, parent)
-        return groups_cache[parent].get(inst, {})
+    def group(e):
+        """The instance of its parent that rep event ``e`` belongs to."""
+        return idx.instances(e.parent).get(idx.rep_info[e.id][2], {})
 
     def link(commit, phase):
         """The LL that a phase-1 or phase-2 commit SC is linked to."""
@@ -423,8 +429,7 @@ def _extract_alg3(idx: EventIndex):
         base = idx.rep_info[vssb.id][0]
         if base != "vssb":
             continue
-        g3_parent, g3_inst = vssb.parent, idx.rep_info[vssb.id][2]
-        g3 = group(g3_parent, g3_inst)
+        g3 = group(vssb)
         voff = None
         vx3 = None
         for cand in g3.get("vx", ()):  # the LL that entered phase 3
@@ -434,16 +439,14 @@ def _extract_alg3(idx: EventIndex):
                     voff, vx3 = h.event(s), cand
         if voff is None:
             raise CorruptHistory("SS write without a phase-3 entry", (vssb.id,))
-        g2_parent, g2_inst = voff.parent, idx.rep_info[voff.id][2]
-        g2 = group(g2_parent, g2_inst)
+        g2 = group(voff)
         vx2 = h.event(link(voff, 2))
         von_src = idx.single_rf(voff.id)
         von = h.event(von_src) if von_src is not None else None
         if von is None or idx.rep_info[von.id][0] != "von":
             raise CorruptHistory("phase-2 commit does not observe a phase-1 commit",
                                  (voff.id,))
-        g1_parent, g1_inst = von.parent, idx.rep_info[von.id][2]
-        g1 = group(g1_parent, g1_inst)
+        g1 = group(von)
         x_init = link(von, 1)
         slots: dict[str, int] = {"on": von.id, "on_obs": vx2.id, "off": voff.id,
                                  "off_obs": vx3.id, "x_init": x_init, "ss": vssb.id}
@@ -473,7 +476,7 @@ def _extract_alg3(idx: EventIndex):
 
     for von in vons:
         if von.id not in by_on:
-            g1 = group(von.parent, idx.rep_info[von.id][2])
+            g1 = group(von)
             slots = {"on": von.id}
             for i, e in g1.get("vr", {}).items():
                 slots[f"r[{i}]"] = e.id
@@ -503,22 +506,14 @@ def _extract_afek(idx: EventIndex):
     by_owner: dict[int, VirtualScan] = {}
     sigma_of: dict[int, int] = {}
 
-    def rounds_of(entity: int):
-        rounds: dict[int, dict[str, dict[int, Event]]] = {}
-        for e in idx.kids.get(entity, ()):
-            base, i, inst, _ = idx.rep_info[e.id]
-            if base in ("a", "b") and inst is not None:
-                rounds.setdefault(inst, {"a": {}, "b": {}})[base][i] = e
-        return rounds
-
     def resolve(entity: int, stack: tuple) -> Optional[int]:
         if entity in stack or len(stack) > len(h.events):
             raise CorruptHistory("view recursion does not terminate", (entity,))
         if entity in by_owner:
             return by_owner[entity].id
-        rounds = rounds_of(entity)
+        rounds = idx.instances(entity)  # the collect's rounds of a and b reads
         complete = [k for k, r in sorted(rounds.items())
-                    if all(i in r["a"] and i in r["b"] for i in range(n))]
+                    if all(i in r.get("a", ()) and i in r.get("b", ()) for i in range(n))]
         if not complete:
             return None
         k = complete[-1]
@@ -551,7 +546,7 @@ def _extract_afek(idx: EventIndex):
         if wa_src is None:
             raise CorruptHistory("borrowed view has no writer", (entity,))
         writer = h.event(wa_src).parent
-        if writer is None or not rounds_of(writer):
+        if writer is None or not idx.instances(writer):
             raise CorruptHistory("borrowed view from a write with no embedded collect",
                                  (entity, wa_src))
         return resolve(writer, stack + (entity,))
@@ -627,7 +622,7 @@ def fwd_mw(idx: EventIndex, sigmas: list[VirtualScan]):
                 if idx.rep_info.get(src, ("",))[0] != "fsc":
                     continue
                 fsc = idx.h.event(src)
-                group = _group_by_instance(idx, fsc.parent).get(idx.rep_info[src][2], {})
+                group = idx.instances(fsc.parent).get(idx.rep_info[src][2], {})
                 fa = group.get("fa", {}).get(i)
                 if fa is None:
                     continue
@@ -647,6 +642,7 @@ class FLevel:
 
     rf_pairs: set = field(default_factory=set)
     obs: dict = field(default_factory=dict)       # (sigma_id, i) -> [(w, how)]
+    fwd_by_slot: dict = field(default_factory=dict)  # (sigma_id, i) -> [forwarded w]
     hb: Optional[HbClosure] = None
     threshold: dict = field(default_factory=dict)  # sigma_id -> max start
 
@@ -667,9 +663,8 @@ def _effectful_writes(idx: EventIndex, edges: Optional[list]) -> dict:
 def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
     h = idx.h
     fl = FLevel()
-    fwd_by_slot: dict[tuple[int, int], list[int]] = {}
     for w, sid, i in fwd_edges:
-        fwd_by_slot.setdefault((sid, i), []).append(w)
+        fl.fwd_by_slot.setdefault((sid, i), []).append(w)
     for sigma in sigmas:
         for i in range(h.n):
             got: list[tuple[int, str]] = []
@@ -683,7 +678,7 @@ def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
                             w = h.event(src).parent
                             if w is not None:
                                 got.append((w, "direct"))
-            for w in fwd_by_slot.get((sigma.id, i), ()):
+            for w in fl.fwd_by_slot.get((sigma.id, i), ()):
                 got.append((w, "fwd"))
             if got:
                 fl.obs[(sigma.id, i)] = got
@@ -853,11 +848,16 @@ class Derived:
         return self._sigma_triple[2]
 
     @cached_property
+    def sigma_by_id(self) -> dict[int, VirtualScan]:
+        """The virtual scans (not the partial ones) by id."""
+        return {s.id: s for s in self.sigmas}
+
+    @cached_property
     def borrowed_views(self) -> list[int]:
         """The abs scans whose virtual scan another operation owns: afek
         scans that returned a view borrowed from a write's collect."""
-        owner = {s.id: s.owner for s in self.sigmas}
-        return [sc for sc, sid in self.sigma_of.items() if owner[sid] not in (None, sc)]
+        by_id = self.sigma_by_id
+        return [sc for sc, sid in self.sigma_of.items() if by_id[sid].owner not in (None, sc)]
 
     @cached_property
     def forwards(self) -> list[FwdInstance]:
@@ -897,7 +897,7 @@ class Derived:
                         per_cell[i] = got
             return obs
         if self.flevel is None:
-            sigma = {sg.id: sg for sg in self.sigmas}
+            sigma = self.sigma_by_id
 
             def seen(sid, i):
                 return _lifted(idx, sigma[sid].slot(f"a[{i}]"))
@@ -944,15 +944,8 @@ class Derived:
 
             if label == "wrDiff":
                 return sorted(wrdiff_pairs(self))
-            ids, pos, adj = build_whb(self)
-            out = []
-            for k, w in enumerate(ids):
-                m = adj[k]
-                while m:
-                    low = m & -m
-                    out.append((w, ids[low.bit_length() - 1]))
-                    m ^= low
-            return sorted(out)
+            ids, _, adj = build_whb(self)
+            return sorted((w, ids[j]) for k, w in enumerate(ids) for j in bits(adj[k]))
         raise ValueError(f"unknown edge label {label!r}")
 
 

@@ -143,8 +143,22 @@ def test_usage_errors_exit_two(script_file, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text", ['{"events": []}', "not json {"],
-                         ids=["missing-meta", "not-json"])
+def _history_text(start=1, op="a[0].r", rf=()) -> str:
+    """A one-scan jayanti1 history with one rep read, as JSON."""
+    return json.dumps({
+        "meta": {"algorithm": "jayanti1", "n": 1, "initial": [0]},
+        "events": [
+            {"id": 0, "kind": "abs", "op": "scan", "input": None, "output": [0],
+             "start": start, "end": 4, "parent": None, "object": None},
+            {"id": 1, "kind": "rep", "op": op, "input": None, "output": 0,
+             "start": 2, "end": 3, "parent": 0, "object": "A[0]"}],
+        "rf": list(rf), "ll": []})
+
+
+@pytest.mark.parametrize("text", [
+    '{"events": []}', "not json {", _history_text(start="a"), _history_text(op=7),
+    _history_text(rf=[[1]])], ids=["missing-meta", "not-json", "start-not-a-number",
+                                   "rep-op-not-a-string", "rf-edge-not-a-pair"])
 def test_malformed_history_exits_two(tmp_path, capsys, text):
     hist = tmp_path / "bad.json"
     hist.write_text(text)

@@ -166,6 +166,18 @@ def test_unfinished_ops_kept_with_inf_end():
     assert not w.terminated
 
 
+def test_history_taken_mid_run_keeps_its_open_events():
+    """A later step finishes the run's open events, not the taken history's."""
+    sim = SimRun("jayanti1", 1, OpScript.from_lists([[("write", 0, 5)]]))
+    sim.step(0)
+    h = sim.history()
+    text = h.to_json()
+    sim.step(0)
+    assert h.to_json() == text
+    w = next(e for e in h.events if e.op == "write[0]" and e.input == 5)
+    assert not w.terminated and w.output is ABSENT
+
+
 # -- the compact encoder ------------------------------------------------------------
 
 def _dumps(h) -> str:

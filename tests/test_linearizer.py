@@ -1,10 +1,18 @@
 """The constructive linearization, sequential replay, and the oracle."""
+import sys
+from pathlib import Path
+
 import pytest
 
-from snaplab import Linearization, NotLinearizable, OpScript, SimRun, \
+from snaplab import History, Linearization, NotLinearizable, OpScript, SimRun, \
     brute_force_linearize, completed_set, derive, linearize, repro
+from snaplab.harness import DfsBounded, RandomWalks, iter_sims
 from snaplab.linearize import CycleError, LinearizeError, NoCandidate, SizeGuard, \
     build_whb, extend_total_writes, pick_maximal_candidate, replay_order, wrdiff_pairs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from diff_checker import mutants  # noqa: E402
+from sweep import sweep_config  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +60,25 @@ def test_single_cell_history_has_no_wrdiff(fig3):
     sim = SimRun("jayanti1", 1, OpScript.from_lists([[("write", 0, 2)], [("scan",)]]))
     sim.run_all(lambda en: en[0])
     assert wrdiff_pairs(derive(sim.history())) == set()
+
+
+def test_mask_built_write_order_matches_pairwise_definition():
+    """build_whb reads one successor mask per write; the definition asks
+    the snapshot closure about every pair of effectful writes, and adds
+    wrDiff.  The mutated naive history's write order has a cycle."""
+    histories = [sim.history() for sim in iter_sims(sweep_config("alg1", DfsBounded(300)))]
+    histories += [sim.history() for sim in iter_sims(sweep_config("alg3", RandomWalks(7, 40)))]
+    cyclic = History.from_json(list(mutants("naive", 3, 75, 1))[-1])
+    with pytest.raises(CycleError):
+        extend_total_writes(derive(cyclic))
+    for h in histories + [cyclic]:
+        d = derive(h)
+        hb = d.snap.hb
+        writes = [w.id for ws in d.idx.effectful.values() for w in ws]
+        want = {(a, b) for a in writes for b in writes if hb.hb(a, b)} | wrdiff_pairs(d)
+        ids, _, adj = build_whb(d)
+        got = {(a, ids[j]) for k, a in enumerate(ids) for j in range(len(ids)) if adj[k] >> j & 1}
+        assert got == want
 
 
 def test_naive_control_cycles_or_fails(fig3):
