@@ -512,8 +512,7 @@ def sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
 
 def _direct_bot(d: Derived, sigma, i) -> Optional[bool]:
     """Did this virtual scan read its own reset at cell i (b observed r)?"""
-    b = sigma.slot(f"b[{i}]")
-    r = sigma.slot(f"r[{i}]")
+    b, r = sigma.b.get(i), sigma.r.get(i)
     if b is None or r is None:
         return None
     return r in d.idx.rf_src.get(b, ())
@@ -531,8 +530,8 @@ def _check_io(d: Derived, axiom: str, out: list) -> None:
             _viol(out, axiom, (s.id,), "terminated scan has no virtual scan")
             continue
         for i in range(h.n):
-            got = fl.obs.get((sid, i), ())
-            if not any(h.event(w).input == s.output[i] for w, _ in got):
+            got = fl.obs[sid].get(i, ())
+            if not any(h.event(w).input == s.output[i] for w in got):
                 _viol(out, axiom, (s.id, sid),
                       f"virtual scan observes no write matching output at cell {i}")
 
@@ -591,7 +590,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
     # F.2b: reset before cell read before forward read
     for sigma in sigmas:
         for i in range(h.n):
-            r, a, b = (sigma.slot(f"{x}[{i}]") for x in ("r", "a", "b"))
+            r, a, b = sigma.r.get(i), sigma.a.get(i), sigma.b.get(i)
             if r is None or a is None or b is None:
                 continue
             if not (h.event(r).end < h.event(a).start and h.event(a).end < h.event(b).start):
@@ -605,7 +604,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
     # F.4b: a non-bottom forward read means some write was forwarded
     for sigma in sigmas:
         for i in range(h.n):
-            b = sigma.slot(f"b[{i}]")
+            b = sigma.b.get(i)
             if b is None or not h.event(b).terminated:
                 continue
             if _direct_bot(d, sigma, i) is False and not by_slot.get((sigma.id, i)):
@@ -614,7 +613,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
     # F.4c: forwarded writes wrote the cell before the forward read
     for w, sid, i in d.fwd_edges:
         sigma = d.sigma_by_id[sid]
-        b = sigma.slot(f"b[{i}]")
+        b = sigma.b.get(i)
         wa = idx.wa_of.get(w)
         if wa is None or b is None or not rhb.hb(wa.id, b):
             _viol(out, "F.4c", (w, sid), "forwarded write did not precede the forward read")
@@ -626,7 +625,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
         for i in range(h.n):
             writes_i = idx.effectful.get(i, ())
             if _direct_bot(d, sigma, i) is True:
-                a = sigma.slot(f"a[{i}]")
+                a = sigma.a[i]
                 for w in writes_i:
                     if w.end < threshold:  # w returned before an observed write
                         wa = idx.wa_of[w.id]
@@ -634,7 +633,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
                             _viol(out, "F.5", (w.id, sigma.id),
                                   f"missed write of cell {i} was neither forwarded nor read")
             for w in by_slot.get((sigma.id, i), ()):
-                r = sigma.slot(f"r[{i}]")
+                r = sigma.r.get(i)
                 for w2 in writes_i:
                     if w2.id == w:
                         continue
@@ -664,7 +663,7 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
     x_reads = idx.read_likes("X") if "X" in idx.regs else []
     xnodes = None
     for sigma in sigmas:
-        on, off = sigma.slot("on"), sigma.slot("off")
+        on, off = sigma.on, sigma.off
         if on is None or off is None or not x_reads:
             continue
         if xnodes is None:
@@ -679,8 +678,7 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
                   "phase observation disagrees with the on..off window")
     # scan structure chain: r < on rf= on_obs < a < off rf= off_obs < b
     for sigma in sigmas:
-        on, on_obs = sigma.slot("on"), sigma.slot("on_obs")
-        off, off_obs = sigma.slot("off"), sigma.slot("off_obs")
+        on, on_obs, off, off_obs = sigma.on, sigma.on_obs, sigma.off, sigma.off_obs
         if None in (on, on_obs, off, off_obs):
             continue
         if on != on_obs and on not in idx.rf_src.get(on_obs, ()):
@@ -688,7 +686,7 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
         if off != off_obs and off not in idx.rf_src.get(off_obs, ()):
             _viol(out, "F+.scstruct", (sigma.id, off, off_obs), "off observer does not observe off")
         for i in range(h.n):
-            r, a, b = (sigma.slot(f"{x}[{i}]") for x in ("r", "a", "b"))
+            r, a, b = sigma.r.get(i), sigma.a.get(i), sigma.b.get(i)
             if None in (r, a, b):
                 continue
             chain = [(r, on), (on_obs, a), (a, off), (off_obs, b)]
@@ -702,8 +700,8 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
         forwards_by_write.setdefault(f.write, []).append(f)
     # the on events a flag read can observe: those of the virtual scans,
     # complete or partial
-    sigma_by_on = {on: s for s in d.sigmas if (on := s.slot("on")) is not None}
-    ons = sigma_by_on.keys() | {on for s in d.partial_sigmas if (on := s.slot("on")) is not None}
+    sigma_by_on = {s.on: s for s in d.sigmas if s.on is not None}
+    ons = sigma_by_on.keys() | {s.on for s in d.partial_sigmas if s.on is not None}
     wx_of = {}  # abs write -> its flag read
     for cell, ws in sorted(idx.abs_writes.items()):
         for w in ws:
@@ -753,8 +751,8 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
             if wx is not None and f.first_event() is not None and \
                     not wx.end < h.event(f.first_event()).start:
                 _viol(out, "F+.fwdprecond", (w, wx.id), "forward started before the flag read")
-            if sigma.b_prefix is not None and f.reg is not None:
-                want = f"{sigma.b_prefix}[{f.cell}]" if sigma.b_prefix != "B" else f"B[{f.cell}]"
+            if sigma.fwd_array is not None and f.reg is not None:
+                want = f"{sigma.fwd_array}[{f.cell}]"
                 if f.reg != want:
                     _viol(out, "F+.fwdprecond", (w, sigma.id),
                           f"forward targets {f.reg}, virtual scan forwards via {want}")

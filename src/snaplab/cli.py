@@ -16,8 +16,8 @@ from .events import History
 from .harness import ExploreCapExceeded, ExploreConfig, FixedSchedule, \
     ReproMismatch, ScheduleError, StressConfig, explore, parse_mode, random_script, \
     repro, stress
-from .linearize import Linearization, LinearizeError, SizeGuard, \
-    brute_force_linearize, linearize
+from .linearize import Linearization, SizeGuard, brute_force_linearize, lin_verdict, \
+    linearize
 from .report import CheckReport
 from .visibility import CorruptHistory, derive
 
@@ -158,12 +158,7 @@ def cmd_stress(args) -> int:
 def cmd_check(args) -> int:
     suites = _suites(args.suites)
     d = derive(_load_history(args.history))
-    lin_ok = None
-    if "CHAIN" in suites:
-        try:
-            lin_ok = linearize(d).legal
-        except (LinearizeError, CorruptHistory):
-            lin_ok = False
+    lin_ok = lin_verdict(d)[1] if "CHAIN" in suites else None
     report = run_checks(d, suites, lin_ok=lin_ok, label=args.history)
     _emit(report.to_obj(), args.out)
     if not report.passed:
@@ -175,16 +170,9 @@ def cmd_check(args) -> int:
 def cmd_linearize(args) -> int:
     h = _load_history(args.history)
     d = derive(h)
-    result: dict = {}
-    code = 0
-    try:
-        lin = linearize(d)
-        result["linearization"] = lin.to_obj()
-        if not lin.legal:
-            code = 1
-    except (LinearizeError, CorruptHistory) as exc:
-        result["error"] = f"{type(exc).__name__}: {exc}"
-        code = 1
+    lin, legal, error = lin_verdict(d)
+    result: dict = {"linearization": lin.to_obj()} if lin is not None else {"error": error}
+    code = 0 if legal else 1
     if args.oracle:
         try:
             verdict = brute_force_linearize(d, args.guard)

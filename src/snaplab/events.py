@@ -130,6 +130,22 @@ def _expect(value, types, what: str) -> None:
         raise ValueError(f"{what} is {value!r}, of type {type(value).__name__}")
 
 
+def parse_rep_op(op: str) -> tuple[str, Optional[int], Optional[int], str]:
+    """A rep event's op, ``label[cell]@instance.memop`` with the cell and
+    instance optional: 'fll[1]@2.ll' -> ('fll', 1, 2, 'll').  Raises
+    ValueError if ``op`` has another shape."""
+    label, memop = op.rsplit(".", 1)
+    inst = None
+    if "@" in label:
+        label, k = label.split("@")
+        inst = int(k)
+    idx = None
+    if label.endswith("]"):
+        label, rest = label.split("[")
+        idx = int(rest[:-1])
+    return label, idx, inst, memop
+
+
 def returns_before(e: Event, e2: Event) -> bool:
     """e terminated strictly before e2 started.  INF never returns-before."""
     return e.end < e2.start
@@ -214,6 +230,12 @@ class History:
             if isinstance(rec["end"], str) and rec["end"] != "inf":
                 raise ValueError(f"event {rec['id']!r} field end is {rec['end']!r}, "
                                  "not a number or 'inf'")
+            if rec["kind"] == REP:
+                try:
+                    parse_rep_op(rec["op"])
+                except ValueError as exc:
+                    raise ValueError(f"event {rec['id']!r} op {rec['op']!r} is not "
+                                     f"label[cell]@instance.memop: {exc}") from None
         for label in ("rf", "ll"):
             for p in obj[label]:
                 if not (isinstance(p, (list, tuple)) and len(p) == 2

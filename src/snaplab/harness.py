@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Optional
 from .algorithms import ALGORITHMS, LL, R, SC, UPD, VL, W, WRITE, OpScript, \
     op_generator, op_input, op_name
 from .events import ABS, UNIT, History, HistoryRecorder
-from .linearize import Linearization, LinearizeError, SizeGuard, \
-    brute_force_linearize, completed_set, linearize
+from .linearize import Linearization, SizeGuard, brute_force_linearize, completed_set, \
+    lin_verdict
 from .registers import Memory
 from .report import CheckReport, SuiteResult
 from .checker import applicable_suites, run_checks, run_suite
@@ -262,7 +262,6 @@ class EvalResult:
     lin_ok: Optional[bool] = None
     lin_error: Optional[str] = None
     oracle: object = None
-    oracle_ok: Optional[bool] = None
     agree: Optional[bool] = None
     snapshot_key: Optional[bytes] = None  # the memo's keys (see memo.py)
     register_keys: tuple = ()
@@ -306,12 +305,7 @@ class _SnapshotLayer:
 def _snapshot_layer(cfg: ExploreConfig, d: Derived, with_s: bool) -> _SnapshotLayer:
     lin = lin_ok = lin_err = verdict = None
     if cfg.linearize or cfg.oracle or "CHAIN" in cfg.suites:
-        try:
-            lin = linearize(d)
-            lin_ok = lin.legal
-        except (LinearizeError, CorruptHistory) as exc:
-            lin_ok = False
-            lin_err = f"{type(exc).__name__}: {exc}"
+        lin, lin_ok, lin_err = lin_verdict(d)
     s = run_suite(d, "S") if with_s else None
     if cfg.oracle:
         try:
@@ -339,8 +333,7 @@ def evaluate(cfg: ExploreConfig, sim: SimRun, memo: Memo) -> EvalResult:
                      lin_ok=layer.lin_ok, lin_error=layer.lin_error, oracle=layer.oracle,
                      snapshot_key=snap_key, register_keys=reg_keys)
     if layer.oracle is not None:
-        res.oracle_ok = isinstance(layer.oracle, Linearization)
-        res.agree = res.oracle_ok == bool(layer.lin_ok)
+        res.agree = isinstance(layer.oracle, Linearization) == bool(layer.lin_ok)
     return res
 
 
@@ -583,7 +576,8 @@ def stress(cfg: StressConfig, per_run=None) -> StressSummary:
         errors: list = []
         h = stress_once(cfg, errors)
         d = derive(h)
-        report = run_checks(d, cfg.suites)
+        lin_ok = lin_verdict(d)[1] if "CHAIN" in cfg.suites else None
+        report = run_checks(d, cfg.suites, lin_ok=lin_ok)
         summary.runs += 1
         summary.worker_errors += len(errors)
         nviol = len(report.all_violations())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .events import UNIT
-from .visibility import Derived, abs_write_cell, bits
+from .visibility import CorruptHistory, Derived, abs_write_cell, bits
 
 
 class LinearizeError(Exception):
@@ -82,7 +82,9 @@ def wrdiff_pairs(d: Derived):
     sv = d.snap
     pairs = set()
     for s, per_cell in sv.obs.items():
-        cells = {i: ws[0] for i, ws in per_cell.items() if ws}
+        # a corrupt history can make a scan observe what is no effectful
+        # write; the linearizer then fails on its own terms
+        cells = {i: ws[0] for i, ws in per_cell.items() if ws and ws[0] in idx.eff_rank}
         for i, wi in cells.items():
             for j, wj in cells.items():
                 if i == j:
@@ -163,7 +165,7 @@ def replay_order(d: Derived, order: list[int]):
     return legal, trace
 
 
-def linearize(d: Derived, pick_trace: Optional[list] = None) -> Linearization:
+def linearize(d: Derived) -> Linearization:
     """Backward construction: repeatedly remove a maximal candidate and
     prepend; replay validates the result.  Raises CycleError/NoCandidate
     when the snapshot axioms failed upstream."""
@@ -183,7 +185,7 @@ def linearize(d: Derived, pick_trace: Optional[list] = None) -> Linearization:
             observed_by.setdefault(w, set()).add(s)
     cell_stacks = {cell: sorted((x.id for x in ws), key=lambda w: worder.rank[w])
                    for cell, ws in idx.effectful.items()}
-    global_stack = sorted(worder.total, key=lambda w: worder.rank[w])
+    global_stack = list(worder.total)
     hb = sv.hb
     remaining_mask = 0
     for e in ec:
@@ -230,8 +232,6 @@ def linearize(d: Derived, pick_trace: Optional[list] = None) -> Linearization:
         if pick is None:
             raise NoCandidate("no maximal candidate among remaining events",
                               sorted(remaining))
-        if pick_trace is not None:
-            pick_trace.append(pick)
         suffix.append(pick)
         remaining.discard(pick)
         remaining_mask &= ~(1 << hb.pos[pick])
@@ -251,9 +251,17 @@ def pick_maximal_candidate(d: Derived) -> int:
     maximal event that is either the globally greatest unobserved write or a
     scan observing only per-cell greatest writes.  It becomes the
     linearization's final event."""
-    trace: list[int] = []
-    linearize(d, pick_trace=trace)
-    return trace[0]
+    return linearize(d).order[-1]
+
+
+def lin_verdict(d: Derived) -> tuple[Optional[Linearization], bool, Optional[str]]:
+    """The linearization of ``d``, whether it is legal (the verdict CHAIN
+    reads), and why the construction failed, if it did."""
+    try:
+        lin = linearize(d)
+    except (LinearizeError, CorruptHistory) as exc:
+        return None, False, f"{type(exc).__name__}: {exc}"
+    return lin, lin.legal, None
 
 
 def brute_force_linearize(d: Derived, guard: int = 10):

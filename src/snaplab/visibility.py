@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algorithms import ALGORITHMS
-from .events import ABS, INF, REP, Event, History
+from .events import ABS, INF, REP, Event, History, parse_rep_op
 
 
 class CorruptHistory(Exception):
@@ -184,20 +184,6 @@ def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
 
 # -- event indexing ---------------------------------------------------------
 
-def parse_rep_op(op: str) -> tuple[str, Optional[int], Optional[int], str]:
-    """'fll[1]@2.ll' -> ('fll', 1, 2, 'll')"""
-    label, memop = op.rsplit(".", 1)
-    inst = None
-    if "@" in label:
-        label, k = label.split("@")
-        inst = int(k)
-    idx = None
-    if label.endswith("]"):
-        label, rest = label.split("[")
-        idx = int(rest[:-1])
-    return label, idx, inst, memop
-
-
 def abs_write_cell(op: str) -> Optional[int]:
     if op.startswith("write["):
         return int(op[6:-1])
@@ -347,48 +333,55 @@ class RepVisibility:
 
 @dataclass
 class VirtualScan:
-    """A ghost grouping of rep events logically forming one scan."""
+    """A ghost grouping of rep events logically forming one scan.
+
+    ``r``, ``a`` and ``b`` map a cell to the scan's reset of it, its read
+    of the main array and its read of the forwarding array.  ``on`` and
+    ``off`` are the phase-flag commits and ``on_obs`` and ``off_obs`` the
+    flag reads that observed them (for a scan that sets the flag itself,
+    the commits again); ``ss`` is jayanti3's SS write.  ``fwd_array`` is
+    the register array forwarded into, ``"B"`` or ``"Bp[p]"``, and None
+    without forwarding."""
 
     id: int
-    slots: dict[str, int]
-    b_prefix: Optional[str]
     start: float
     end: float
+    r: dict[int, int] = field(default_factory=dict)
+    a: dict[int, int] = field(default_factory=dict)
+    b: dict[int, int] = field(default_factory=dict)
+    on: Optional[int] = None
+    on_obs: Optional[int] = None
+    off: Optional[int] = None
+    off_obs: Optional[int] = None
+    ss: Optional[int] = None
+    fwd_array: Optional[str] = None
     owner: Optional[int] = None
     complete: bool = True
 
-    def slot(self, name: str) -> Optional[int]:
-        return self.slots.get(name)
-
-    def interval(self) -> tuple:
-        return (self.start, self.end)
+    def covers(self, n: int) -> bool:
+        """Whether it holds a reset and both reads of every cell below n."""
+        return all(i in m for m in (self.r, self.a, self.b) for i in range(n))
 
 
-def _slot_interval(h: History, slot_ids: list[int]) -> tuple:
-    evs = [h.event(i) for i in slot_ids]
+def _span(h: History, ids: list[int]) -> tuple:
+    evs = [h.event(i) for i in ids]
     return (min(e.start for e in evs), max(e.end for e in evs))
 
 
 def _identity_sigmas(idx: EventIndex):
     """Each abs scan is its own virtual scan."""
     sigmas, sigma_of = [], {}
-    n = idx.h.n
     for s in idx.abs_scans:
-        slots: dict[str, int] = {}
+        sigma = VirtualScan(s.id, s.start, s.end, fwd_array="B", owner=s.id)
         for e in idx.kids.get(s.id, ()):
             base, i, _, _ = idx.rep_info[e.id]
             if base in ("r", "a", "b"):
-                slots[f"{base}[{i}]"] = e.id
+                getattr(sigma, base)[i] = e.id
             elif base in ("on", "off"):
-                slots[base] = e.id
-        if "on" in slots:
-            slots["on_obs"] = slots["on"]
-        if "off" in slots:
-            slots["off_obs"] = slots["off"]
-        complete = s.terminated and all(
-            f"{b}[{i}]" in slots for b in ("r", "a", "b") for i in range(n))
-        sigmas.append(VirtualScan(s.id, slots, "B", s.start, s.end, owner=s.id,
-                                  complete=complete))
+                setattr(sigma, base, e.id)
+        sigma.on_obs, sigma.off_obs = sigma.on, sigma.off
+        sigma.complete = s.terminated and sigma.covers(idx.h.n)
+        sigmas.append(sigma)
         sigma_of[s.id] = s.id
     return sigmas, sigma_of, []
 
@@ -447,44 +440,30 @@ def _extract_alg3(idx: EventIndex):
             raise CorruptHistory("phase-2 commit does not observe a phase-1 commit",
                                  (voff.id,))
         g1 = group(von)
-        x_init = link(von, 1)
-        slots: dict[str, int] = {"on": von.id, "on_obs": vx2.id, "off": voff.id,
-                                 "off_obs": vx3.id, "x_init": x_init, "ss": vssb.id}
-        for i, e in g1.get("vr", {}).items():
-            slots[f"r[{i}]"] = e.id
-        for i, e in g2.get("va", {}).items():
-            slots[f"a[{i}]"] = e.id
-        for i, e in g3.get("vb", {}).items():
-            slots[f"b[{i}]"] = e.id
-        for reader in idx.rf_out.get(voff.id, ()):
-            info = idx.rep_info.get(reader)
-            if info and info[0] == "vend" and reader in idx.success:
-                slots["end"] = reader
-        complete = all(f"{b}[{i}]" in slots for b in ("r", "a", "b") for i in range(n))
-        core = [slots[f"{b}[{i}]"] for b in ("r", "a", "b") for i in range(n)
-                if f"{b}[{i}]" in slots] + [von.id, vx2.id, voff.id, vx3.id]
-        start, end = _slot_interval(h, core)
-        p_b = von.input[2]
-        sigma = VirtualScan(next_id, slots, f"Bp[{p_b}]", start, end, owner=None,
-                            complete=complete)
+        link(von, 1)  # a phase-1 commit without its load-link is corrupt
+        r = {i: e.id for i, e in g1.get("vr", {}).items()}
+        a = {i: e.id for i, e in g2.get("va", {}).items()}
+        b = {i: e.id for i, e in g3.get("vb", {}).items()}
+        core = [m[i] for m in (r, a, b) for i in range(n) if i in m]
+        sigma = VirtualScan(next_id, *_span(h, core + [von.id, vx2.id, voff.id, vx3.id]),
+                            r, a, b, on=von.id, on_obs=vx2.id, off=voff.id, off_obs=vx3.id,
+                            ss=vssb.id, fwd_array=f"Bp[{von.input[2]}]")
+        sigma.complete = sigma.covers(n)
         next_id += 1
         if von.id in by_on:
             raise CorruptHistory("two SS writes for one virtual scan",
-                                 (by_on[von.id].slots["ss"], vssb.id))
+                                 (by_on[von.id].ss, vssb.id))
         by_on[von.id] = sigma
-        (sigmas if complete else partials).append(sigma)
+        (sigmas if sigma.complete else partials).append(sigma)
 
     for von in vons:
         if von.id not in by_on:
-            g1 = group(von)
-            slots = {"on": von.id}
-            for i, e in g1.get("vr", {}).items():
-                slots[f"r[{i}]"] = e.id
-            partials.append(VirtualScan(next_id, slots, f"Bp[{von.input[2]}]",
-                                        von.start, INF, complete=False))
+            r = {i: e.id for i, e in group(von).get("vr", {}).items()}
+            partials.append(VirtualScan(next_id, von.start, INF, r, on=von.id,
+                                        fwd_array=f"Bp[{von.input[2]}]", complete=False))
             next_id += 1
 
-    ss_of_sigma = {sigma.slots["ss"]: sigma.id for sigma in sigmas}
+    ss_of_sigma = {sigma.ss: sigma.id for sigma in sigmas}
     for s in idx.abs_scans:
         sss = None
         for e in idx.kids.get(s.id, ()):
@@ -524,13 +503,11 @@ def _extract_afek(idx: EventIndex):
         for i in range(n):
             differs[i] = idx.single_rf(last["a"][i].id) != idx.single_rf(last["b"][i].id)
         if not any(differs.values()):
-            slot_ids = {}
-            for i in range(n):
-                slot_ids[f"a[{i}]"] = last["a"][i].id
-                slot_ids[f"b[{i}]"] = last["b"][i].id
+            a = {i: last["a"][i].id for i in range(n)}
+            b = {i: last["b"][i].id for i in range(n)}
             nonlocal next_id
-            start, end = _slot_interval(h, list(slot_ids.values()))
-            sigma = VirtualScan(next_id, slot_ids, None, start, end, owner=entity)
+            sigma = VirtualScan(next_id, *_span(h, [*a.values(), *b.values()]), a=a, b=b,
+                                owner=entity)
             next_id += 1
             by_owner[entity] = sigma
             sigmas.append(sigma)
@@ -599,10 +576,7 @@ def fwd_alg1(idx: EventIndex, sigmas: list[VirtualScan]):
     """w fwd σ at cell i when σ's read of B[i] observed the w's forward write."""
     edges = []
     for sigma in sigmas:
-        for name, eid in sigma.slots.items():
-            if not name.startswith("b["):
-                continue
-            i = int(name[2:-1])
+        for i, eid in sigma.b.items():
             for src in idx.rf_src.get(eid, ()):
                 if idx.rep_info.get(src, ("",))[0] == "wb":
                     edges.append((idx.h.event(src).parent, sigma.id, i))
@@ -614,10 +588,7 @@ def fwd_mw(idx: EventIndex, sigmas: list[VirtualScan]):
     into σ's forwarding array is what σ observed."""
     edges = []
     for sigma in sigmas:
-        for name, eid in sigma.slots.items():
-            if not name.startswith("b["):
-                continue
-            i = int(name[2:-1])
+        for i, eid in sigma.b.items():
             for src in idx.rf_src.get(eid, ()):
                 if idx.rep_info.get(src, ("",))[0] != "fsc":
                     continue
@@ -635,13 +606,19 @@ def fwd_mw(idx: EventIndex, sigmas: list[VirtualScan]):
 
 # -- abstract levels --------------------------------------------------------
 
+def _rf_pairs(obs: dict) -> set:
+    """The rf pairs ``(write, observer)`` of an observation map
+    ``{observer: {cell: [observed abs writes]}}``."""
+    return {(w, o) for o, per_cell in obs.items() for ws in per_cell.values() for w in ws}
+
+
 @dataclass
 class FLevel:
     """Forwarding-level visibility: rf over writes×virtual-scans, the
     per-cell write order, and their happens-before closure."""
 
     rf_pairs: set = field(default_factory=set)
-    obs: dict = field(default_factory=dict)       # (sigma_id, i) -> [(w, how)]
+    obs: dict = field(default_factory=dict)       # sigma_id -> {i: [w,...]}
     fwd_by_slot: dict = field(default_factory=dict)  # (sigma_id, i) -> [forwarded w]
     hb: Optional[HbClosure] = None
     threshold: dict = field(default_factory=dict)  # sigma_id -> max start
@@ -661,44 +638,40 @@ def _effectful_writes(idx: EventIndex, edges: Optional[list]) -> dict:
 
 
 def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
+    """A virtual scan observes at cell i the writes its a-read observed,
+    if its b-read observed its own reset, then those forwarded to it."""
     h = idx.h
     fl = FLevel()
     for w, sid, i in fwd_edges:
         fl.fwd_by_slot.setdefault((sid, i), []).append(w)
     for sigma in sigmas:
+        per_cell = fl.obs[sigma.id] = {}
         for i in range(h.n):
-            got: list[tuple[int, str]] = []
-            a = sigma.slot(f"a[{i}]")
-            b = sigma.slot(f"b[{i}]")
-            r = sigma.slot(f"r[{i}]")
-            if a is not None and b is not None and r is not None:
-                if r in idx.rf_src.get(b, ()):
-                    for src in idx.rf_src.get(a, ()):
-                        if idx.rep_info.get(src, ("",))[0] in ("wa", "init"):
-                            w = h.event(src).parent
-                            if w is not None:
-                                got.append((w, "direct"))
-            for w in fl.fwd_by_slot.get((sigma.id, i), ()):
-                got.append((w, "fwd"))
+            got: list[int] = []
+            a, b, r = sigma.a.get(i), sigma.b.get(i), sigma.r.get(i)
+            if a is not None and b is not None and r is not None \
+                    and r in idx.rf_src.get(b, ()):
+                for src in idx.rf_src.get(a, ()):
+                    if idx.rep_info.get(src, ("",))[0] in ("wa", "init"):
+                        w = h.event(src).parent
+                        if w is not None:
+                            got.append(w)
+            got.extend(fl.fwd_by_slot.get((sigma.id, i), ()))
             if got:
-                fl.obs[(sigma.id, i)] = got
-                for w, _ in got:
-                    fl.rf_pairs.add((w, sigma.id))
+                per_cell[i] = got
+    fl.rf_pairs = _rf_pairs(fl.obs)
     edges = list(fl.rf_pairs)
     intervals = _effectful_writes(idx, edges)
     for sigma in sigmas:
-        intervals[sigma.id] = sigma.interval()
+        intervals[sigma.id] = (sigma.start, sigma.end)
     for s in idx.abs_scans:
         if s.id not in intervals:
             intervals[s.id] = (s.start, s.end)
     fl.hb = HbClosure(intervals, edges)
     maxstart = fl.hb.max_pred_start()
     fl.threshold = dict.fromkeys((sigma.id for sigma in sigmas), -1)
-    for (sid, _i), got in fl.obs.items():
-        for w, _how in got:
-            ms = maxstart.get(w, -1)
-            if ms > fl.threshold[sid]:
-                fl.threshold[sid] = ms
+    for w, sid in fl.rf_pairs:
+        fl.threshold[sid] = max(fl.threshold[sid], maxstart[w])
     return fl
 
 
@@ -735,11 +708,7 @@ def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
     ``{cell: [observed abs writes]}``.  Unless ``ordered`` is false, the
     closure also orders each cell's effectful writes, and it orders the
     abs scans of consecutive complete virtual ``sigmas``."""
-    sv = SnapView(obs=obs)
-    for sid, per_cell in obs.items():
-        for got in per_cell.values():
-            for w in got:
-                sv.rf_pairs.add((w, sid))
+    sv = SnapView(obs=obs, rf_pairs=_rf_pairs(obs))
     edges = list(sv.rf_pairs)
     intervals = _effectful_writes(idx, edges if ordered else None)
     for s in idx.abs_scans:
@@ -881,13 +850,13 @@ class Derived:
 
     def _observed(self) -> dict:
         """Each abs scan's observed abs writes, ``{scan: {cell: [writes]}}``.
-        With no forwarding level, a cell's writes are those whose cell
-        write was read by the scan's own a-read (no virtual scans) or by
-        its virtual scan's; otherwise they are the virtual scan's
-        forwarding-level observations."""
+        Without virtual scans, a cell's writes are those whose cell write
+        the scan's own a-read observed.  Otherwise each scan has its
+        virtual scan's map: the forwarding level's observations, or
+        without one, what the virtual scan's a-reads observed."""
         idx = self.idx
-        obs: dict[int, dict[int, list[int]]] = {}
         if self.rules.sigmas is None:
+            obs: dict[int, dict[int, list[int]]] = {}
             for s in idx.abs_scans:
                 per_cell = obs[s.id] = {}
                 for e in idx.kids.get(s.id, ()):
@@ -896,21 +865,14 @@ class Derived:
                     if got:
                         per_cell[i] = got
             return obs
-        if self.flevel is None:
-            sigma = self.sigma_by_id
-
-            def seen(sid, i):
-                return _lifted(idx, sigma[sid].slot(f"a[{i}]"))
+        if self.flevel is not None:
+            by_sigma = self.flevel.obs
         else:
-            fl_obs = self.flevel.obs
-
-            def seen(sid, i):
-                return [w for w, _ in fl_obs.get((sid, i), ())]
-        for s in idx.abs_scans:
-            sid = self.sigma_of.get(s.id)
-            if sid is not None:
-                obs[s.id] = {i: got for i in range(self.history.n) if (got := seen(sid, i))}
-        return obs
+            by_sigma = {sigma.id: {i: got for i, a in sigma.a.items()
+                                   if (got := _lifted(idx, a))}
+                        for sigma in self.sigmas}
+        return {s.id: by_sigma[sid] for s in idx.abs_scans
+                if (sid := self.sigma_of.get(s.id)) is not None}
 
     def edge_set(self, label: str) -> list[tuple]:
         """Derived relations as exportable edge lists, keyed by label."""

@@ -115,4 +115,4 @@ def test_jayanti3_ss_written_exactly_once_per_virtual_scan():
     ss_writes = [e for e in h.events
                  if e.object == "SS" and e.op.endswith(".sc") and e.output is True]
     assert len(ss_writes) == len(d.sigmas)
-    assert sorted(s.slots["ss"] for s in d.sigmas) == sorted(e.id for e in ss_writes)
+    assert sorted(s.ss for s in d.sigmas) == sorted(e.id for e in ss_writes)

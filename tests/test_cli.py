@@ -1,9 +1,16 @@
 """The command-line front end: exit codes, outputs, and report round-trips."""
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from snaplab import ALGORITHMS, OpScript, SimRun
 from snaplab.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from diff_checker import mutants, mutate  # noqa: E402
 
 
 @pytest.fixture()
@@ -157,8 +164,9 @@ def _history_text(start=1, op="a[0].r", rf=()) -> str:
 
 @pytest.mark.parametrize("text", [
     '{"events": []}', "not json {", _history_text(start="a"), _history_text(op=7),
-    _history_text(rf=[[1]])], ids=["missing-meta", "not-json", "start-not-a-number",
-                                   "rep-op-not-a-string", "rf-edge-not-a-pair"])
+    _history_text(rf=[[1]]), _history_text(op="x"), _history_text(op="a[z].r")],
+    ids=["missing-meta", "not-json", "start-not-a-number", "rep-op-not-a-string",
+         "rf-edge-not-a-pair", "rep-op-without-memop", "rep-op-cell-not-a-number"])
 def test_malformed_history_exits_two(tmp_path, capsys, text):
     hist = tmp_path / "bad.json"
     hist.write_text(text)
@@ -389,3 +397,50 @@ def test_alg3_commit_without_load_link_is_corrupt(tmp_path, capsys):
     assert main(["linearize", "--history", str(hist), "--oracle"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["error"] == "CorruptHistory: phase-2 commit has no load-link"
+
+
+def _naive_scan_observes_a_scan() -> str:
+    """A naive history whose second scan's read of A[1] observes only the
+    first scan's read of it, so the scan observes a scan at cell 1."""
+    sim = SimRun("naive", 2, OpScript.from_lists([[("scan",)], [("scan",)]]))
+    sim.run_all(lambda en: en[0])
+    obj = json.loads(sim.history().to_json())
+    r1, r2 = [e["id"] for e in obj["events"] if e["op"] == "a[1].r"]
+    obj["rf"] = [p for p in obj["rf"] if p[1] != r2] + [[r1, r2]]
+    return json.dumps(obj)
+
+
+def _mutated_histories():
+    """Per algorithm, histories mutated one to six times, and some with a
+    rep op rewritten to a malformed one; then the naive reproducer."""
+    rng = random.Random(7)
+    for alg in sorted(ALGORITHMS):
+        for k, text in enumerate(mutants(alg, 3, 24, seed=11)):
+            for _ in range(rng.randint(0, 3)):
+                text = mutate(text, rng)
+            if k % 6 == 0:
+                obj = json.loads(text)
+                e = rng.choice([e for e in obj["events"] if e["kind"] == "rep"])
+                e["op"] = rng.choice(("x", "a[z].r", e["op"].rsplit(".", 1)[0],
+                                      e["op"].replace(".", "@1@2.")))
+                text = json.dumps(obj)
+            yield text
+    yield _naive_scan_observes_a_scan()
+
+
+def test_mutated_histories_never_raise(tmp_path, capsys):
+    """check and linearize on mutated histories exit 0, 1 or 2, never with
+    an exception, and exit 2 only for a malformed history."""
+    hist = tmp_path / "h.json"
+    codes = []
+    for text in _mutated_histories():
+        hist.write_text(text)
+        for argv in (["check", "--suites", "RB,M,M+,L,F+,F,S,CHAIN"],
+                     ["linearize", "--oracle"]):
+            rc = main(argv + ["--history", str(hist)])
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), (argv, text)
+            if rc == 2:
+                assert err.startswith(f"snaplab: malformed history {hist}: "), (err, text)
+            codes.append(rc)
+    assert {1, 2} <= set(codes)

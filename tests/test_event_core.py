@@ -215,13 +215,25 @@ json_values = st.recursive(
     max_leaves=6)
 
 
+# A rep op must have the shape label[cell]@instance.memop, cell and
+# instance optional (events.parse_rep_op); an abs op is any text.
+rep_ops = st.builds(
+    lambda label, cell, inst, memop: f"{label}{cell}{inst}.{memop}",
+    st.text(st.characters(exclude_characters="@[]"), max_size=3),
+    st.just("") | st.integers(-9, 99).map("[{}]".format),
+    st.just("") | st.integers(-9, 99).map("@{}".format),
+    st.text(st.characters(exclude_characters="."), max_size=2))
+
+
 @st.composite
 def loaded_histories(draw):
     events = []
     for i in range(draw(st.integers(0, 4))):
         end = draw(st.one_of(st.integers(0, 10**30), st.just("inf")))
-        events.append({"id": i, "kind": draw(st.sampled_from((ABS, REP))),
-                       "op": draw(st.text(max_size=6)), "input": draw(json_values),
+        kind = draw(st.sampled_from((ABS, REP)))
+        events.append({"id": i, "kind": kind,
+                       "op": draw(rep_ops if kind == REP else st.text(max_size=6)),
+                       "input": draw(json_values),
                        "output": None if end == "inf" else draw(json_values),
                        "start": draw(st.integers(-5, 5)), "end": end,
                        "parent": draw(st.none() | st.integers(-3, 3)),

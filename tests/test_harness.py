@@ -103,6 +103,28 @@ def test_stress_summary_counts_runs():
     assert summary.clean
 
 
+def test_stress_chain_reads_the_linearizer(monkeypatch):
+    """CHAIN under stress gets the linearizer's verdict: with a linearizer
+    that rejects every history, each clean run fails CHAIN.snap-lin."""
+    import importlib
+
+    linearize = importlib.import_module("snaplab.linearize")  # the package exports the function
+    calls = []
+
+    def illegal(d):
+        calls.append(d)
+        return linearize.Linearization([], [], False)
+
+    monkeypatch.setattr(linearize, "linearize", illegal)
+    script = random_script(2, 2, 6, seed=9)
+    summary = stress(StressConfig("jayanti2", 2, _single_scanner(script), runs=2,
+                                  suites=("RB", "S", "CHAIN")))
+    assert len(calls) == 2
+    assert summary.violations == 2
+    assert [[v.axiom for v in r.all_violations()] for r in summary.failing] == \
+        [["CHAIN.snap-lin"]] * 2
+
+
 def test_stress_worker_exception_is_counted(monkeypatch):
     """A scan that raises in its worker thread still reaches
     threading.excepthook, and the run is not clean."""

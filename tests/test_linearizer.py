@@ -110,8 +110,8 @@ def test_fig3_write_order_and_first_candidate(fig3):
     assert rank[res.ids["w0"]] < rank[res.ids["w1"]]
     assert rank[res.ids["w0"]] < rank[res.ids["w0p"]]
     assert rank[res.ids["w1"]] < rank[res.ids["w0p"]]  # forced by wrDiff
-    picks = []
-    lin = linearize(d, pick_trace=picks)
+    lin = linearize(d)
+    picks = lin.order[::-1]  # the backward construction's picks
     assert picks[0] == res.ids["w0p"]  # greatest unobserved write goes last
     assert pick_maximal_candidate(d) == res.ids["w0p"]
     assert lin.legal

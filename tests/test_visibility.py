@@ -154,9 +154,9 @@ def test_identity_sigma_intervals_equal_scan(fig3):
 def test_fig3_direct_vs_forwarded_observation(fig3):
     res, d = fig3
     sigma_id = d.sigma_of[res.ids["scan"]]
-    by_how = {i: dict(d.flevel.obs[(sigma_id, i)]) for i in (0, 1)}
-    assert by_how[0] == {res.ids["w0"]: "fwd"}
-    assert by_how[1] == {res.ids["w1"]: "direct"}
+    fl = d.flevel
+    assert fl.obs[sigma_id] == {0: [res.ids["w0"]], 1: [res.ids["w1"]]}
+    assert fl.fwd_by_slot == {(sigma_id, 0): [res.ids["w0"]]}  # cell 1 was read directly
 
 
 # -- Lemma-style instance checks -------------------------------------------------
@@ -164,8 +164,8 @@ def test_fig3_direct_vs_forwarded_observation(fig3):
 def reps_of(d, node_id):
     if node_id in {s.id for s in d.sigmas}:
         sigma = next(s for s in d.sigmas if s.id == node_id)
-        return [v for v in sigma.slots.values()
-                if d.history.event(v).kind == "rep"]
+        return [*sigma.r.values(), *sigma.a.values(), *sigma.b.values(),
+                *(v for v in (sigma.on, sigma.off) if v is not None)]
     return [e.id for e in d.idx.kids.get(node_id, ())]
 
 
@@ -232,7 +232,8 @@ def test_afek_clean_scan_is_its_own_sigma():
     sigma = next(s for s in d.sigmas)
     assert d.sigma_of[scan.id] == sigma.id
     assert sigma.owner == scan.id
-    assert all(d.history.event(v).parent == scan.id for v in sigma.slots.values())
+    assert all(d.history.event(v).parent == scan.id
+               for v in [*sigma.a.values(), *sigma.b.values()])
 
 
 def test_afek_view_scan_maps_to_writers_collect():
