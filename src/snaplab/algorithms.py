@@ -7,7 +7,9 @@ carry the cell index and, where needed, an instance tag (``@k``) so the
 visibility layer can regroup the events without guessing.
 
 Step descriptors are tuples ``(memop, register, value, label)`` with
-``memop`` one of R, W, LL, SC, VL, UPD.
+``memop`` one of R, W, LL, SC, VL, UPD and ``label`` the rep event's
+``(label, cell, instance)``, cell and instance None where absent; the
+recorder writes it as the op ``label[cell]@instance.memop``.
 """
 from __future__ import annotations
 
@@ -159,35 +161,35 @@ def _bank_jayanti3(mem, n, pids, initial):
 # -- naive ------------------------------------------------------------------
 
 def _naive_write(bank, n, pid, i, v):
-    yield (W, bank.A[i], v, "wa")
+    yield (W, bank.A[i], v, ("wa", None, None))
 
 
 def _naive_scan(bank, n, pid):
     out = [None] * n
     for i in range(n):
-        out[i] = yield (R, bank.A[i], None, f"a[{i}]")
+        out[i] = yield (R, bank.A[i], None, ("a", i, None))
     return out
 
 
 # -- Jayanti single-writer single-scanner ------------------------------------
 
 def _j1_write(bank, n, pid, i, v):
-    yield (W, bank.A[i], v, "wa")
-    x = yield (R, bank.X, None, "wx")
+    yield (W, bank.A[i], v, ("wa", None, None))
+    x = yield (R, bank.X, None, ("wx", None, None))
     if x:
-        yield (W, bank.B[i], v, "wb")
+        yield (W, bank.B[i], v, ("wb", None, None))
 
 
 def _j1_scan(bank, n, pid):
     out = [None] * n
-    yield (W, bank.X, True, "on")
+    yield (W, bank.X, True, ("on", None, None))
     for i in range(n):
-        yield (W, bank.B[i], BOT, f"r[{i}]")
+        yield (W, bank.B[i], BOT, ("r", i, None))
     for i in range(n):
-        out[i] = yield (R, bank.A[i], None, f"a[{i}]")
-    yield (W, bank.X, False, "off")
+        out[i] = yield (R, bank.A[i], None, ("a", i, None))
+    yield (W, bank.X, False, ("off", None, None))
     for i in range(n):
-        b = yield (R, bank.B[i], None, f"b[{i}]")
+        b = yield (R, bank.B[i], None, ("b", i, None))
         if b is not BOT:
             out[i] = b
     return out
@@ -196,16 +198,16 @@ def _j1_scan(bank, n, pid):
 # -- Jayanti multi-writer single-scanner -------------------------------------
 
 def _j2_forward(bank, i, k):
-    yield (LL, bank.B[i], None, f"fll[{i}]@{k}")
-    v = yield (R, bank.A[i], None, f"fa[{i}]@{k}")
-    ok = yield (VL, bank.X, None, f"fvl[{i}]@{k}")
+    yield (LL, bank.B[i], None, ("fll", i, k))
+    v = yield (R, bank.A[i], None, ("fa", i, k))
+    ok = yield (VL, bank.X, None, ("fvl", i, k))
     if ok:
-        yield (SC, bank.B[i], v, f"fsc[{i}]@{k}")
+        yield (SC, bank.B[i], v, ("fsc", i, k))
 
 
 def _j2_write(bank, n, pid, i, v):
-    yield (W, bank.A[i], v, "wa")
-    x = yield (LL, bank.X, None, "wx")
+    yield (W, bank.A[i], v, ("wa", None, None))
+    x = yield (LL, bank.X, None, ("wx", None, None))
     if x:
         yield from _j2_forward(bank, i, 1)
         yield from _j2_forward(bank, i, 2)
@@ -214,13 +216,13 @@ def _j2_write(bank, n, pid, i, v):
 def _j2_scan(bank, n, pid):
     out = [None] * n
     for i in range(n):
-        yield (W, bank.B[i], BOT, f"r[{i}]")
-    yield (W, bank.X, True, "on")
+        yield (W, bank.B[i], BOT, ("r", i, None))
+    yield (W, bank.X, True, ("on", None, None))
     for i in range(n):
-        out[i] = yield (R, bank.A[i], None, f"a[{i}]")
-    yield (W, bank.X, False, "off")
+        out[i] = yield (R, bank.A[i], None, ("a", i, None))
+    yield (W, bank.X, False, ("off", None, None))
     for i in range(n):
-        b = yield (R, bank.B[i], None, f"b[{i}]")
+        b = yield (R, bank.B[i], None, ("b", i, None))
         if b is not BOT:
             out[i] = b
     return out
@@ -229,53 +231,53 @@ def _j2_scan(bank, n, pid):
 # -- Jayanti multi-writer multi-scanner --------------------------------------
 
 def _j3_forward(bank, i, p, k):
-    yield (LL, bank.Bp[p][i], None, f"fll[{i}]@{k}")
-    v = yield (R, bank.A[i], None, f"fa[{i}]@{k}")
-    ok = yield (VL, bank.X, None, f"fvl[{i}]@{k}")
+    yield (LL, bank.Bp[p][i], None, ("fll", i, k))
+    v = yield (R, bank.A[i], None, ("fa", i, k))
+    ok = yield (VL, bank.X, None, ("fvl", i, k))
     if ok:
-        yield (SC, bank.Bp[p][i], v, f"fsc[{i}]@{k}")
+        yield (SC, bank.Bp[p][i], v, ("fsc", i, k))
 
 
 def _j3_write(bank, n, pid, i, v):
-    yield (W, bank.A[i], v, "wa")
-    x = yield (LL, bank.X, None, "wx")
+    yield (W, bank.A[i], v, ("wa", None, None))
+    x = yield (LL, bank.X, None, ("wx", None, None))
     if x[0] == 2:
         yield from _j3_forward(bank, i, x[2], 1)
         yield from _j3_forward(bank, i, x[2], 2)
 
 
 def _j3_push_vs(bank, n, p, k):
-    x = yield (LL, bank.X, None, f"vx@{k}")
+    x = yield (LL, bank.X, None, ("vx", None, k))
     if x[0] == 1:
         for i in range(n):
-            yield (W, bank.Bp[p][i], BOT, f"vr[{i}]@{k}")
-        yield (SC, bank.X, [2, x[1], p, x[3]], f"von@{k}")
-        x = yield (LL, bank.X, None, f"vx@{k}")
+            yield (W, bank.Bp[p][i], BOT, ("vr", i, k))
+        yield (SC, bank.X, [2, x[1], p, x[3]], ("von", None, k))
+        x = yield (LL, bank.X, None, ("vx", None, k))
     if x[0] == 2:
         for i in range(n):
-            a = yield (R, bank.A[i], None, f"va[{i}]@{k}")
-            yield (W, bank.Ap[p][i], a, f"vab[{i}]@{k}")
-        yield (SC, bank.X, [3, p, x[2], x[3]], f"voff@{k}")
-        x = yield (LL, bank.X, None, f"vx@{k}")
+            a = yield (R, bank.A[i], None, ("va", i, k))
+            yield (W, bank.Ap[p][i], a, ("vab", i, k))
+        yield (SC, bank.X, [3, p, x[2], x[3]], ("voff", None, k))
+        x = yield (LL, bank.X, None, ("vx", None, k))
     if x[0] == 3:
         out = [None] * n
         for i in range(n):
-            b = yield (R, bank.Bp[x[2]][i], None, f"vb[{i}]@{k}")
+            b = yield (R, bank.Bp[x[2]][i], None, ("vb", i, k))
             if b is not BOT:
                 out[i] = b
             else:
-                out[i] = yield (R, bank.Ap[x[1]][i], None, f"vau[{i}]@{k}")
-        ss = yield (LL, bank.SS, None, f"vss@{k}")
-        ok = yield (VL, bank.X, None, f"vvl@{k}")
+                out[i] = yield (R, bank.Ap[x[1]][i], None, ("vau", i, k))
+        ss = yield (LL, bank.SS, None, ("vss", None, k))
+        ok = yield (VL, bank.X, None, ("vvl", None, k))
         if ss[1] == x[3] and ok:
-            yield (SC, bank.SS, [out, not ss[1]], f"vssb@{k}")
-        yield (SC, bank.X, [1, x[1], x[2], not x[3]], f"vend@{k}")
+            yield (SC, bank.SS, [out, not ss[1]], ("vssb", None, k))
+        yield (SC, bank.X, [1, x[1], x[2], not x[3]], ("vend", None, k))
 
 
 def _j3_scan(bank, n, pid):
     yield from _j3_push_vs(bank, n, pid, 1)
     yield from _j3_push_vs(bank, n, pid, 2)
-    ss = yield (R, bank.SS, None, "sss")
+    ss = yield (R, bank.SS, None, ("sss", None, None))
     return list(ss[0])
 
 
@@ -290,9 +292,9 @@ def _afek_collect(bank, n):
         a = [None] * n
         b = [None] * n
         for i in range(n):
-            a[i] = yield (R, bank.A[i], None, f"a[{i}]@{k}")
+            a[i] = yield (R, bank.A[i], None, ("a", i, k))
         for i in range(n):
-            b[i] = yield (R, bank.A[i], None, f"b[{i}]@{k}")
+            b[i] = yield (R, bank.A[i], None, ("b", i, k))
         changed = False
         for i in range(n):
             if a[i][1] != b[i][1]:
@@ -306,7 +308,7 @@ def _afek_collect(bank, n):
 
 def _afek_write(bank, n, pid, i, v):
     _, view, _ = yield from _afek_collect(bank, n)
-    yield (UPD, bank.A[i], lambda old, v=v, view=view: [v, old[1] + 1, view], "wa")
+    yield (UPD, bank.A[i], lambda old, v=v, view=view: [v, old[1] + 1, view], ("wa", None, None))
 
 
 def _afek_scan(bank, n, pid):

@@ -51,9 +51,9 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 from typing import Iterable, Optional
 
-from .events import BOT, INF, REP, returns_before, validate_history
+from .events import BOT, INF, REP, abs_write_cell, returns_before, validate_history
 from .report import CheckReport, SuiteResult, Violation
-from .visibility import SIGNATURES, CorruptHistory, Derived, HbClosure, abs_write_cell, bits, \
+from .visibility import SIGNATURES, CorruptHistory, Derived, HbClosure, bits, \
     prec_closure_pairs, rules_for
 
 SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
@@ -100,9 +100,10 @@ def _rep_closure(d: Derived, out: list):
     except Exception:  # whatever stops the closure, V.1 is enumerated first
         h = d.history
         rep_ids = [e.id for e in h.events if e.kind == REP]
+        events = {e.id: e for e in h.events}  # an edge may name a missing event
         found = False
         for a, b in prec_closure_pairs(rep_ids, d.rep.edges):
-            if a == b or returns_before(h.event(b), h.event(a)):
+            if a == b or (b in events and returns_before(events[b], events[a])):
                 _viol(out, "V.1", (a, b), "observation chain reaches backward in time")
                 found = True
         if found:

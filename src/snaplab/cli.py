@@ -8,11 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .algorithms import ALGORITHMS, OpScript, ScriptError
 from .checker import SUITES, run_checks
-from .events import History
+from .events import ABS, REP, History
 from .harness import ExploreCapExceeded, ExploreConfig, FixedSchedule, \
     ReproMismatch, ScheduleError, StressConfig, explore, parse_mode, random_script, \
     repro, stress
@@ -43,7 +44,22 @@ def _load_history(path: str) -> History:
         raise MalformedHistory(f"malformed history {path}: {type(exc).__name__}: {exc}") from exc
     if h.algorithm not in ALGORITHMS:
         raise MalformedHistory(f"malformed history {path}: unknown algorithm {h.algorithm!r}")
+    if len(h.initial) != h.n:
+        raise MalformedHistory(f"malformed history {path}: {len(h.initial)} initial values "
+                               f"for {h.n} cells")
+    for e in h.events:
+        write = _WRITE_OP.fullmatch(e.op)
+        if e.kind == ABS and e.op != "scan" and not (write and int(write[1]) < h.n):
+            raise MalformedHistory(f"malformed history {path}: event {e.id} op {e.op!r} is "
+                                   f"neither scan nor write[cell] with a cell below {h.n}")
+        if e.kind not in (ABS, REP) or (e.kind == REP and e.object is None):
+            raise MalformedHistory(f"malformed history {path}: event {e.id} is of kind "
+                                   f"{e.kind!r} with object {e.object!r}: want abs, or rep "
+                                   "with a register")
     return h
+
+
+_WRITE_OP = re.compile(r"write\[(0|[1-9][0-9]*)\]")
 
 
 def _emit(obj, out: str | None) -> None:

@@ -1,14 +1,19 @@
-"""Interval-timed events, histories, and the returns-before structure.
+"""Interval-timed events, histories, the returns-before structure, and
+the event index that derivations read.
 
 Every operation observed during a run becomes an event with ``start`` and
 ``end`` ticks sampled from one global counter, so returns-before over any
 recorded history is an interval order by construction.  An unterminated
-event carries ``end = INF`` and no output.
+event carries ``end = INF`` and no output.  A recorder feeds its
+``EventIndex`` as it goes (see ``HistoryRecorder``).
 """
 from __future__ import annotations
 
 import json
 import threading
+import weakref
+from bisect import insort
+from functools import cached_property
 from typing import Any, Optional
 
 from .report import Violation
@@ -26,12 +31,19 @@ _EVENT_FIELDS = ("id", "kind", "op", "input", "output", "start", "end", "parent"
 class Event:
     """One recorded operation: an abs-level op or a primitive register step.
 
-    ``_json`` is the event's record as compact JSON once a recorder's
-    history has encoded it after it returned (see ``History.to_json``)."""
+    ``info`` is a rep event's op parsed, ``(label, cell, instance, memop)``
+    (see ``parse_rep_op``): the recorder passes the step label it ran, and
+    otherwise the op is parsed here, so a rep op that does not parse raises
+    ValueError.  ``_json`` is the event's record as compact JSON once a
+    recorder's history has encoded it after it returned (see
+    ``History.to_json``)."""
 
-    __slots__ = _EVENT_FIELDS + ("_json",)
+    __slots__ = _EVENT_FIELDS + ("info", "_json")
 
-    def __init__(self, id, kind, op, input, output, start, end, parent=None, object=None):
+    def __init__(self, id, kind, op, input, output, start, end, parent=None, object=None,
+                 info=None):
+        if info is None and kind == REP:
+            info = parse_rep_op(op)
         self.id = id
         self.kind = kind
         self.op = op
@@ -41,6 +53,7 @@ class Event:
         self.end = end
         self.parent = parent
         self.object = object
+        self.info = info
         self._json = None
 
     @property
@@ -126,7 +139,8 @@ _RECORD_TYPES = (("id", int), ("kind", str), ("op", str), ("start", (int, float)
 
 
 def _expect(value, types, what: str) -> None:
-    if not isinstance(value, types):
+    """``value`` is of ``types``; a bool is no number."""
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ValueError(f"{what} is {value!r}, of type {type(value).__name__}")
 
 
@@ -146,6 +160,29 @@ def parse_rep_op(op: str) -> tuple[str, Optional[int], Optional[int], str]:
     return label, idx, inst, memop
 
 
+# memop -> step label -> (op text, parse)
+_REP_OPS: dict[str, dict] = {memop: {} for memop in ("w", "r", "ll", "sc", "vl")}
+
+
+def rep_op(label, memop: str) -> tuple[str, tuple]:
+    """A rep event's op text and its parse ``(label, cell, instance,
+    memop)``, from a step label ``(label, cell, instance)`` with cell and
+    instance None where absent, or from the label's text
+    ``label[cell]@instance``, which is parsed.  Each is made once."""
+    made = _REP_OPS[memop]
+    got = made.get(label)
+    if got is None:
+        if type(label) is str:
+            text = f"{label}.{memop}"
+            got = text, parse_rep_op(text)
+        else:
+            base, cell, inst = label
+            got = (base + ("" if cell is None else f"[{cell}]")
+                   + ("" if inst is None else f"@{inst}") + "." + memop, (*label, memop))
+        made[label] = got
+    return got
+
+
 def returns_before(e: Event, e2: Event) -> bool:
     """e terminated strictly before e2 started.  INF never returns-before."""
     return e.end < e2.start
@@ -157,7 +194,12 @@ def subevent(e: Event, e2: Event) -> bool:
 
 
 class History:
-    """A finite set of events plus the recorded rf and ll edges."""
+    """A finite set of events plus the recorded rf and ll edges.
+
+    ``index`` is the ``EventIndex`` a recorder fed along its run, holding
+    these very events, or None; ``Derived`` builds one from the events
+    when it is None or when events or edges were added or removed since.
+    """
 
     def __init__(self, algorithm: str, n: int, initial: list, events=None,
                  rf=None, ll=None, seed=None):
@@ -170,6 +212,11 @@ class History:
         self.ll: list[tuple[int, int]] = list(ll) if ll else []
         self._by_id: Optional[dict[int, Event]] = None
         self._keep_json = False  # set by the recorder, whose returned events never change
+        self.index: Optional[EventIndex] = None
+
+    def __getstate__(self) -> dict:
+        """Pickled without its index, which ``derive`` builds again."""
+        return {**self.__dict__, "index": None}
 
     def event(self, eid: int) -> Event:
         if self._by_id is None:
@@ -222,6 +269,9 @@ class History:
         meta = obj["meta"]
         for name, types in _META_TYPES:
             _expect(meta[name], types, f"meta {name}")
+        if meta["n"] < 1:
+            raise ValueError(f"meta n is {meta['n']!r}, not a number of cells")
+        events = []
         for rec in obj["events"]:
             if not isinstance(rec, dict):
                 raise ValueError(f"event record {rec!r} is not an object")
@@ -230,19 +280,18 @@ class History:
             if isinstance(rec["end"], str) and rec["end"] != "inf":
                 raise ValueError(f"event {rec['id']!r} field end is {rec['end']!r}, "
                                  "not a number or 'inf'")
-            if rec["kind"] == REP:
-                try:
-                    parse_rep_op(rec["op"])
-                except ValueError as exc:
-                    raise ValueError(f"event {rec['id']!r} op {rec['op']!r} is not "
-                                     f"label[cell]@instance.memop: {exc}") from None
+            try:
+                events.append(Event.from_record(rec))  # parses a rep op
+            except ValueError as exc:
+                raise ValueError(f"event {rec['id']!r} op {rec['op']!r} is not "
+                                 f"label[cell]@instance.memop: {exc}") from None
         for label in ("rf", "ll"):
             for p in obj[label]:
                 if not (isinstance(p, (list, tuple)) and len(p) == 2
                         and all(isinstance(x, int) for x in p)):
                     raise ValueError(f"{label} edge {p!r} is not a pair of event ids")
         h = cls(meta["algorithm"], meta["n"], meta["initial"], seed=meta.get("seed"))
-        h.events = sorted((Event.from_record(r) for r in obj["events"]), key=lambda e: e.id)
+        h.events = sorted(events, key=lambda e: e.id)
         h.rf = [tuple(p) for p in obj["rf"]]
         h.ll = [tuple(p) for p in obj["ll"]]
         return h
@@ -258,6 +307,15 @@ class HistoryRecorder:
     Safe for concurrent appenders when ``threadsafe``; every event samples
     the counter once at invocation and once at return, so no two samples
     are equal and intervals nest strictly.
+
+    Unless ``threadsafe``, the recorder feeds an ``EventIndex`` along the
+    run: ``history()`` first feeds it what was recorded since it last
+    did, and ``rewind`` truncates it with the lists.  A history gets the
+    index itself, and the recorder copies it before it next changes it
+    only if that history is still alive (a weak reference tells), so a
+    DFS leaf that was checked and dropped costs no copy.  A threadsafe
+    recorder adds no work inside the register locks, so its histories
+    build their index when they are derived.
     """
 
     def __init__(self, algorithm: str, n: int, initial: list, threadsafe=False, seed=None):
@@ -270,6 +328,8 @@ class HistoryRecorder:
         self._ll: list[tuple[int, int]] = []
         self._tick = 0
         self._lock = threading.Lock() if threadsafe else None
+        self._index: Optional[EventIndex] = None if threadsafe else EventIndex()
+        self._holder = None  # a weak reference to the history holding _index
 
     def tick(self) -> int:
         if self._lock is None:
@@ -281,17 +341,18 @@ class HistoryRecorder:
             self._tick = t + 1
             return t
 
-    def begin(self, kind: str, op: str, input: Any, parent, obj) -> Event:
+    def begin(self, kind: str, op: str, input: Any, parent, obj, info=None) -> Event:
+        """A new open event; ``info`` is a rep op's parse (see ``rep_op``)."""
         if self._lock is None:
             t = self._tick
             self._tick = t + 1
-            ev = Event(len(self._events), kind, op, input, _ABSENT, t, INF, parent, obj)
+            ev = Event(len(self._events), kind, op, input, _ABSENT, t, INF, parent, obj, info)
             self._events.append(ev)
             return ev
         with self._lock:
             t = self._tick
             self._tick = t + 1
-            ev = Event(len(self._events), kind, op, input, _ABSENT, t, INF, parent, obj)
+            ev = Event(len(self._events), kind, op, input, _ABSENT, t, INF, parent, obj, info)
             self._events.append(ev)
             return ev
 
@@ -308,12 +369,33 @@ class HistoryRecorder:
     def history(self) -> History:
         """The events and edges recorded so far.  An event that has not
         returned is held as an open copy, so a later ``finish`` leaves this
-        history as it was."""
-        events = [e if e.end != INF else _opened(e) for e in self._events]
+        history as it was, and so does its index.  While a rep event is
+        open (a step raised) it gets no index, and ``derive`` builds one."""
+        events = self._events
+        opened = [(e, _opened(e)) for e in events if e.end == INF]
+        if opened:
+            copies = {e.id: c for e, c in opened}
+            events = [copies.get(e.id, e) if e.end == INF else e for e in events]
         h = History(self.algorithm, self.n, self.initial, events, self._rf,
                     self._ll, seed=self.seed)
         h._keep_json = True
+        idx = self._own_index()
+        if idx is not None and all(e.kind == ABS for e, _ in opened):
+            idx.feed(self._events, self._rf, self._ll)
+            if opened:
+                h.index = idx.copy(h, opened)
+            else:
+                idx._h = self._holder = weakref.ref(h)
+                h.index = idx
         return h
+
+    def _own_index(self) -> Optional[EventIndex]:
+        """The index to feed: copied first if a history still holds it."""
+        if self._holder is not None:
+            if self._holder() is not None:
+                self._index = self._index.copy()
+            self._holder = None
+        return self._index
 
     def mark(self) -> tuple:
         """The lengths of the event and edge lists and the tick, for ``rewind``."""
@@ -323,6 +405,8 @@ class HistoryRecorder:
         """Drop what was recorded after ``mark``.  Events that were open at
         the mark and have returned since are the caller's to ``reopen``."""
         events, rf, ll, self._tick = mark
+        if self._own_index() is not None:
+            self._index.truncate(self._events, self._rf, self._ll, (events, rf, ll))
         del self._events[events:]
         del self._rf[rf:]
         del self._ll[ll:]
@@ -332,13 +416,462 @@ class HistoryRecorder:
         copy, so the histories that hold it keep it as it was."""
         ev = self._events[eid]
         if ev.end != INF:
-            ev = self._events[eid] = _opened(ev)
+            old, ev = ev, _opened(ev)
+            self._events[eid] = ev
+            if self._own_index() is not None:
+                if ev.kind == ABS:
+                    self._index.swap(old, ev)
+                else:
+                    self._index = None  # it holds rep events as they returned
         return ev
 
 
 def _opened(ev: Event) -> Event:
     """A copy of ``ev`` as it was before it returned."""
-    return Event(ev.id, ev.kind, ev.op, ev.input, _ABSENT, ev.start, INF, ev.parent, ev.object)
+    return Event(ev.id, ev.kind, ev.op, ev.input, _ABSENT, ev.start, INF, ev.parent, ev.object,
+                 ev.info)
+
+
+# -- the event index --------------------------------------------------------
+
+def abs_write_cell(op: str) -> Optional[int]:
+    if op.startswith("write["):
+        return int(op[6:-1])
+    return None
+
+
+class RegOps:
+    """One register's rep events, per memop and all of them in order
+    (``trace``).  ``keyparts``, ``rf_pairs`` and ``ll_pairs`` describe a
+    prefix of the trace as the memo keys it, and
+    ``EventIndex.register_key_parts`` extends them to all of it: per event
+    ``(invocation rank of its operation, op, input, output)``, and the
+    edges into it as ``(source, target)`` trace indices, per target in
+    trace order."""
+
+    __slots__ = ("writes", "reads", "lls", "scs", "vls", "by_memop", "trace", "keyparts",
+                 "rf_pairs", "ll_pairs")
+
+    def __init__(self, writes=(), reads=(), lls=(), scs=(), vls=()):
+        self.writes, self.reads, self.lls, self.scs, self.vls = \
+            list(writes), list(reads), list(lls), list(scs), list(vls)
+        self.by_memop = {"w": self.writes, "r": self.reads, "ll": self.lls, "sc": self.scs,
+                         "vl": self.vls}
+        self.trace, self.keyparts, self.rf_pairs, self.ll_pairs = [], [], [], []
+
+    def trim(self, k: int) -> None:
+        """Keep the key parts of the first ``k`` trace events only."""
+        if len(self.keyparts) > k:
+            del self.keyparts[k:]
+            for pairs in (self.rf_pairs, self.ll_pairs):
+                while pairs and pairs[-1][1] >= k:
+                    pairs.pop()
+
+    def copy(self) -> "RegOps":
+        new = RegOps(self.writes, self.reads, self.lls, self.scs, self.vls)
+        new.trace, new.keyparts, new.rf_pairs, new.ll_pairs = \
+            self.trace[:], self.keyparts[:], self.rf_pairs[:], self.ll_pairs[:]
+        return new
+
+
+def _swapped(seq: list, old, new) -> None:
+    """Put ``new`` in place of ``old`` (by identity) in ``seq``."""
+    for k in range(len(seq) - 1, -1, -1):
+        if seq[k] is old:
+            seq[k] = new
+            return
+
+
+def _start(e: Event):
+    return e.start
+
+
+class EventIndex:
+    """Per-history indices: children, op parses, per-register event sets,
+    recorded edges, the effectful-write order per cell, the rep events in
+    order and the guards of the two fast paths that read that order.
+
+    An index is built one event and one edge at a time by ``feed``: a
+    recorder feeds its own along the run (``HistoryRecorder.history``) and
+    ``EventIndex(h)`` feeds a finished history's events, then its rf and
+    ll edges.  ``truncate`` undoes the feeds past a mark, last first, so
+    a rewound index is the one its prefix would have built.
+
+    Two guards are kept as the events and edges arrive, by O(1) checks
+    each (``chained``, ``traced``); ``_bad`` holds the feed positions of
+    the events, rf and ll edges that broke one, with 2 when the chain
+    broke and 1 when only the register traces did."""
+
+    def __init__(self, h: Optional["History"] = None):
+        self._h = None if h is None else weakref.ref(h)
+        self.kids: dict[int, list[Event]] = {}  # parent id -> its events, by start
+        self.rep_info: dict[int, tuple] = {}
+        self.regs: dict[str, RegOps] = {}
+        self.rf_src: dict[int, list[int]] = {}
+        self.rf_out: dict[int, list[int]] = {}
+        self.ll_src: dict[int, list[int]] = {}
+        self.abs_writes: dict[int, list[Event]] = {}
+        self.abs_scans: list[Event] = []
+        self.success: set[int] = set()
+        self.wa_of: dict[int, Event] = {}
+        # effectful writes per cell, in serialization (wa interval) order
+        self.effectful: dict[int, list[Event]] = {}
+        self.reps: list[Event] = []  # the rep events in order
+        self.rep_pos: dict[int, int] = {}  # rep id -> its place in reps
+        self.abs_rank: dict[int, int] = {}  # abs id -> its place among abs events
+        self._bad: tuple = ([], [], [])
+        self._instances: dict[int, dict] = {}
+        # what feeding needs: each abs write's cell and event, and the
+        # wa_of entries that a later wa event replaced
+        self._fed = [0, 0, 0]  # how many events, rf and ll edges were fed
+        self._writes: dict[int, tuple[int, Event]] = {}
+        self._wa_prev: dict[int, Event] = {}
+        if h is not None:
+            self.feed(h.events, h.rf, h.ll)
+
+    # -- feeding -----------------------------------------------------------
+
+    def feed(self, events: list, rf: list, ll: list) -> None:
+        """Add what the lists hold past what was fed: events, then edges."""
+        self._forget()
+        counts = self._fed
+        pos = counts[0]
+        kids, regs, rep_info, reps, rep_pos = self.kids, self.regs, self.rep_info, \
+            self.reps, self.rep_pos
+        abs_rank, bad = self.abs_rank, self._bad[0]
+        nreps = len(reps)
+        for e in events[pos:]:
+            parent = e.parent
+            if parent is not None:
+                if parent not in kids:
+                    kids[parent] = [e]
+                elif kids[parent][-1].start <= e.start:
+                    kids[parent].append(e)
+                else:
+                    insort(kids[parent], e, key=_start)
+            if e.kind != REP:
+                self._add_other(e, pos)
+                pos += 1
+                continue
+            eid, info, reg = e.id, e.info, e.object
+            rep_info[eid] = info
+            ops = regs[reg] if reg in regs else regs.setdefault(reg, RegOps())
+            memop = info[3]
+            if memop in ops.by_memop:
+                ops.by_memop[memop].append(e)
+                if e.output is True and (memop == "sc" or memop == "vl"):
+                    self.success.add(eid)
+            if info[0] == "wa" and parent is not None:
+                self._set_wa(e)
+            # the chain: each rep event returns before the next starts; the
+            # register traces: also returned, and of an operation fed before
+            if not e.start <= e.end or (nreps and not reps[-1].end < e.start) or eid in rep_pos:
+                bad.append((pos, 2))
+            elif e.end == INF or not (parent is None or parent in abs_rank):
+                bad.append((pos, 1))
+            rep_pos[eid] = nreps
+            nreps += 1
+            reps.append(e)
+            ops.trace.append(e)
+            pos += 1
+        counts[0] = pos
+        # An edge, rf (1) or ll (2): the chain needs it between rep events,
+        # forward; the register traces need it within one register, forward.
+        for which, edges, src in ((1, rf, self.rf_src), (2, ll, self.ll_src)):
+            bad = self._bad[which]
+            q = counts[which]
+            for a, b in edges[q:]:
+                if b in src:
+                    src[b].append(a)
+                else:
+                    src[b] = [a]
+                if which == 1:
+                    if a in self.rf_out:
+                        self.rf_out[a].append(b)
+                    else:
+                        self.rf_out[a] = [b]
+                if a not in rep_pos or b not in rep_pos or not rep_pos[a] < rep_pos[b]:
+                    bad.append((q, 2))
+                elif reps[rep_pos[a]].object != reps[rep_pos[b]].object:
+                    bad.append((q, 1))
+                q += 1
+            counts[which] = q
+
+    def _set_wa(self, e: Event) -> None:
+        """Feed ``e``, the wa event of abs write ``e.parent``."""
+        prev = self.wa_of.get(e.parent)
+        if prev is not None:
+            self._wa_prev[e.id] = prev
+            self._unplace_effectful(e.parent)
+        self.wa_of[e.parent] = e
+        self._place_effectful(e.parent)
+
+    def _add_other(self, e: Event, pos: int) -> None:
+        """Feed ``e``, an abs event or one of no known kind."""
+        if e.kind != ABS:
+            self._bad[0].append((pos, 1))
+            return
+        self.abs_rank[e.id] = len(self.abs_rank)
+        cell = abs_write_cell(e.op)
+        if cell is not None:
+            if cell not in self.abs_writes:
+                self.abs_writes[cell] = []
+                self.effectful[cell] = []
+            self.abs_writes[cell].append(e)
+            self._writes[e.id] = (cell, e)
+            if e.id in self.wa_of:
+                self._place_effectful(e.id)
+        elif e.op == "scan":
+            self.abs_scans.append(e)
+
+    def truncate(self, events: list, rf: list, ll: list, mark: tuple) -> None:
+        """Undo the feeds past ``mark``, counts of events, rf and ll edges,
+        of what the lists fed: the edges, then the events, each last first.
+        ``mark`` is a recorder's, so an edge past it leads into an event
+        past it, whose key parts go with it."""
+        self._forget()
+        counts = self._fed
+        for which, edges, src in ((1, rf, self.rf_src), (2, ll, self.ll_src)):
+            bad = self._bad[which]
+            for q in range(counts[which] - 1, mark[which] - 1, -1):
+                a, b = edges[q]
+                held = src[b]
+                del held[-1]
+                if not held:
+                    del src[b]
+                if which == 1:
+                    held = self.rf_out[a]
+                    del held[-1]
+                    if not held:
+                        del self.rf_out[a]
+                if bad and bad[-1][0] == q:
+                    del bad[-1]
+            if counts[which] > mark[which]:
+                counts[which] = mark[which]
+        kids, regs, rep_info, reps, rep_pos, success = self.kids, self.regs, self.rep_info, \
+            self.reps, self.rep_pos, self.success
+        bad = self._bad[0]
+        for p in range(counts[0] - 1, mark[0] - 1, -1):
+            e = events[p]
+            if bad and bad[-1][0] == p:
+                del bad[-1]
+            parent = e.parent
+            if parent is not None:
+                sibs = kids[parent]
+                if sibs[-1] is e:
+                    del sibs[-1]
+                else:
+                    sibs.remove(e)
+                if not sibs:
+                    del kids[parent]
+            if e.kind != REP:
+                self._drop_other(e)
+                continue
+            eid, info, reg = e.id, e.info, e.object
+            del rep_info[eid]
+            ops = regs[reg]
+            if info[3] in ops.by_memop:
+                del ops.by_memop[info[3]][-1]
+            trace = ops.trace
+            del trace[-1]
+            if len(ops.keyparts) > len(trace):
+                ops.trim(len(trace))
+            if not trace:
+                del regs[reg]
+            if eid in success:
+                success.remove(eid)
+            if info[0] == "wa" and parent is not None:
+                self._unset_wa(e)
+            del reps[-1]
+            del rep_pos[eid]
+        if counts[0] > mark[0]:
+            counts[0] = mark[0]
+
+    def _unset_wa(self, e: Event) -> None:
+        """Undo the feed of ``e``, the wa event of abs write ``e.parent``."""
+        self._unplace_effectful(e.parent)
+        prev = self._wa_prev.pop(e.id, None)
+        if prev is None:
+            del self.wa_of[e.parent]
+        else:
+            self.wa_of[e.parent] = prev
+            self._place_effectful(e.parent)
+
+    def _drop_other(self, e: Event) -> None:
+        """Undo the feed of ``e``, an abs event or one of no known kind."""
+        if e.kind != ABS:
+            return
+        cell = abs_write_cell(e.op)
+        if cell is not None:
+            if e.id in self.wa_of:
+                self._unplace_effectful(e.id)
+            del self._writes[e.id]
+            ws = self.abs_writes[cell]
+            ws.pop()
+            if not ws:
+                del self.abs_writes[cell]
+                del self.effectful[cell]
+        elif e.op == "scan":
+            self.abs_scans.pop()
+        del self.abs_rank[e.id]
+
+    def _forget(self) -> None:
+        """Drop what was read off the index and cached: it is changing."""
+        self._instances = {}
+        self.__dict__.pop("eff_rank", None)
+
+    def _eff_key(self, w: Event) -> tuple:
+        return self.wa_of[w.id].start, self.abs_rank[w.id]
+
+    def _place_effectful(self, wid: int) -> None:
+        """Put the fed abs write ``wid``, which has a wa event, in its cell's
+        effectful order: by wa start, then in write order."""
+        found = self._writes.get(wid)
+        if found is None:
+            return
+        eff = self.effectful[found[0]]
+        w = found[1]
+        if not eff or self._eff_key(eff[-1]) <= self._eff_key(w):
+            eff.append(w)
+        else:
+            insort(eff, w, key=self._eff_key)
+
+    def _unplace_effectful(self, wid: int) -> None:
+        found = self._writes.get(wid)
+        if found is not None:
+            eff = self.effectful[found[0]]
+            del eff[len(eff) - 1 - eff[::-1].index(found[1])]
+
+    def swap(self, old: Event, new: Event) -> None:
+        """Hold ``new`` in place of ``old``, a recorder's abs event (no
+        parent; its id is its place) and ``new`` its copy.  What was cached
+        off the index names no abs event, so it stays."""
+        if old.id >= self._fed[0]:
+            return  # not fed yet
+        write = self._writes.get(old.id)
+        if write is None:
+            _swapped(self.abs_scans, old, new)
+        else:
+            cell = write[0]
+            _swapped(self.abs_writes[cell], old, new)
+            _swapped(self.effectful[cell], old, new)
+            self._writes[old.id] = (cell, new)
+
+    def copy(self, h: Optional["History"] = None, swaps=()) -> "EventIndex":
+        """A copy that can be fed on its own, for ``h`` if given, which holds
+        the fed events but the abs events of ``swaps``, ``(fed event, h's
+        copy)`` pairs."""
+        new = EventIndex.__new__(EventIndex)
+        new._h = None if h is None else weakref.ref(h)
+        new.kids = {p: sibs[:] for p, sibs in self.kids.items()}
+        new.rep_info = dict(self.rep_info)
+        new.regs = {reg: ops.copy() for reg, ops in self.regs.items()}
+        new.rf_src = {b: srcs[:] for b, srcs in self.rf_src.items()}
+        new.rf_out = {a: outs[:] for a, outs in self.rf_out.items()}
+        new.ll_src = {b: srcs[:] for b, srcs in self.ll_src.items()}
+        new.abs_writes = {cell: ws[:] for cell, ws in self.abs_writes.items()}
+        new.abs_scans = self.abs_scans[:]
+        new.success = set(self.success)
+        new.wa_of = dict(self.wa_of)
+        new.effectful = {cell: ws[:] for cell, ws in self.effectful.items()}
+        new.reps = self.reps[:]
+        new.rep_pos = dict(self.rep_pos)
+        new._bad = tuple(bad[:] for bad in self._bad)
+        new._instances = {}
+        new._fed = self._fed[:]
+        new.abs_rank = dict(self.abs_rank)
+        new._writes = dict(self._writes)
+        new._wa_prev = dict(self._wa_prev)
+        for old, copy in swaps:
+            new.swap(old, copy)
+        return new
+
+    # -- reading -------------------------------------------------------------
+
+    @property
+    def h(self) -> Optional["History"]:
+        """The history this index is for (held weakly: a history holds its
+        index)."""
+        return None if self._h is None else self._h()
+
+    def describes(self, h: "History") -> bool:
+        """Whether this index is for ``h`` and was fed as many events, rf
+        and ll edges as ``h`` holds."""
+        return self.h is h and self._fed == [len(h.events), len(h.rf), len(h.ll)]
+
+    @property
+    def chained(self) -> bool:
+        """Whether each rep event returns before the next one in ``reps``
+        starts, and every rf and ll edge points forward in that order: the
+        rep-level happens-before is then the order of ``reps``."""
+        return not any(self._bad) or all(level < 2 for bad in self._bad for _, level in bad)
+
+    @property
+    def traced(self) -> bool:
+        """``chained``, and every event is abs or rep, every rep event has
+        returned and belongs to an abs operation fed before it (or none),
+        and every edge joins two events of one register: ≺ restricted to a
+        register is then the order of its ``trace``."""
+        return not any(self._bad)
+
+    def register_key_parts(self, reg: str) -> tuple[list, list, list]:
+        """``reg``'s key parts (see ``RegOps``), computed for the trace
+        events that lack them; ``traced`` must hold."""
+        ops = self.regs[reg]
+        parts, trace = ops.keyparts, ops.trace
+        if len(parts) < len(trace):
+            place = {e.id: k for k, e in enumerate(trace)}
+            for k in range(len(parts), len(trace)):
+                e = trace[k]
+                parts.append((-1 if e.parent is None else self.abs_rank[e.parent],
+                              e.op, e.input, e.output))
+                for pairs, src in ((ops.rf_pairs, self.rf_src), (ops.ll_pairs, self.ll_src)):
+                    for a in src.get(e.id, ()):
+                        pairs.append((place[a], k))
+        return parts, ops.rf_pairs, ops.ll_pairs
+
+    @cached_property
+    def eff_rank(self) -> dict[int, int]:
+        """Each effectful write's place in its cell's order."""
+        return {w.id: r for ws in self.effectful.values() for r, w in enumerate(ws)}
+
+    def instances(self, parent: int) -> dict:
+        """The rep events of ``parent`` grouped by their @instance tag:
+        ``{inst: {base: {cell: event}}}``, or ``{inst: {base: [events]}}``
+        for a base without a cell index.  Built once per parent."""
+        groups = self._instances.get(parent)
+        if groups is None:
+            groups = self._instances[parent] = {}
+            for e in self.kids.get(parent, ()):
+                base, i, inst, _ = self.rep_info[e.id]
+                if inst is None:
+                    continue
+                g = groups.setdefault(inst, {})
+                if i is None:
+                    g.setdefault(base, []).append(e)
+                else:
+                    g.setdefault(base, {})[i] = e
+        return groups
+
+    def single_rf(self, reader: int) -> Optional[int]:
+        srcs = self.rf_src.get(reader)
+        if srcs and len(srcs) == 1:
+            return srcs[0]
+        return None
+
+    def write_likes(self, reg: str) -> list[Event]:
+        ops = self.regs[reg]
+        out = list(ops.writes) + [e for e in ops.scs if e.id in self.success]
+        out.sort(key=lambda e: e.start)
+        return out
+
+    def read_likes(self, reg: str) -> list[Event]:
+        ops = self.regs[reg]
+        return ops.reads + ops.lls + ops.scs + ops.vls
+
+    def is_llsc_reg(self, reg: str) -> bool:
+        ops = self.regs[reg]
+        return bool(ops.lls or ops.scs or ops.vls)
 
 
 # -- structural checks ----------------------------------------------------

@@ -74,7 +74,7 @@ class SimRun:
         for i in range(n):
             ev = self.rec.begin(ABS, f"write[{i}]", initial[i], None, None)
             self.mem.write(self.bank.A[i], adef.initial_cell(initial[i], initial),
-                           ev.id, "wa")
+                           ev.id, ("wa", None, None))
             self.rec.finish(ev, UNIT)
         self.threads = [_Thread(t.pid, t.ops) for t in script.threads]
         self.schedule: list[int] = []

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .events import UNIT
-from .visibility import CorruptHistory, Derived, abs_write_cell, bits
+from .events import UNIT, abs_write_cell
+from .visibility import CorruptHistory, Derived, bits
 
 
 class LinearizeError(Exception):

@@ -24,7 +24,11 @@ output and operation (M+ compares operations), and the edges.  The key
 names an event by its index in the register's trace and an operation by
 its invocation rank, so a trace repeats even when its events got other
 ids; witnesses are stored as indices and mapped back to each schedule's
-ids.
+ids.  That guard is checked along the run, by O(1) checks per event and
+edge as the recorder feeds the event index (``EventIndex.traced``), and
+the index keeps each register's trace and its key parts, extended to the
+events that lack them when a key is asked for: a DFS leaf pays for the
+events past its branch point and one digest per register.
 
 F and F+ read ≺ across registers (F.4c compares the write to A[i] with
 the read of B[i]); they, RB and CHAIN run for every schedule.
@@ -37,11 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import marshal
-from operator import le, lt
 from typing import Callable, Optional
 
 from .checker import REGISTER_SUITES, sigma_containment
-from .events import ABS, INF, REP
+from .events import ABS, INF
 from .report import SuiteResult, Violation
 from .visibility import CorruptHistory, Derived
 
@@ -80,49 +83,19 @@ def snapshot_key(d: Derived) -> Optional[bytes]:
 
 def register_traces(d: Derived) -> Optional[tuple[dict, dict]]:
     """Each register's key and trace, ``({register: key}, {register:
-    [events]})``, or None unless the rep events are pairwise disjoint and
-    every rf/ll edge joins two events of one register in start order.
-    The events are taken in list order, which must then be their start
-    order, and all must have returned."""
-    h = d.history
-    events = h.events
-    reps = [e for e in events if e.kind == REP]
-    rank = {e.id: k for k, e in enumerate(e for e in events if e.kind == ABS)}
-    starts = [e.start for e in reps]
-    ends = [e.end for e in reps]
-    if len(reps) + len(rank) != len(events) or not all(map(le, starts, ends)) \
-            or not all(map(lt, ends, starts[1:])) or INF in ends[-1:]:
-        return None
-    rank[None] = -1
-    traces: dict[str, list] = {}
-    for e in reps:
-        traces.setdefault(e.object, []).append(e)
+    [events]})``, or None unless the index's register guard held along
+    the run (``EventIndex.traced``): the rep events pairwise disjoint, all
+    returned, and every rf/ll edge joining two events of one register in
+    start order."""
     idx = d.idx
-    seen = 0  # edges found inside their register; all must be
+    if not idx.traced:
+        return None
     keys = {}
-    for reg, evs in traces.items():
-        parents = [rank.get(e.parent) for e in evs]  # the operation's invocation rank
-        if None in parents:
-            return None  # a parent that is no abs event
-        pos = {e.id: k for k, e in enumerate(evs)}
-        edges = []  # rf, then ll: (source index, target index), per target in order
-        for src_of in (idx.rf_src, idx.ll_src):
-            pairs = []
-            for k, e in enumerate(evs):
-                for a in src_of.get(e.id, ()):
-                    j = pos.get(a)
-                    if j is None or not j < k:
-                        return None
-                    pairs.append((j, k))
-            seen += len(pairs)
-            edges.append(pairs)
-        keys[reg] = _digest((reg, parents, [e.op for e in evs], [e.input for e in evs],
-                             [e.output for e in evs], edges))
+    for reg in idx.regs:
+        keys[reg] = _digest((reg, *idx.register_key_parts(reg)))
         if keys[reg] is None:
             return None
-    if seen != len(h.rf) + len(h.ll):
-        return None  # an edge into no rep event
-    return keys, traces
+    return keys, {reg: ops.trace for reg, ops in idx.regs.items()}
 
 
 class Memo:

@@ -1,6 +1,8 @@
 """Instrumented shared registers: plain atomic cells and LL/SC/VL cells.
 
-Each operation performs its memory effect and records a rep event.
+Each operation performs its memory effect and records a rep event.  A
+step's ``label`` is ``(label, cell, instance)`` (or its text, see
+``events.rep_op``); the recorder keeps it as the event's parsed op.
 Reads-from edges are captured by tagging every cell with the id of its
 last write-like event; load-links are paired with their SC/VL through
 per-thread link state keyed by (thread, register).  LL/SC is emulated
@@ -18,7 +20,7 @@ from contextlib import nullcontext
 import threading
 from typing import Any, Callable, NamedTuple
 
-from .events import REP, UNIT, HistoryRecorder
+from .events import REP, UNIT, HistoryRecorder, rep_op
 
 
 class UsageError(Exception):
@@ -59,8 +61,9 @@ class Memory:
         self.cells[name] = cell
         if init_event:
             rec = self.recorder
+            op, info = rep_op(("init", None, None), "w")
             with cell.lock or nullcontext():
-                ev = rec.begin(REP, "init.w", initial, None, name)
+                ev = rec.begin(REP, op, initial, None, name, info)
                 cell.last_writer = ev.id
                 cell.version += 1
                 rec.finish(ev, UNIT)
@@ -80,33 +83,36 @@ class Memory:
 
     # -- plain register operations ---------------------------------------
 
-    def write(self, name: str, value, parent: int, label: str) -> None:
+    def write(self, name: str, value, parent: int, label: tuple | str) -> None:
         cell = self.cells[name]
         rec = self.recorder
+        op, info = rep_op(label, "w")
         with cell.lock or nullcontext():
-            ev = rec.begin(REP, label + ".w", value, parent, name)
+            ev = rec.begin(REP, op, value, parent, name, info)
             cell.value = value
             cell.last_writer = ev.id
             cell.version += 1
             rec.finish(ev, UNIT)
 
-    def update(self, name: str, fn: Callable, parent: int, label: str) -> None:
+    def update(self, name: str, fn: Callable, parent: int, label: tuple | str) -> None:
         """Atomically replace the cell value with fn(old); one write event."""
         cell = self.cells[name]
         rec = self.recorder
+        op, info = rep_op(label, "w")
         with cell.lock or nullcontext():
             new = fn(cell.value)
-            ev = rec.begin(REP, label + ".w", new, parent, name)
+            ev = rec.begin(REP, op, new, parent, name, info)
             cell.value = new
             cell.last_writer = ev.id
             cell.version += 1
             rec.finish(ev, UNIT)
 
-    def read(self, name: str, parent: int, label: str):
+    def read(self, name: str, parent: int, label: tuple | str):
         cell = self.cells[name]
         rec = self.recorder
+        op, info = rep_op(label, "r")
         with cell.lock or nullcontext():
-            ev = rec.begin(REP, label + ".r", None, parent, name)
+            ev = rec.begin(REP, op, None, parent, name, info)
             value = cell.value
             if cell.last_writer is not None:
                 rec.add_rf(cell.last_writer, ev.id)
@@ -115,11 +121,12 @@ class Memory:
 
     # -- LL/SC/VL ---------------------------------------------------------
 
-    def ll(self, name: str, thread, parent: int, label: str):
+    def ll(self, name: str, thread, parent: int, label: tuple | str):
         cell = self.cells[name]
         rec = self.recorder
+        op, info = rep_op(label, "ll")
         with cell.lock or nullcontext():
-            ev = rec.begin(REP, label + ".ll", None, parent, name)
+            ev = rec.begin(REP, op, None, parent, name, info)
             value = cell.value
             if cell.last_writer is not None:
                 rec.add_rf(cell.last_writer, ev.id)
@@ -127,14 +134,15 @@ class Memory:
             rec.finish(ev, value)
         return value
 
-    def sc(self, name: str, thread, value, parent: int, label: str) -> bool:
+    def sc(self, name: str, thread, value, parent: int, label: tuple | str) -> bool:
         link = self._links.get((thread, name))
         if link is None:
             raise UsageError(f"SC on {name} without prior LL by thread {thread}")
         cell = self.cells[name]
         rec = self.recorder
+        op, info = rep_op(label, "sc")
         with cell.lock or nullcontext():
-            ev = rec.begin(REP, label + ".sc", value, parent, name)
+            ev = rec.begin(REP, op, value, parent, name, info)
             if cell.last_writer is not None:
                 rec.add_rf(cell.last_writer, ev.id)
             rec.add_ll(link.ll_event, ev.id)
@@ -146,14 +154,15 @@ class Memory:
             rec.finish(ev, ok)
         return ok
 
-    def vl(self, name: str, thread, parent: int, label: str) -> bool:
+    def vl(self, name: str, thread, parent: int, label: tuple | str) -> bool:
         link = self._links.get((thread, name))
         if link is None:
             raise UsageError(f"VL on {name} without prior LL by thread {thread}")
         cell = self.cells[name]
         rec = self.recorder
+        op, info = rep_op(label, "vl")
         with cell.lock or nullcontext():
-            ev = rec.begin(REP, label + ".vl", None, parent, name)
+            ev = rec.begin(REP, op, None, parent, name, info)
             if cell.last_writer is not None:
                 rec.add_rf(cell.last_writer, ev.id)
             rec.add_ll(link.ll_event, ev.id)

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algorithms import ALGORITHMS
-from .events import ABS, INF, REP, Event, History, parse_rep_op
+from .events import INF, REP, Event, EventIndex, History, RegOps
 
 
 class CorruptHistory(Exception):
@@ -68,9 +68,7 @@ class HbClosure:
             # Each interval returns before the next starts, and every edge
             # points forward: returns-before is a total order that already
             # holds the edges, so each node reaches exactly the later ones.
-            # (Simulator rep events, which run one at a time.)
-            full = (1 << n) - 1
-            self._reach = [full ^ ((2 << k) - 1) for k in range(n)]
+            self._reach = _forward_reach(n)
             self._topo = None
         else:
             self._reach = self._close()
@@ -162,6 +160,46 @@ class HbClosure:
         return {self.ids[k]: best[k] for k in range(n)}
 
 
+class ChainClosure(HbClosure):
+    """The closure of events that each return before the next starts,
+    under edges that all point forward in that order (``pos[id]`` is the
+    place of ``id``): each node reaches exactly the later ones.  (Simulator
+    rep events, which run one at a time; ``EventIndex.chained``.)  It
+    keeps copies of the two, which a recorder's index changes later, and
+    builds nothing else before it is read."""
+
+    def __init__(self, events: list, pos: dict[int, int]):
+        self._events = events[:]
+        self.pos = dict(pos)
+        self.n = len(events)
+        self._full = (1 << self.n) - 1
+        self._topo = None
+
+    @cached_property
+    def ids(self) -> list[int]:
+        return [e.id for e in self._events]
+
+    @cached_property
+    def starts(self) -> list:
+        return [e.start for e in self._events]
+
+    @cached_property
+    def _reach(self) -> list[int]:
+        return _forward_reach(self.n)
+
+    def hb(self, a: int, b: int) -> bool:
+        return self.pos[a] < self.pos[b]
+
+    def succ_mask(self, a: int) -> int:
+        return self._full ^ ((2 << self.pos[a]) - 1)
+
+
+def _forward_reach(n: int) -> list[int]:
+    """Node k reaches the nodes after it."""
+    full = (1 << n) - 1
+    return [full ^ ((2 << k) - 1) for k in range(n)]
+
+
 def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
     """Transitive closure of the sparse edge relation alone (cycle-tolerant)."""
     adj: dict[int, list[int]] = {}
@@ -182,145 +220,31 @@ def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
             yield (a, b)
 
 
-# -- event indexing ---------------------------------------------------------
-
-def abs_write_cell(op: str) -> Optional[int]:
-    if op.startswith("write["):
-        return int(op[6:-1])
-    return None
-
-
-class RegOps:
-    __slots__ = ("writes", "reads", "lls", "scs", "vls")
-
-    def __init__(self):
-        self.writes: list[Event] = []
-        self.reads: list[Event] = []
-        self.lls: list[Event] = []
-        self.scs: list[Event] = []
-        self.vls: list[Event] = []
-
-
-class EventIndex:
-    """Per-history indices: children, op parses, per-register event sets,
-    recorded edges, and the effectful-write order per cell."""
-
-    def __init__(self, h: History):
-        self.h = h
-        self.kids: dict[int, list[Event]] = {}
-        self.rep_info: dict[int, tuple] = {}
-        self.regs: dict[str, RegOps] = {}
-        self.rf_src: dict[int, list[int]] = {}
-        self.rf_out: dict[int, list[int]] = {}
-        self.ll_src: dict[int, list[int]] = {}
-        self.abs_writes: dict[int, list[Event]] = {}
-        self.abs_scans: list[Event] = []
-        self.success: set[int] = set()
-        self.wa_of: dict[int, Event] = {}
-        self._instances: dict[int, dict] = {}
-        for e in h.events:
-            if e.parent is not None:
-                self.kids.setdefault(e.parent, []).append(e)
-            if e.kind == REP:
-                info = parse_rep_op(e.op)
-                self.rep_info[e.id] = info
-                reg = self.regs.setdefault(e.object, RegOps())
-                memop = info[3]
-                if memop == "w":
-                    reg.writes.append(e)
-                elif memop == "r":
-                    reg.reads.append(e)
-                elif memop == "ll":
-                    reg.lls.append(e)
-                elif memop == "sc":
-                    reg.scs.append(e)
-                    if e.output is True:
-                        self.success.add(e.id)
-                elif memop == "vl":
-                    reg.vls.append(e)
-                    if e.output is True:
-                        self.success.add(e.id)
-                if info[0] == "wa" and e.parent is not None:
-                    self.wa_of[e.parent] = e
-            elif e.kind == ABS:
-                cell = abs_write_cell(e.op)
-                if cell is not None:
-                    self.abs_writes.setdefault(cell, []).append(e)
-                elif e.op == "scan":
-                    self.abs_scans.append(e)
-        for kids in self.kids.values():
-            kids.sort(key=lambda e: e.start)
-        for a, b in h.rf:
-            self.rf_src.setdefault(b, []).append(a)
-            self.rf_out.setdefault(a, []).append(b)
-        for a, b in h.ll:
-            self.ll_src.setdefault(b, []).append(a)
-        # effectful writes per cell, in serialization (wa interval) order
-        self.effectful: dict[int, list[Event]] = {}
-        for cell, ws in self.abs_writes.items():
-            eff = [w for w in ws if w.id in self.wa_of]
-            eff.sort(key=lambda w: self.wa_of[w.id].start)
-            self.effectful[cell] = eff
-        self.eff_rank: dict[int, int] = {}
-        for cell, ws in self.effectful.items():
-            for r, w in enumerate(ws):
-                self.eff_rank[w.id] = r
-
-    def instances(self, parent: int) -> dict:
-        """The rep events of ``parent`` grouped by their @instance tag:
-        ``{inst: {base: {cell: event}}}``, or ``{inst: {base: [events]}}``
-        for a base without a cell index.  Built once per parent."""
-        groups = self._instances.get(parent)
-        if groups is None:
-            groups = self._instances[parent] = {}
-            for e in self.kids.get(parent, ()):
-                base, i, inst, _ = self.rep_info[e.id]
-                if inst is None:
-                    continue
-                g = groups.setdefault(inst, {})
-                if i is None:
-                    g.setdefault(base, []).append(e)
-                else:
-                    g.setdefault(base, {})[i] = e
-        return groups
-
-    def single_rf(self, reader: int) -> Optional[int]:
-        srcs = self.rf_src.get(reader)
-        if srcs and len(srcs) == 1:
-            return srcs[0]
-        return None
-
-    def write_likes(self, reg: str) -> list[Event]:
-        ops = self.regs[reg]
-        out = list(ops.writes) + [e for e in ops.scs if e.id in self.success]
-        out.sort(key=lambda e: e.start)
-        return out
-
-    def read_likes(self, reg: str) -> list[Event]:
-        ops = self.regs[reg]
-        return ops.reads + ops.lls + ops.scs + ops.vls
-
-    def is_llsc_reg(self, reg: str) -> bool:
-        ops = self.regs[reg]
-        return bool(ops.lls or ops.scs or ops.vls)
-
-
 class RepVisibility:
     """Rep-level visibility: recorded rf ∪ ll edges, and their
-    happens-before closure with returns-before."""
+    happens-before closure with returns-before.  When the index's rep
+    events form a chain (``EventIndex.chained``) the closure is that
+    chain's order."""
 
     def __init__(self, idx: EventIndex):
         self.idx = idx
-        self.edges = list(idx.h.rf) + list(idx.h.ll)
         self._hb: Optional[HbClosure] = None
         self._err: Optional[CorruptHistory] = None
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return list(self.idx.h.rf) + list(self.idx.h.ll)
 
     @property
     def hb(self) -> HbClosure:
         if self._err is not None:
             raise self._err
         if self._hb is None:
-            intervals = {e.id: (e.start, e.end) for e in self.idx.h.events if e.kind == REP}
+            idx = self.idx
+            if idx.chained:
+                self._hb = ChainClosure(idx.reps, idx.rep_pos)
+                return self._hb
+            intervals = {e.id: (e.start, e.end) for e in idx.h.events if e.kind == REP}
             try:
                 self._hb = HbClosure(intervals, self.edges)
             except CorruptHistory as exc:
@@ -361,6 +285,14 @@ class VirtualScan:
     def covers(self, n: int) -> bool:
         """Whether it holds a reset and both reads of every cell below n."""
         return all(i in m for m in (self.r, self.a, self.b) for i in range(n))
+
+
+def _edge_source(h: History, src: int, target: int) -> Event:
+    """The event that an rf or ll edge into ``target`` comes from."""
+    try:
+        return h.event(src)
+    except KeyError:
+        raise CorruptHistory("edge references a missing event", (src, target)) from None
 
 
 def _span(h: History, ids: list[int]) -> tuple:
@@ -433,9 +365,9 @@ def _extract_alg3(idx: EventIndex):
         if voff is None:
             raise CorruptHistory("SS write without a phase-3 entry", (vssb.id,))
         g2 = group(voff)
-        vx2 = h.event(link(voff, 2))
+        vx2 = _edge_source(h, link(voff, 2), voff.id)
         von_src = idx.single_rf(voff.id)
-        von = h.event(von_src) if von_src is not None else None
+        von = _edge_source(h, von_src, voff.id) if von_src is not None else None
         if von is None or idx.rep_info[von.id][0] != "von":
             raise CorruptHistory("phase-2 commit does not observe a phase-1 commit",
                                  (voff.id,))
@@ -696,7 +628,7 @@ def _lifted(idx: EventIndex, read: int) -> list[int]:
     """The abs writes whose cell writes the rep read ``read`` observed."""
     out = []
     for src in idx.rf_src.get(read, ()):
-        w = idx.h.event(src).parent
+        w = _edge_source(idx.h, src, read).parent
         if w is not None:
             out.append(w)
     return out
@@ -788,7 +720,8 @@ class Derived:
 
     def __init__(self, h: History):
         self.history = h
-        self.idx = EventIndex(h)
+        idx = h.index
+        self.idx = idx if idx is not None and idx.describes(h) else EventIndex(h)
         self.rules = rules_for(h.algorithm)
 
     @property

@@ -150,23 +150,28 @@ def test_usage_errors_exit_two(script_file, capsys):
     capsys.readouterr()
 
 
-def _history_text(start=1, op="a[0].r", rf=()) -> str:
+def _history_text(start=1, op="a[0].r", rf=(), n=1, initial=(0,), abs_op="scan",
+                  register="A[0]") -> str:
     """A one-scan jayanti1 history with one rep read, as JSON."""
     return json.dumps({
-        "meta": {"algorithm": "jayanti1", "n": 1, "initial": [0]},
+        "meta": {"algorithm": "jayanti1", "n": n, "initial": list(initial)},
         "events": [
-            {"id": 0, "kind": "abs", "op": "scan", "input": None, "output": [0],
+            {"id": 0, "kind": "abs", "op": abs_op, "input": None, "output": [0],
              "start": start, "end": 4, "parent": None, "object": None},
             {"id": 1, "kind": "rep", "op": op, "input": None, "output": 0,
-             "start": 2, "end": 3, "parent": 0, "object": "A[0]"}],
+             "start": 2, "end": 3, "parent": 0, "object": register}],
         "rf": list(rf), "ll": []})
 
 
 @pytest.mark.parametrize("text", [
     '{"events": []}', "not json {", _history_text(start="a"), _history_text(op=7),
-    _history_text(rf=[[1]]), _history_text(op="x"), _history_text(op="a[z].r")],
+    _history_text(rf=[[1]]), _history_text(op="x"), _history_text(op="a[z].r"),
+    _history_text(n=False, initial=()), _history_text(initial=(0, 0)),
+    _history_text(abs_op="write[1]"), _history_text(register=None)],
     ids=["missing-meta", "not-json", "start-not-a-number", "rep-op-not-a-string",
-         "rf-edge-not-a-pair", "rep-op-without-memop", "rep-op-cell-not-a-number"])
+         "rf-edge-not-a-pair", "rep-op-without-memop", "rep-op-cell-not-a-number",
+         "n-not-a-number", "initial-not-n-values", "write-past-the-cells",
+         "rep-without-register"])
 def test_malformed_history_exits_two(tmp_path, capsys, text):
     hist = tmp_path / "bad.json"
     hist.write_text(text)
@@ -397,6 +402,31 @@ def test_alg3_commit_without_load_link_is_corrupt(tmp_path, capsys):
     assert main(["linearize", "--history", str(hist), "--oracle"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["error"] == "CorruptHistory: phase-2 commit has no load-link"
+
+
+@pytest.mark.parametrize("edges", ["rf", "ll"])
+def test_alg3_commit_edge_from_a_missing_event_is_corrupt(tmp_path, capsys, edges):
+    """The rf or ll edge into a phase-2 commit names event 999: RB names the
+    edge, and F and S, which derive the virtual scans first, report the
+    history corrupt instead of raising."""
+    from snaplab.harness import ExploreConfig, RandomWalks, iter_sims
+
+    cfg = ExploreConfig("jayanti3", 2, OpScript.from_lists([[("scan",)], [("write", 0, 5)]]),
+                        RandomWalks(0, 1))
+    obj = json.loads(next(iter_sims(cfg)).history().to_json())
+    voff = next(e["id"] for e in obj["events"] if e["op"] == "voff@1.sc")
+    assert any(b == voff for _, b in obj[edges])
+    obj[edges] = [[999, b] if b == voff else [a, b] for a, b in obj[edges]]
+    hist = tmp_path / "h.json"
+    hist.write_text(json.dumps(obj))
+    corrupt = f"H.corrupt[999,{voff}] edge references a missing event"
+
+    assert main(["check", "--history", str(hist), "--suites", "RB,S"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert f"H.edge-ref[999,{voff}] {edges} edge references missing id" in err
+    assert corrupt in err
+    assert main(["check", "--history", str(hist), "--suites", "F"]) == 1
+    assert corrupt in capsys.readouterr().err.splitlines()
 
 
 def _naive_scan_observes_a_scan() -> str:

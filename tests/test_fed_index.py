@@ -1,0 +1,142 @@
+"""The recorder-fed event index against one built from the loaded history.
+
+A recorder feeds its ``EventIndex`` one event and one edge at a time and
+truncates it when the DFS rewinds; a leaf's history gets the index
+itself, and the recorder copies it before changing it only while that
+history is alive.  So the index, the rep closure and the register traces
+that ``derive`` reads from a recorder's history must equal those built
+by feeding the same history after a JSON round trip, and what a history
+derived must not change when the DFS moves on.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+from snaplab import ExploreConfig, History, OpScript, SimRun, derive, explore, events
+from snaplab.events import EventIndex
+from snaplab.harness import DfsBounded, iter_sims
+from snaplab.memo import register_traces
+from snaplab.visibility import HbClosure
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from report_stream import QUICK  # noqa: E402
+from sweep import sweep_config  # noqa: E402
+
+ALG2 = ("jayanti2", 1, [[("write", 0, 2)], [("write", 0, 3)], [("scan",)]])
+
+
+def _ids(events) -> list:
+    return [e.id for e in events]
+
+
+def index_state(idx: EventIndex) -> dict:
+    """Everything the index holds, with events named by id."""
+    return {
+        "kids": {p: _ids(k) for p, k in idx.kids.items()},
+        "rep_info": idx.rep_info,
+        "regs": {reg: ([_ids(getattr(ops, m)) for m in ("writes", "reads", "lls", "scs",
+                                                         "vls", "trace")],
+                       ops.keyparts, ops.rf_pairs, ops.ll_pairs)
+                 for reg, ops in idx.regs.items()},
+        "rf_src": idx.rf_src, "rf_out": idx.rf_out, "ll_src": idx.ll_src,
+        "abs_writes": {c: _ids(ws) for c, ws in idx.abs_writes.items()},
+        "abs_scans": _ids(idx.abs_scans),
+        "success": idx.success,
+        "wa_of": {w: e.id for w, e in idx.wa_of.items()},
+        "effectful": {c: _ids(ws) for c, ws in idx.effectful.items()},
+        "reps": _ids(idx.reps), "rep_pos": idx.rep_pos,
+        "chained": idx.chained, "traced": idx.traced,
+        "instances": {p: {inst: {base: _ids(g.values()) if isinstance(g, dict) else _ids(g)
+                                 for base, g in groups.items()}
+                          for inst, groups in idx.instances(p).items()}
+                      for p in idx.kids},
+    }
+
+
+def derived_state(h) -> tuple:
+    """What ``derive`` reads off the index of ``h``: the index, the rep
+    closure's pairs and the register keys and traces."""
+    d = derive(h)
+    traces = register_traces(d)
+    if traces is not None:
+        traces = (traces[0], {reg: _ids(t) for reg, t in traces[1].items()})
+    return index_state(d.idx), sorted(d.rep.hb.pairs()), traces
+
+
+def _holds_its_own_events(h) -> bool:
+    idx = derive(h).idx
+    held = {id(e) for e in h.events}
+    return all(id(e) in held for e in (*idx.reps, *idx.abs_scans,
+                                        *(w for ws in idx.abs_writes.values() for w in ws)))
+
+
+@pytest.mark.parametrize("name", list(QUICK))
+def test_fed_index_equals_the_rebuilt_one(name):
+    """At every leaf of each quick sweep prefix: the fed index, the rep
+    closure and the register traces equal those of the loaded copy, and
+    the rep closure equals the generic closure over rf ∪ ll."""
+    leaves = 0
+    for sim in iter_sims(sweep_config(name, QUICK[name])):
+        h = sim.history()
+        loaded = History.from_json(h.to_json())
+        assert h.index is not None and loaded.index is None
+        fed = derived_state(h)
+        assert fed == derived_state(loaded)
+        intervals = {e.id: (e.start, e.end) for e in h.events if e.kind == events.REP}
+        assert fed[1] == sorted(HbClosure(intervals, h.rf + h.ll).pairs())
+        assert fed[0]["chained"] and fed[2] is not None
+        del h, loaded  # so the recorder feeds the same index on, in place
+        leaves += 1
+    assert leaves == QUICK[name].limit if isinstance(QUICK[name], DfsBounded) else leaves > 0
+
+
+def test_a_leaf_derivation_survives_the_dfs_moving_on():
+    """A leaf kept while the DFS yields 50 more, and a mid-run history
+    taken before the DFS restores past it, derive what they did."""
+    algorithm, n, threads = ALG2
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(200))
+    sims = iter_sims(cfg)
+    for _ in range(20):
+        sim = next(sims)
+    kept = sim.history()
+    d = derive(kept)
+    before = index_state(d.idx), sorted(d.rep.hb.pairs()), register_traces(d)[0]
+    for _ in range(50):
+        next(sims)
+    assert (index_state(d.idx), sorted(d.rep.hb.pairs()), register_traces(d)[0]) == before
+    assert derived_state(kept) == derived_state(History.from_json(kept.to_json()))
+    assert _holds_its_own_events(kept)
+
+    sim = SimRun(algorithm, n, OpScript.from_lists(threads))
+    cp = sim.checkpoint()
+    sim.run_schedule([2, 2, 0, 2])  # the scan and a write are open
+    mid = sim.history()
+    assert any(not e.terminated for e in mid.events)
+    before = derived_state(mid)
+    sim.run_all(lambda en: en[-1])
+    sim.restore(cp)
+    sim.run_all(lambda en: en[0])
+    assert derived_state(mid) == before
+    assert before == derived_state(History.from_json(mid.to_json()))
+    assert _holds_its_own_events(mid)
+
+
+def test_explore_parses_no_rep_op(monkeypatch):
+    """The recorder keeps each rep event's parsed step label, so an
+    exploration parses no op text."""
+    calls = []
+    parse = events.parse_rep_op
+
+    def counting(op):
+        calls.append(op)
+        return parse(op)
+
+    monkeypatch.setattr(events, "parse_rep_op", counting)
+    algorithm, n, threads = ALG2
+    summary = explore(ExploreConfig(algorithm, n, OpScript.from_lists(threads),
+                                    DfsBounded(1000), suites=("M", "M+", "L", "F+", "F", "S")))
+    assert summary.schedules == 1000
+    assert calls == []
+    History.from_json(SimRun(algorithm, n, OpScript.from_lists(threads)).history().to_json())
+    assert calls  # the loader parses
