@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Alternating perfbench pairs: a parent revision against the working tree.
+
+Exports PARENT_REV into a temporary directory (``git archive``, so the
+repository gains no worktree to prune), then runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
+
+in that copy ("parent") and in the working tree ("new"), one after the
+other and never at once, alternating which side runs first: ten pairs per
+workload at seed 1, then one pair at seed 2, for every workload.  Writes
+``BENCH_<pr>.json``: every run's result line under ``runs``, and per
+workload and metric the medians, the parent's interquartile range and
+how many pairs the change won under ``summary``.
+
+Usage: python scripts/bench_pairs.py PARENT_REV --pr N [--claim TEXT]
+"""
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import NAMES  # noqa: E402
+
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in BENCH["end_to_end"]}
+PAIRS = 10     # per workload at seed 1
+SECONDS = 30   # perfbench --seconds per run
+
+
+def export(rev: str, into: str) -> str:
+    """The files of ``rev``, unpacked under ``into``; returns its full hash."""
+    full = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", full], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(into, filter="data")
+    return full
+
+
+def run(where: str, workload: str, seed: int) -> dict:
+    """perfbench's result line for one run in the checkout ``where``."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+                          cwd=where, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"bench_pairs: no result line from {where} ({workload}, seed "
+                         f"{seed}), exit {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def _iqr(xs: list) -> float:
+    q = statistics.quantiles(xs, n=4)
+    return q[2] - q[0]
+
+
+def summarize(runs: list, workload: str) -> dict:
+    mine = [r for r in runs if r["workload"] == workload]
+    value = {(r["seed"], r["pair"], r["side"]): r["result"] for r in mine}
+    pairs = sorted({r["pair"] for r in mine if r["seed"] == 1})
+    out = {}
+    for metric, better in BETTER.items():
+        par = [value[1, k, "parent"]["metrics"][metric]["value"] for k in pairs]
+        new = [value[1, k, "new"]["metrics"][metric]["value"] for k in pairs]
+        pm, nm = statistics.median(par), statistics.median(new)
+        out[metric] = {
+            "better": better, "pairs": len(pairs),
+            "change_wins": sum((n < p) if better == "lower" else (n > p)
+                               for p, n in zip(par, new)),
+            "parent_median": round(pm, 6), "change_median": round(nm, 6),
+            "change_vs_parent": round(nm / pm - 1, 4), "parent_iqr": round(_iqr(par), 6),
+            "parent_runs": [round(x, 6) for x in par], "change_runs": [round(x, 6) for x in new]}
+    out["seed_2"] = {side: {m: round(value[2, 1, side]["metrics"][m]["value"], 6)
+                            for m in BETTER}
+                     for side in ("parent", "new") if (2, 1, side) in value}
+    out["failed"] = {side: sum(r["result"]["failed"] for r in mine if r["side"] == side)
+                     for side in ("parent", "new")}
+    out["correct"] = all(r["result"]["correct"] for r in mine)
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", metavar="PARENT_REV")
+    ap.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
+    ap.add_argument("--claim", default="", help="the claim the pairs test, recorded as is")
+    args = ap.parse_args()
+    out_path = ROOT / f"BENCH_{args.pr}.json"
+    runs: list = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        parent = export(args.parent, tmp)
+        sides = {"parent": tmp, "new": str(ROOT)}
+        for workload in NAMES:
+            plan = [(1, k) for k in range(1, PAIRS + 1)] + [(2, 1)]
+            for seed, k in plan:
+                order = ("parent", "new") if k % 2 else ("new", "parent")
+                for side in order:
+                    result = run(sides[side], workload, seed)
+                    runs.append({"workload": workload, "seed": seed, "pair": k,
+                                 "side": side, "result": result})
+                    print(f"{workload} seed {seed} pair {k} {side}: "
+                          + " ".join(f"{m}={v['value']:.4g}"
+                                     for m, v in result["metrics"].items()), flush=True)
+    doc = {
+        "what": "perfbench result lines of the parent commit and of this change, "
+                "alternating which runs first in each pair",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
+                   "--trace 0",
+        "made_by": "python3 scripts/bench_pairs.py " + " ".join(sys.argv[1:]),
+        "parent": parent[:7],
+        "host": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}; "
+                "parent and change run one after the other, never at once",
+        "claim": args.claim,
+        "summary": {w: summarize(runs, w) for w in NAMES},
+        "runs": runs,
+    }
+    out_path.write_text(json.dumps(doc, indent=1) + "\n")
+    for w in NAMES:
+        s = doc["summary"][w]["verdict_s"]
+        print(f"{w}: verdict_s {s['parent_median']} -> {s['change_median']} "
+              f"({s['change_vs_parent']:+.1%}, {s['change_wins']}/{s['pairs']} pairs, "
+              f"parent IQR {s['parent_iqr']})")
+    print(f"wrote {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

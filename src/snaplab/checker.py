@@ -48,17 +48,15 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Optional
 
-from .events import BOT, INF, REP, abs_write_cell, returns_before, validate_history
+from .events import INF, REP, abs_write_cell, returns_before, validate_history
 from .report import CheckReport, SuiteResult, Violation
-from .visibility import SIGNATURES, CorruptHistory, Derived, HbClosure, bits, \
-    prec_closure_pairs, rules_for
+from .visibility import SIGNATURES, CorruptHistory, Derived, ForwardingFacts, HbClosure, \
+    bits, cached, prec_closure_pairs, rules_for
 
 SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
-
-_RESET_BASES = ("r", "vr")
 
 
 def _viol(out, axiom, witnesses, note=""):
@@ -128,7 +126,7 @@ class _Nodes:
         for p in self.index:
             self.mask |= 1 << p
 
-    @cached_property
+    @cached
     def chain(self) -> Optional[list[int]]:
         """The list indices in ≺ order if ≺ orders the list totally, else
         None.  In an acyclic closure k nodes are totally ordered exactly
@@ -138,7 +136,7 @@ class _Nodes:
             return None
         return sorted(range(len(self.ids)), key=counts.__getitem__, reverse=True)
 
-    @cached_property
+    @cached
     def rank(self) -> dict[int, int]:
         """Node id -> place in the chain (empty without a chain)."""
         return {self.ids[k]: r for r, k in enumerate(self.chain or ())}
@@ -431,7 +429,7 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
     sv = d.snap
     hb = sv.hb  # built, so V.1 holds (see the module docstring)
     if d.rules.unforwarded:
-        out.extend(sigma_containment(d))
+        _contained(d, "F.1", out)
     for s in idx.abs_scans:
         per_cell = sv.obs.get(s.id, {})
         for i, ws in per_cell.items():
@@ -497,97 +495,38 @@ def _observations_chained(first_obs: dict, eff_nodes: dict, n: int) -> bool:
 
 # -- F -------------------------------------------------------------------------
 
+def _emit(out: list, axiom: str, found: Iterable[tuple]) -> None:
+    out.extend(Violation(axiom, w, note) for w, note in found)
+
+
+def _contained(d: Derived, axiom: str, out: list) -> ForwardingFacts:
+    """F.1, F+.vrtinscan; then the shared facts, or their corruption raised."""
+    facts = d.fwd
+    _emit(out, axiom, facts.escapes)
+    if facts.corrupt is not None:
+        raise facts.corrupt
+    return facts
+
+
 def sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
     out: list[Violation] = []
-    h = d.history
-    for scan_id, sid in sorted(d.sigma_of.items()):
-        sigma = d.sigma_by_id.get(sid)
-        if sigma is None:
-            continue
-        s = h.event(scan_id)
-        if not (s.start <= sigma.start and sigma.end <= s.end):
-            out.append(Violation(axiom, (scan_id, sid),
-                                 "virtual scan escapes its abs scan interval"))
+    _contained(d, axiom, out)
     return out
-
-
-def _direct_bot(d: Derived, sigma, i) -> Optional[bool]:
-    """Did this virtual scan read its own reset at cell i (b observed r)?"""
-    b, r = sigma.b.get(i), sigma.r.get(i)
-    if b is None or r is None:
-        return None
-    return r in d.idx.rf_src.get(b, ())
-
-
-def _check_io(d: Derived, axiom: str, out: list) -> None:
-    """F.io, F+.io: a terminated scan's virtual scan observed its returned
-    values."""
-    h, fl = d.history, d.flevel
-    for s in d.idx.abs_scans:
-        if not s.terminated:
-            continue
-        sid = d.sigma_of.get(s.id)
-        if sid is None:
-            _viol(out, axiom, (s.id,), "terminated scan has no virtual scan")
-            continue
-        for i in range(h.n):
-            got = fl.obs[sid].get(i, ())
-            if not any(h.event(w).input == s.output[i] for w in got):
-                _viol(out, axiom, (s.id, sid),
-                      f"virtual scan observes no write matching output at cell {i}")
-
-
-def _check_sigma_order(sigmas: list, axiom: str, out: list) -> None:
-    """F.2a, F+.sctotal: virtual scans are totally ordered by returns-before."""
-    order = sorted(sigmas, key=lambda s: (s.start, s.id))
-    for s1, s2 in zip(order, order[1:]):
-        if not s1.end < s2.start:
-            _viol(out, axiom, (s1.id, s2.id), "virtual scans overlap")
-
-
-def _check_main_writers(d: Derived, axiom: str, out: list) -> None:
-    """F.3a, F+.wrauniq: only abs writes write into the main array."""
-    h, idx = d.history, d.idx
-    for reg, ops in sorted(idx.regs.items()):
-        if not reg.startswith("A["):
-            continue
-        cell = int(reg[2:-1])
-        for e in ops.writes:
-            base = idx.rep_info[e.id][0]
-            parent_op = h.event(e.parent).op if e.parent is not None else None
-            if base != "wa" or parent_op != f"write[{cell}]":
-                _viol(out, axiom, (e.id,), f"foreign write into {reg}")
-
-
-def _check_bottom_writers(d: Derived, axiom: str, note: str, out: list,
-                          value_axiom: Optional[str] = None) -> None:
-    """F.3b, F+.scruniq: bottom goes into forwarding cells only by scan
-    resets.  F+ also asks, as ``value_axiom``, that values go in only by
-    forwarding SCs; both are reported per write, in register order."""
-    idx = d.idx
-    for reg in sorted(idx.regs):
-        if not (reg.startswith("B[") or reg.startswith("Bp[")):
-            continue
-        for e in idx.write_likes(reg):
-            base = idx.rep_info[e.id][0]
-            if (e.input is BOT) != (base in _RESET_BASES):
-                _viol(out, axiom, (e.id,), f"{note} {reg}")
-            if value_axiom and (e.input is not BOT) != (base == "fsc"):
-                _viol(out, value_axiom, (e.id,), f"unexpected value writer of {reg}")
 
 
 def check_forwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
-    out.extend(sigma_containment(d))
-    fl = d.flevel
+    facts = _contained(d, "F.1", out)
+    fl = facts.flevel
     if fl is None:
         return  # virtual scans without forwarding: only the containment applies
-    sigmas = [s for s in d.sigmas if s.complete]
+    sigmas = facts.complete
     rhb = d.rep.hb
     by_slot = fl.fwd_by_slot
-    _check_io(d, "F.io", out)
-    _check_sigma_order(sigmas, "F.2a", out)
+    io, overlaps, foreign, bottom = facts.shared
+    _emit(out, "F.io", io)
+    _emit(out, "F.2a", overlaps)
     # F.2b: reset before cell read before forward read
     for sigma in sigmas:
         for i in range(h.n):
@@ -596,8 +535,10 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
                 continue
             if not (h.event(r).end < h.event(a).start and h.event(a).end < h.event(b).start):
                 _viol(out, "F.2b", (r, a, b), f"scan structure broken at cell {i}")
-    _check_main_writers(d, "F.3a", out)
-    _check_bottom_writers(d, "F.3b", "unexpected writer of", out)
+    _emit(out, "F.3a", foreign)
+    for e, reg, value in bottom:
+        if not value:
+            _viol(out, "F.3b", (e,), f"unexpected writer of {reg}")
     # F.4a: at most one forwarded write per scan and cell
     for (sid, i), ws in sorted(by_slot.items()):
         if len(set(ws)) > 1:
@@ -608,7 +549,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
             b = sigma.b.get(i)
             if b is None or not h.event(b).terminated:
                 continue
-            if _direct_bot(d, sigma, i) is False and not by_slot.get((sigma.id, i)):
+            if fl.direct.get((sigma.id, i)) is False and not by_slot.get((sigma.id, i)):
                 _viol(out, "F.4b", (sigma.id, b),
                       f"forward read at cell {i} saw a value but no forward edge exists")
     # F.4c: forwarded writes wrote the cell before the forward read
@@ -618,14 +559,14 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
         wa = idx.wa_of.get(w)
         if wa is None or b is None or not rhb.hb(wa.id, b):
             _viol(out, "F.4c", (w, sid), "forwarded write did not precede the forward read")
-        elif _direct_bot(d, sigma, i):
+        elif fl.direct.get((sid, i)):
             _viol(out, "F.4c", (w, sid), "forward read observed the reset yet an edge exists")
     # F.5 / F.6: the forwarding principles
     for sigma in sigmas:
         threshold = fl.threshold.get(sigma.id, -1)
         for i in range(h.n):
             writes_i = idx.effectful.get(i, ())
-            if _direct_bot(d, sigma, i) is True:
+            if fl.direct.get((sigma.id, i)):
                 a = sigma.a[i]
                 for w in writes_i:
                     if w.end < threshold:  # w returned before an observed write
@@ -653,28 +594,31 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
     rhb = d.rep.hb
-    sigmas = [s for s in d.sigmas if s.complete]
-    out.extend(sigma_containment(d, axiom="F+.vrtinscan"))
-    _check_io(d, "F+.io", out)
-    _check_sigma_order(sigmas, "F+.sctotal", out)
-    _check_main_writers(d, "F+.wrauniq", out)
-    _check_bottom_writers(d, "F+.scruniq", "unexpected bottom writer of", out,
-                          value_axiom="F+.fbBuniq")
+    facts = _contained(d, "F+.vrtinscan", out)
+    sigmas = facts.complete
+    io, overlaps, foreign, bottom = facts.shared
+    _emit(out, "F+.io", io)
+    _emit(out, "F+.sctotal", overlaps)
+    _emit(out, "F+.wrauniq", foreign)
+    for e, reg, value in bottom:
+        if value:
+            _viol(out, "F+.fbBuniq", (e,), f"unexpected value writer of {reg}")
+        else:
+            _viol(out, "F+.scruniq", (e,), f"unexpected bottom writer of {reg}")
     # sconuniq: observing the phase flag == being inside the on..off window
     x_reads = idx.read_likes("X") if "X" in idx.regs else []
-    xnodes = None
+    x_at = {rhb.pos[x.id]: k for k, x in enumerate(x_reads)}  # closure position -> k
+    x_mask = sum(1 << p for p in x_at)
     for sigma in sigmas:
         on, off = sigma.on, sigma.off
         if on is None or off is None or not x_reads:
             continue
-        if xnodes is None:
-            xnodes = _Nodes(rhb, [e.id for e in x_reads])
-        inside = rhb.succ_mask(on) & ~rhb.succ_mask(off) & xnodes.mask
+        inside = rhb.succ_mask(on) & ~rhb.succ_mask(off) & x_mask
         observed = 0
         for e in idx.rf_out.get(on, ()):
-            if rhb.pos[e] in xnodes.index:
+            if rhb.pos[e] in x_at:
                 observed |= 1 << rhb.pos[e]
-        for k in xnodes.members(inside ^ observed):
+        for k in sorted(x_at[p] for p in bits(inside ^ observed)):
             _viol(out, "F+.sconuniq", (sigma.id, on, x_reads[k].id),
                   "phase observation disagrees with the on..off window")
     # scan structure chain: r < on rf= on_obs < a < off rf= off_obs < b
@@ -695,62 +639,48 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
                 if not h.event(x).end < h.event(y).start:
                     _viol(out, "F+.scstruct", (sigma.id, x, y),
                           f"scan chain broken at cell {i}")
-    # write structure: wa < wx < f1 < f2, and a seen flag forces both forwards
-    forwards_by_write: dict[int, list] = {}
-    for f in d.forwards:
-        forwards_by_write.setdefault(f.write, []).append(f)
-    # the on events a flag read can observe: those of the virtual scans,
-    # complete or partial
+    # write structure: wa < wx < f1 < f2, and a seen flag forces both forwards;
+    # a flag read can observe the on event of a complete or partial virtual scan
     sigma_by_on = {s.on: s for s in d.sigmas if s.on is not None}
     ons = sigma_by_on.keys() | {s.on for s in d.partial_sigmas if s.on is not None}
-    wx_of = {}  # abs write -> its flag read
-    for cell, ws in sorted(idx.abs_writes.items()):
-        for w in ws:
-            wa = idx.wa_of.get(w.id)
-            wx = wx_of[w.id] = next(
-                (e for e in idx.kids.get(w.id, ()) if idx.rep_info[e.id][0] == "wx"), None)
-            if wa is not None and wx is not None and not returns_before(wa, wx):
-                _viol(out, "F+.wrstruct", (w.id, wa.id, wx.id), "cell write after flag read")
-            fs = sorted(forwards_by_write.get(w.id, []), key=lambda f: f.k)
-            if wx is not None and fs:
-                first = fs[0].first_event()
-                if first is not None and not wx.end < h.event(first).start:
-                    _viol(out, "F+.wrstruct", (w.id, wx.id, first), "forward before flag read")
-            if len(fs) == 2:
-                e1 = fs[0].fsc or fs[0].fvl or fs[0].fa or fs[0].fll
-                f2 = fs[1].first_event()
-                if e1 is not None and f2 is not None and not h.event(e1).end < h.event(f2).start:
-                    _viol(out, "F+.wrstruct", (w.id, e1, f2), "forwards overlap")
-            if w.terminated and wx is not None:
-                src = idx.single_rf(wx.id)
-                if src in ons and len(fs) != 2:
-                    _viol(out, "F+.wrstruct", (w.id, wx.id),
-                          "write saw the scan flag but did not forward twice")
+    writes = facts.writes
+    for w, wa, wx, fs in writes.values():
+        if wa is not None and wx is not None and not returns_before(wa, wx):
+            _viol(out, "F+.wrstruct", (w.id, wa.id, wx.id), "cell write after flag read")
+        if wx is not None and fs and not wx.end < fs[0].first.start:
+            _viol(out, "F+.wrstruct", (w.id, wx.id, fs[0].first.id), "forward before flag read")
+        if len(fs) == 2:
+            e1, f2 = fs[0].steps[-1], fs[1].first
+            if not e1.end < f2.start:
+                _viol(out, "F+.wrstruct", (w.id, e1.id, f2.id), "forwards overlap")
+        if w.terminated and wx is not None:
+            src = idx.single_rf(wx.id)
+            if src in ons and len(fs) != 2:
+                _viol(out, "F+.wrstruct", (w.id, wx.id),
+                      "write saw the scan flag but did not forward twice")
     # forward structure: fll < fa < fvl < fsc with the recorded link
-    for f in d.forwards:
-        seq = [x for x in (f.fll, f.fa, f.fvl, f.fsc) if x is not None]
+    for f in facts.forwards:
+        seq = f.steps
         for x, y in zip(seq, seq[1:]):
-            if not h.event(x).end < h.event(y).start:
-                _viol(out, "F+.fwdstruct", (f.write, x, y), "forward steps out of order")
+            if not x.end < y.start:
+                _viol(out, "F+.fwdstruct", (f.write, x.id, y.id), "forward steps out of order")
         if f.fsc is not None:
-            if f.fll is None or f.fll not in idx.ll_src.get(f.fsc, ()):
-                _viol(out, "F+.fwdstruct", (f.write, f.fsc), "forward SC not linked to its LL")
-        if f.fvl is not None and h.event(f.fvl).output is True and f.fsc is None:
-            if h.event(f.write).terminated:
-                _viol(out, "F+.fwdstruct", (f.write, f.fvl),
-                      "validated forward skipped its conditional store")
+            if f.fll is None or f.fll.id not in idx.ll_src.get(f.fsc.id, ()):
+                _viol(out, "F+.fwdstruct", (f.write, f.fsc.id), "forward SC not linked to its LL")
+        elif f.fvl is not None and f.fvl.output is True and h.event(f.write).terminated:
+            _viol(out, "F+.fwdstruct", (f.write, f.fvl.id),
+                  "validated forward skipped its conditional store")
     # fwdprecond / fwdsccond: forwards run under an observed on, into its array
-    for f in d.forwards:
+    for f in facts.forwards:
         w = f.write
-        wx = wx_of.get(w)
+        wx = writes[w][2] if w in writes else None
         src = idx.single_rf(wx.id) if wx is not None else None
         if src not in ons:
             _viol(out, "F+.fwdprecond", (w,), "forward without an observed scan flag")
             continue
         if src in sigma_by_on:
             sigma = sigma_by_on[src]
-            if wx is not None and f.first_event() is not None and \
-                    not wx.end < h.event(f.first_event()).start:
+            if not wx.end < f.first.start:
                 _viol(out, "F+.fwdprecond", (w, wx.id), "forward started before the flag read")
             if sigma.fwd_array is not None and f.reg is not None:
                 want = f"{sigma.fwd_array}[{f.cell}]"
@@ -758,9 +688,9 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
                     _viol(out, "F+.fwdprecond", (w, sigma.id),
                           f"forward targets {f.reg}, virtual scan forwards via {want}")
         if f.fsc is not None:
-            vl_src = idx.single_rf(f.fvl) if f.fvl is not None else None
+            vl_src = idx.single_rf(f.fvl.id) if f.fvl is not None else None
             if vl_src != src:
-                _viol(out, "F+.fwdsccond", (w, f.fsc),
+                _viol(out, "F+.fwdsccond", (w, f.fsc.id),
                       "forward stored without validating the same scan flag")
 
 

@@ -20,7 +20,7 @@ from .harness import ExploreCapExceeded, ExploreConfig, FixedSchedule, \
 from .linearize import Linearization, SizeGuard, brute_force_linearize, lin_verdict, \
     linearize
 from .report import CheckReport
-from .visibility import CorruptHistory, derive
+from .visibility import EDGE_LABELS, CorruptHistory, derive
 
 def _load_script(path: str) -> OpScript:
     with open(path) as fh:
@@ -33,6 +33,10 @@ def _load_script(path: str) -> OpScript:
 
 class MalformedHistory(Exception):
     """A history file that is not a serialized History."""
+
+
+class BadArgument(Exception):
+    """A command-line argument that names no cell count, suite, mode or label."""
 
 
 def _load_history(path: str) -> History:
@@ -81,8 +85,15 @@ def _suites(text: str) -> tuple[str, ...]:
     names = tuple(text.split(","))
     for name in names:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; have {','.join(SUITES)}")
+            raise BadArgument(f"unknown suite {name!r}; have {','.join(SUITES)}")
     return names
+
+
+def _mode(text: str):
+    try:
+        return parse_mode(text)
+    except ValueError as exc:  # an unknown mode, or a count that is no number
+        raise BadArgument(f"bad mode {text!r}: {exc}") from exc
 
 
 def _load_schedule(path: str) -> FixedSchedule:
@@ -105,7 +116,7 @@ def cmd_explore(args) -> int:
     fixed = args.mode.split(":", 1)[1] if args.mode.startswith("fixed:") else None
     cfg = ExploreConfig(
         algorithm=args.alg, n=args.n, script=script,
-        mode=_load_schedule(fixed) if fixed else parse_mode(args.mode),
+        mode=_load_schedule(fixed) if fixed else _mode(args.mode),
         suites=_suites(args.check), linearize=True, oracle=args.oracle,
         hash_stream=args.hash)
     written = 0
@@ -160,6 +171,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_stress(args) -> int:
+    if args.n < 1:
+        raise BadArgument(f"--n {args.n}: want at least one cell")
     script = random_script(args.n, args.threads, args.ops, args.seed)
     cfg = StressConfig(algorithm=args.alg, n=args.n, script=script,
                        runs=args.runs, suites=_suites(args.check))
@@ -234,6 +247,8 @@ def cmd_dump_edges(args) -> int:
     d = derive(_load_history(args.history))
     out = []
     for lab in args.labels.split(","):
+        if lab not in EDGE_LABELS:
+            raise BadArgument(f"unknown edge label {lab!r}; have {','.join(EDGE_LABELS)}")
         try:
             pairs = d.edge_set(lab)
         except CorruptHistory as exc:  # the relation cannot be derived
@@ -306,7 +321,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (MalformedHistory, ValueError, OSError) as exc:  # ScriptError is a ValueError
+    except (MalformedHistory, BadArgument, ScriptError, ScheduleError, OSError) as exc:
         print(f"snaplab: {exc}", file=sys.stderr)
         return 2
 

@@ -108,6 +108,9 @@ class _Absent:
     def __repr__(self):
         return "<absent>"
 
+    def __reduce__(self):
+        return "_ABSENT"  # unpickled as the one marker, which callers test with ``is``
+
 
 _ABSENT = _Absent()
 ABSENT = _ABSENT

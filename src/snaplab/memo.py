@@ -31,7 +31,9 @@ events that lack them when a key is asked for: a DFS leaf pays for the
 events past its branch point and one digest per register.
 
 F and F+ read ≺ across registers (F.4c compares the write to A[i] with
-the read of B[i]); they, RB and CHAIN run for every schedule.
+the read of B[i]), so their key would be the whole rep trace, and no two
+of alg2-dfs's 1,000 schedules share one.  They, RB and CHAIN run for
+every schedule; F and F+ share their forwarding facts (``Derived.fwd``).
 
 Keys are 16-byte digests of a marshal encoding.  A snapshot entry holds a
 linearization, so it is kept only from a behaviour's second sighting on:

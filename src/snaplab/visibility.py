@@ -11,11 +11,25 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .algorithms import ALGORITHMS
-from .events import INF, REP, Event, EventIndex, History, RegOps
+from .events import BOT, INF, REP, Event, EventIndex, History, RegOps
+
+
+class cached:
+    """``functools.cached_property`` without the lock Python 3.11 takes on
+    every first read (3.12 drops it): an alg2-dfs leaf makes about eleven
+    first reads, at 0.4 µs each here against 1.3 µs."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class CorruptHistory(Exception):
@@ -48,28 +62,40 @@ class HbClosure:
     def __init__(self, intervals: dict[int, tuple], edges: Iterable[tuple[int, int]]):
         order = sorted(intervals, key=lambda i: (intervals[i][0], i))
         self.ids = order
-        self.pos = {eid: k for k, eid in enumerate(order)}
         n = len(order)
         self.n = n
+        pos = dict(zip(order, range(n)))
+        self.pos = pos
         self.starts = [intervals[eid][0] for eid in order]
-        self.ends = [intervals[eid][1] for eid in order]
+        ends = [intervals[eid][1] for eid in order]
         sparse: list[list[int]] = [[] for _ in range(n)]
+        # Whether every edge points forward in start order, found while the
+        # edges are read: small graphs like these are closed on every DFS leaf.
+        forward = True
         try:
             for a, b in edges:
-                sparse[self.pos[a]].append(self.pos[b])
+                pa, pb = pos[a], pos[b]
+                sparse[pa].append(pb)
+                forward = forward and pa < pb
         except KeyError:
             raise CorruptHistory("edge references a missing event", (a, b)) from None
         self._sparse = sparse
         # chain node k stands for "every node with start >= starts[k]"
-        chain_to = [bisect_right(self.starts, self.ends[k]) for k in range(n)]
+        chain_to = [bisect_right(self.starts, ends[k]) for k in range(n)]
         self._chain_to = chain_to
-        if all(c == k + 1 for k, c in enumerate(chain_to)) \
-                and all(k < s for k, succs in enumerate(sparse) for s in succs):
-            # Each interval returns before the next starts, and every edge
-            # points forward: returns-before is a total order that already
-            # holds the edges, so each node reaches exactly the later ones.
-            self._reach = _forward_reach(n)
-            self._topo = None
+        self._forward = forward and all(k < c for k, c in enumerate(chain_to))
+        if self._forward:
+            # No interval ends before it starts and every edge points forward:
+            # node k reaches the nodes from chain_to[k] on and what its edges
+            # reach, so one pass from the last node closes the graph.
+            full = (1 << n) - 1
+            reach = [0] * n
+            for k in range(n - 1, -1, -1):
+                m = full ^ ((1 << chain_to[k]) - 1)
+                for s in sparse[k]:
+                    m |= (1 << s) | reach[s]
+                reach[k] = m
+            self._reach = reach
         else:
             self._reach = self._close()
 
@@ -148,8 +174,7 @@ class HbClosure:
     def max_pred_start(self) -> dict[int, int]:
         """For each node a: max start over {x : x = a or x happens-before a}."""
         n = self.n
-        if self._topo is None:
-            # the chain case: every predecessor starts no later than a
+        if self._forward:  # every predecessor starts no later than a
             return dict(zip(self.ids, self.starts))
         best = list(self.starts) + [-1] * n
         for node in reversed(self._topo):  # _topo is reverse topological order
@@ -173,31 +198,25 @@ class ChainClosure(HbClosure):
         self.pos = dict(pos)
         self.n = len(events)
         self._full = (1 << self.n) - 1
-        self._topo = None
+        self._forward = True
 
-    @cached_property
+    @cached
     def ids(self) -> list[int]:
         return [e.id for e in self._events]
 
-    @cached_property
+    @cached
     def starts(self) -> list:
         return [e.start for e in self._events]
 
-    @cached_property
+    @cached
     def _reach(self) -> list[int]:
-        return _forward_reach(self.n)
+        return [self._full ^ ((2 << k) - 1) for k in range(self.n)]
 
     def hb(self, a: int, b: int) -> bool:
         return self.pos[a] < self.pos[b]
 
     def succ_mask(self, a: int) -> int:
         return self._full ^ ((2 << self.pos[a]) - 1)
-
-
-def _forward_reach(n: int) -> list[int]:
-    """Node k reaches the nodes after it."""
-    full = (1 << n) - 1
-    return [full ^ ((2 << k) - 1) for k in range(n)]
 
 
 def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
@@ -337,23 +356,15 @@ def _extract_alg3(idx: EventIndex):
             raise CorruptHistory(f"phase-{phase} commit has no load-link", (commit.id,))
         return srcs[0]
 
-    vons = []
-    for reg, ops in idx.regs.items():
-        if reg != "X":
-            continue
-        for e in ops.scs:
-            base = idx.rep_info[e.id][0]
-            if base == "von" and e.id in idx.success:
-                vons.append(e)
-    vons.sort(key=lambda e: e.start)
+    def successful(reg, base):
+        """The successful SCs on ``reg`` labelled ``base``, by start."""
+        return sorted((e for e in idx.regs.get(reg, RegOps()).scs
+                       if e.id in idx.success and idx.rep_info[e.id][0] == base),
+                      key=lambda e: e.start)
 
     # successful SS writes anchor the complete chains
-    ss_writes = [e for e in idx.regs.get("SS", RegOps()).scs if e.id in idx.success]
     by_on: dict[int, VirtualScan] = {}
-    for vssb in sorted(ss_writes, key=lambda e: e.start):
-        base = idx.rep_info[vssb.id][0]
-        if base != "vssb":
-            continue
+    for vssb in successful("SS", "vssb"):
         g3 = group(vssb)
         voff = None
         vx3 = None
@@ -388,7 +399,7 @@ def _extract_alg3(idx: EventIndex):
         by_on[von.id] = sigma
         (sigmas if sigma.complete else partials).append(sigma)
 
-    for von in vons:
+    for von in successful("X", "von"):
         if von.id not in by_on:
             r = {i: e.id for i, e in group(von).get("vr", {}).items()}
             partials.append(VirtualScan(next_id, von.start, INF, r, on=von.id,
@@ -475,33 +486,37 @@ def _extract_afek(idx: EventIndex):
 class FwdInstance:
     """One execution of the forward procedure, grouped from its rep events."""
 
-    write: int
-    k: int
+    write: Optional[int]  # the parent of its events: an abs write unless malformed
     cell: int
-    fll: Optional[int] = None
-    fa: Optional[int] = None
-    fvl: Optional[int] = None
-    fsc: Optional[int] = None
-    reg: Optional[str] = None
+    fll: Optional[Event] = None
+    fa: Optional[Event] = None
+    fvl: Optional[Event] = None
+    fsc: Optional[Event] = None
+    reg: Optional[str] = None  # the register its fll or fsc, the later one, names
+    first: Optional[Event] = None  # its step of least id, once grouped
 
-    def first_event(self):
-        ids = [x for x in (self.fll, self.fa, self.fvl, self.fsc) if x is not None]
-        return min(ids) if ids else None
+    @property
+    def steps(self) -> list[Event]:
+        return [e for e in (self.fll, self.fa, self.fvl, self.fsc) if e is not None]
 
 
 def collect_forwards(idx: EventIndex) -> list[FwdInstance]:
-    found: dict[tuple[int, int], FwdInstance] = {}
-    for e in idx.h.events:
-        if e.kind != REP:
-            continue
-        base, i, inst, _ = idx.rep_info[e.id]
-        if base not in ("fll", "fa", "fvl", "fsc"):
-            continue
-        f = found.setdefault((e.parent, inst), FwdInstance(e.parent, inst, i))
-        setattr(f, base, e.id)
-        if base in ("fll", "fsc"):
-            f.reg = e.object
-    return [found[k] for k in sorted(found)]
+    """The forward instances by (parent, k), from the rep events in history
+    order.  A parent that is no abs write is kept: F+.fwdprecond reports it."""
+    found: dict[tuple, FwdInstance] = {}
+    for e in idx.reps:
+        base, i, inst, _ = e.info
+        if base in ("fll", "fa", "fvl", "fsc"):
+            f = found.get((e.parent, inst))
+            if f is None:
+                f = found[e.parent, inst] = FwdInstance(e.parent, i)
+            setattr(f, base, e)
+            if base in ("fll", "fsc"):
+                f.reg = e.object
+    out = [found[k] for k in sorted(found)]
+    for f in out:
+        f.first = min(f.steps, key=lambda e: e.id)
+    return out
 
 
 def fwd_alg1(idx: EventIndex, sigmas: list[VirtualScan]):
@@ -544,16 +559,14 @@ def _rf_pairs(obs: dict) -> set:
     return {(w, o) for o, per_cell in obs.items() for ws in per_cell.values() for w in ws}
 
 
-@dataclass
-class FLevel:
-    """Forwarding-level visibility: rf over writes×virtual-scans, the
-    per-cell write order, and their happens-before closure."""
+class FLevel(NamedTuple):
+    """What each virtual scan observed, and its closure with the write order."""
 
-    rf_pairs: set = field(default_factory=set)
-    obs: dict = field(default_factory=dict)       # sigma_id -> {i: [w,...]}
-    fwd_by_slot: dict = field(default_factory=dict)  # (sigma_id, i) -> [forwarded w]
-    hb: Optional[HbClosure] = None
-    threshold: dict = field(default_factory=dict)  # sigma_id -> max start
+    obs: dict          # sigma_id -> {i: [w,...]}
+    fwd_by_slot: dict  # (sigma_id, i) -> [forwarded w]
+    direct: dict       # (sigma_id, i) -> whether its b-read observed its reset
+    hb: HbClosure
+    threshold: dict    # sigma_id -> the latest start of an observed write or its predecessors
 
 
 def _effectful_writes(idx: EventIndex, edges: Optional[list]) -> dict:
@@ -573,38 +586,38 @@ def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
     """A virtual scan observes at cell i the writes its a-read observed,
     if its b-read observed its own reset, then those forwarded to it."""
     h = idx.h
-    fl = FLevel()
+    by_slot, obs, direct = {}, {}, {}
     for w, sid, i in fwd_edges:
-        fl.fwd_by_slot.setdefault((sid, i), []).append(w)
+        by_slot.setdefault((sid, i), []).append(w)
     for sigma in sigmas:
-        per_cell = fl.obs[sigma.id] = {}
+        per_cell = obs[sigma.id] = {}
         for i in range(h.n):
             got: list[int] = []
             a, b, r = sigma.a.get(i), sigma.b.get(i), sigma.r.get(i)
-            if a is not None and b is not None and r is not None \
-                    and r in idx.rf_src.get(b, ()):
+            if b is not None and r is not None:
+                direct[sigma.id, i] = r in idx.rf_src.get(b, ())
+            if a is not None and direct.get((sigma.id, i)):
                 for src in idx.rf_src.get(a, ()):
                     if idx.rep_info.get(src, ("",))[0] in ("wa", "init"):
                         w = h.event(src).parent
                         if w is not None:
                             got.append(w)
-            got.extend(fl.fwd_by_slot.get((sigma.id, i), ()))
+            got.extend(by_slot.get((sigma.id, i), ()))
             if got:
                 per_cell[i] = got
-    fl.rf_pairs = _rf_pairs(fl.obs)
-    edges = list(fl.rf_pairs)
+    rf = _rf_pairs(obs)
+    edges = list(rf)
     intervals = _effectful_writes(idx, edges)
     for sigma in sigmas:
         intervals[sigma.id] = (sigma.start, sigma.end)
     for s in idx.abs_scans:
-        if s.id not in intervals:
-            intervals[s.id] = (s.start, s.end)
-    fl.hb = HbClosure(intervals, edges)
-    maxstart = fl.hb.max_pred_start()
-    fl.threshold = dict.fromkeys((sigma.id for sigma in sigmas), -1)
-    for w, sid in fl.rf_pairs:
-        fl.threshold[sid] = max(fl.threshold[sid], maxstart[w])
-    return fl
+        intervals.setdefault(s.id, (s.start, s.end))
+    hb = HbClosure(intervals, edges)
+    maxstart = hb.max_pred_start()
+    threshold = dict.fromkeys((sigma.id for sigma in sigmas), -1)
+    for w, sid in rf:
+        threshold[sid] = max(threshold[sid], maxstart[w])
+    return FLevel(obs, by_slot, direct, hb, threshold)
 
 
 @dataclass
@@ -619,7 +632,7 @@ class SnapView:
     sc_pairs: list = field(default_factory=list)
     prec_edges: list = field(default_factory=list)
 
-    @cached_property
+    @cached
     def hb(self) -> HbClosure:
         return HbClosure(self.intervals, self.prec_edges)
 
@@ -659,6 +672,88 @@ def derive_snapshot(idx: EventIndex, obs: dict, sigmas=(), sigma_of=None,
     sv.prec_edges = edges
     sv.intervals = intervals
     return sv
+
+
+# -- what F and F+ share ------------------------------------------------------
+
+class ForwardingFacts:
+    """What F and F+ share, derived once per history (``Derived.fwd``): facts
+    as lists of ``(witnesses, note)``, each suite reporting them under its own
+    axiom ids.  ``escapes`` (F.1, F+.vrtinscan) and ``flevel`` are built at
+    once, keeping a CorruptHistory met as ``corrupt``; the rest on first read."""
+
+    def __init__(self, d: "Derived"):
+        # no reference to d, so that a Derived dropped at a DFS leaf is freed
+        self._h, self._idx = d.history, d.idx
+        self.complete, self.escapes, self.flevel, self.corrupt = [], [], None, None
+        try:
+            self.complete = [s for s in d.sigmas if s.complete]
+            self._sigma_of = d.sigma_of
+            for scan_id, sid in sorted(self._sigma_of.items()):
+                sigma, s = d.sigma_by_id.get(sid), self._h.event(scan_id)
+                if sigma is not None and not (s.start <= sigma.start and sigma.end <= s.end):
+                    self.escapes.append(((scan_id, sid),
+                                         "virtual scan escapes its abs scan interval"))
+            self.flevel = d.flevel
+        except CorruptHistory as exc:
+            self.corrupt = exc
+
+    @cached
+    def shared(self) -> tuple[list, list, list, list]:
+        """``(io, overlaps, foreign, bottom)``: F.io and F+.io, F.2a and
+        F+.sctotal, F.3a and F+.wrauniq, and as ``(event, register,
+        value)`` F.3b and F+.scruniq (value False) and F+.fbBuniq (True)."""
+        h, idx, obs = self._h, self._idx, self.flevel.obs
+        io = []  # a terminated scan's virtual scan observes its returned values
+        for s in idx.abs_scans:
+            if not s.terminated:
+                continue
+            sid = self._sigma_of.get(s.id)
+            if sid is None:
+                io.append(((s.id,), "terminated scan has no virtual scan"))
+                continue
+            for i in range(h.n):
+                if not any(h.event(w).input == s.output[i] for w in obs[sid].get(i, ())):
+                    io.append(((s.id, sid),
+                               f"virtual scan observes no write matching output at cell {i}"))
+        order = sorted(self.complete, key=lambda s: (s.start, s.id))  # totally, by rb
+        overlaps = [((s1.id, s2.id), "virtual scans overlap")
+                    for s1, s2 in zip(order, order[1:]) if not s1.end < s2.start]
+        # a cell's main-array register is written only by its abs writes' wa steps,
+        # bottom goes into forwarding registers only by resets, values by forward SCs
+        foreign, bottom = [], []
+        for reg in sorted(idx.regs):
+            if reg.startswith("A["):
+                want = "write" + reg[1:]  # A[x] names no cell: every write into it is foreign
+                for e in idx.regs[reg].writes:
+                    parent_op = h.event(e.parent).op if e.parent is not None else None
+                    if idx.rep_info[e.id][0] != "wa" or parent_op != want:
+                        foreign.append(((e.id,), f"foreign write into {reg}"))
+            elif reg.startswith("B[") or reg.startswith("Bp["):
+                for e in idx.write_likes(reg):
+                    base = idx.rep_info[e.id][0]
+                    if (e.input is BOT) != (base in ("r", "vr")):
+                        bottom.append((e.id, reg, False))
+                    if (e.input is not BOT) != (base == "fsc"):
+                        bottom.append((e.id, reg, True))
+        return io, overlaps, foreign, bottom
+
+    @cached
+    def forwards(self) -> list[FwdInstance]:
+        return collect_forwards(self._idx)
+
+    @cached
+    def writes(self) -> dict[int, tuple]:
+        """Each abs write's id, by cell, then in history order, mapped to ``(w,
+        its cell write, its flag read, its forward instances by k)``."""
+        idx, by_write = self._idx, {}
+        for f in self.forwards:
+            by_write.setdefault(f.write, []).append(f)
+        return {w.id: (w, idx.wa_of.get(w.id),
+                       next((e for e in idx.kids.get(w.id, ()) if idx.rep_info[e.id][0] == "wx"),
+                            None),
+                       by_write.get(w.id, []))
+                for _, ws in sorted(idx.abs_writes.items()) for w in ws}
 
 
 # -- per-algorithm rules ------------------------------------------------------
@@ -728,11 +823,11 @@ class Derived:
     def algorithm(self) -> str:
         return self.history.algorithm
 
-    @cached_property
+    @cached
     def rep(self) -> RepVisibility:
         return RepVisibility(self.idx)
 
-    @cached_property
+    @cached
     def _sigma_triple(self) -> tuple:
         extract = self.rules.sigmas
         return extract(self.idx) if extract is not None else ([], {}, [])
@@ -749,34 +844,35 @@ class Derived:
     def partial_sigmas(self) -> list[VirtualScan]:
         return self._sigma_triple[2]
 
-    @cached_property
+    @cached
     def sigma_by_id(self) -> dict[int, VirtualScan]:
         """The virtual scans (not the partial ones) by id."""
         return {s.id: s for s in self.sigmas}
 
-    @cached_property
+    @cached
     def borrowed_views(self) -> list[int]:
         """The abs scans whose virtual scan another operation owns: afek
         scans that returned a view borrowed from a write's collect."""
         by_id = self.sigma_by_id
         return [sc for sc, sid in self.sigma_of.items() if by_id[sid].owner not in (None, sc)]
 
-    @cached_property
-    def forwards(self) -> list[FwdInstance]:
-        return collect_forwards(self.idx)
-
-    @cached_property
+    @cached
     def fwd_edges(self) -> list[tuple[int, int, int]]:
         rule = self.rules.forwards
         return rule(self.idx, self.sigmas) if rule is not None else []
 
-    @cached_property
+    @cached
     def flevel(self) -> Optional[FLevel]:
         if self.rules.forwards is None:
             return None
         return derive_flevel(self.idx, self.sigmas, self.fwd_edges)
 
-    @cached_property
+    @cached
+    def fwd(self) -> ForwardingFacts:
+        """What F and F+ share (``ForwardingFacts``)."""
+        return ForwardingFacts(self)
+
+    @cached
     def snap(self) -> SnapView:
         return derive_snapshot(self.idx, self._observed(), self.sigmas, self.sigma_of,
                                ordered=not self.rules.unforwarded)
@@ -808,32 +904,7 @@ class Derived:
                 if (sid := self.sigma_of.get(s.id)) is not None}
 
     def edge_set(self, label: str) -> list[tuple]:
-        """Derived relations as exportable edge lists, keyed by label."""
-        if label == "rf":
-            return sorted(self.history.rf)
-        if label == "ll":
-            return sorted(self.history.ll)
-        if label == "fwd":
-            return sorted((w, s) for w, s, _ in self.fwd_edges)
-        if label == "wr":
-            out = []
-            for ws in self.idx.effectful.values():
-                out.extend((a.id, b.id) for a, b in zip(ws, ws[1:]))
-            return sorted(out)
-        if label == "sc":
-            return sorted(self.snap.sc_pairs)
-        if label == "rf-abs":
-            return sorted(self.snap.rf_pairs)
-        if label == "hb1":
-            return sorted(self.snap.prec_edges)
-        if label == "hb":
-            return sorted(self.snap.hb.pairs())
-        if label == "hb-rep":
-            return sorted(self.rep.hb.pairs())
-        if label == "rb":
-            evs = self.history.events
-            return sorted((a.id, b.id) for a in evs for b in evs
-                          if a is not b and a.end < b.start)
+        """The derived relation ``label`` (in ``EDGE_LABELS``), sorted."""
         if label in ("wrDiff", "whb"):
             from .linearize import build_whb, wrdiff_pairs
 
@@ -841,7 +912,23 @@ class Derived:
                 return sorted(wrdiff_pairs(self))
             ids, _, adj = build_whb(self)
             return sorted((w, ids[j]) for k, w in enumerate(ids) for j in bits(adj[k]))
-        raise ValueError(f"unknown edge label {label!r}")
+        return sorted(_EDGES[label](self))
+
+
+_EDGES: dict[str, Callable[[Derived], Iterable[tuple]]] = {
+    "rf": lambda d: d.history.rf,
+    "ll": lambda d: d.history.ll,
+    "fwd": lambda d: ((w, s) for w, s, _ in d.fwd_edges),
+    "wr": lambda d: ((a.id, b.id) for ws in d.idx.effectful.values() for a, b in zip(ws, ws[1:])),
+    "sc": lambda d: d.snap.sc_pairs,
+    "rf-abs": lambda d: d.snap.rf_pairs,
+    "hb1": lambda d: d.snap.prec_edges,
+    "hb": lambda d: d.snap.hb.pairs(),
+    "hb-rep": lambda d: d.rep.hb.pairs(),
+    "rb": lambda d: ((a.id, b.id) for a in d.history.events for b in d.history.events
+                     if a is not b and a.end < b.start),
+}
+EDGE_LABELS = (*_EDGES, "wrDiff", "whb")
 
 
 def derive(h: History) -> Derived:

@@ -3,9 +3,9 @@ witnesses, reports are deterministic."""
 import pytest
 
 from corruptions import ALL as CORRUPTIONS
-from snaplab import ExploreConfig, Exhaustive, OpScript, SimRun, derive, repro, \
-    run_checks
-from snaplab.harness import DfsBounded, RandomWalks, explore
+from snaplab import ExploreConfig, Exhaustive, History, OpScript, SimRun, derive, \
+    random_script, repro, run_checks
+from snaplab.harness import DfsBounded, RandomWalks, explore, iter_sims
 
 ALL_SUITES = ("RB", "M", "M+", "L", "F+", "F", "S", "CHAIN")
 
@@ -91,3 +91,63 @@ def test_chain_suite_reports_snapshot_to_linearization_break():
     out = []
     check_chain({"S": SuiteResult("S", [])}, lin_ok=True, out=out)
     assert out == []
+
+
+# -- what F and F+ share ------------------------------------------------------
+
+def _count_builds(monkeypatch) -> dict:
+    """Counts of ForwardingFacts built and of forward-instance groupings."""
+    from snaplab import visibility
+
+    counts = {"facts": 0, "groupings": 0}
+    real_facts, real_group = visibility.ForwardingFacts, visibility.collect_forwards
+
+    class Counted(real_facts):
+        def __init__(self, d):
+            counts["facts"] += 1
+            super().__init__(d)
+
+    def group(idx):
+        counts["groupings"] += 1
+        return real_group(idx)
+
+    monkeypatch.setattr(visibility, "ForwardingFacts", Counted)
+    monkeypatch.setattr(visibility, "collect_forwards", group)
+    return counts
+
+
+def test_forwarding_facts_are_built_once_per_history(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    script = OpScript.from_lists([[("write", 0, 2)], [("write", 0, 3)], [("scan",)]])
+    hs = [sim.history() for sim in iter_sims(ExploreConfig("jayanti2", 1, script,
+                                                             DfsBounded(40)))]
+    hs += [sim.history() for sim in iter_sims(ExploreConfig(
+        "jayanti3", 2, random_script(2, 2, 6, 3), RandomWalks(3, 1)))]
+    assert len({h.to_json() for h in hs}) == len(hs)
+    for h in hs:
+        d = derive(h)
+        before = dict(counts)
+        report = run_checks(d, ("F+", "F", "S"))
+        assert report.passed, report.to_obj()
+        assert counts["facts"] - before["facts"] == 1
+        assert counts["groupings"] - before["groupings"] == 1
+
+
+def test_forwarding_facts_corruption_is_reported_by_each_suite(monkeypatch):
+    """A jayanti3 phase-2 commit without its ll edge stops the virtual-scan
+    extraction: F and F+ report that one CorruptHistory, found once."""
+    counts = _count_builds(monkeypatch)
+    sim = next(iter_sims(ExploreConfig("jayanti3", 1,
+                                       OpScript.from_lists([[("scan",)], [("write", 0, 2)]]),
+                                       DfsBounded(1))))
+    h = sim.history()
+    voff = {e.id for e in h.events if e.op.startswith("voff")}
+    assert voff
+    h = History(h.algorithm, h.n, h.initial, h.events, h.rf,
+                [(a, b) for a, b in h.ll if b not in voff])
+    report = run_checks(derive(h), ("F+", "F", "S"))
+    found = {name: [(v.axiom, v.witnesses, v.note) for v in res.violations]
+             for name, res in report.suites.items()}
+    assert found["F+"] == found["F"] == found["S"] == \
+        [("H.corrupt", (min(voff),), "phase-2 commit has no load-link")]
+    assert counts["facts"] == 1

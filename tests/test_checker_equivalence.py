@@ -13,6 +13,7 @@ snaplab reports H.corrupt.  The test also asserts that each rewritten axiom
 fires somewhere in the set, since equal clean reports would prove nothing
 for it.  ``scripts/diff_checker.py`` runs the same comparison at any size.
 """
+import json
 import random
 import sys
 from pathlib import Path
@@ -30,11 +31,14 @@ from diff_checker import agree, mutants, mutate, verdict  # noqa: E402
 MUTANTS = 1500
 LONG_MUTANTS = 60  # of alg3 histories with 20 operations per thread
 
-# every axiom whose check was rewritten over closure masks or chains; either
-# wrtotal proves the shared fast path, so they count as one
+# every axiom whose check was rewritten over closure masks or chains, or
+# whose body moved into the facts that F and F+ share; either wrtotal
+# proves the shared fast path, so they count as one
 REWRITTEN = ("V.1", "L4.1", "L4.2", "L4.3", "M.nowrbetween", "M+.nowrbetween",
              ("M.wrtotal", "M+.wrtotal"), "M+.llobsparent", "S.2", "S.4", "S.7",
-             "F+.sconuniq")
+             "F.1", "F.io", "F.2a", "F.3a", "F.3b",
+             "F+.vrtinscan", "F+.io", "F+.sctotal", "F+.wrauniq", "F+.scruniq", "F+.fbBuniq",
+             "F+.wrstruct", "F+.fwdstruct", "F+.fwdprecond", "F+.sconuniq")
 
 
 # -- hand-built histories -------------------------------------------------------
@@ -160,8 +164,77 @@ def _llsc_overlapping_successes() -> History:
     return _llsc_windows(spans, [k not in (2, 3) for k in range(12)])
 
 
+def _edited(alg: str, lists: list, edit, schedule: int = 0) -> History:
+    """DFS schedule number ``schedule`` of the one-cell script ``lists`` on
+    ``alg``, with ``edit`` applied to its JSON events by id."""
+    cfg = ExploreConfig(alg, 1, OpScript.from_lists(lists), DfsBounded(schedule + 1))
+    sims = iter_sims(cfg)
+    for _ in range(schedule):
+        next(sims)
+    obj = json.loads(next(sims).history().to_json())
+    edit({e["id"]: e for e in obj["events"]})
+    return History.from_obj(obj)
+
+
+_SCANS_THEN_WRITE = [[("scan",), ("scan",)], [("write", 0, 2)]]
+
+
+def _overlapping_virtual_scans() -> History:
+    """jayanti2: the second scan starts before the first returns, and
+    each scan is its own virtual scan (F.2a, F+.sctotal)."""
+    def edit(ev):
+        ev[9]["start"] = 16
+    return _edited("jayanti2", _SCANS_THEN_WRITE, edit)
+
+
+def _stray_writers() -> History:
+    """jayanti2: a write into A[0] by no wa step (F.3a, F+.wrauniq), a
+    bottom into B[0] by no reset (F.3b, F+.scruniq), and a reset that
+    writes a value (F+.fbBuniq)."""
+    def edit(ev):
+        ev[16]["op"] = "wz.w"
+        ev[10]["op"] = "q[0].w"
+        ev[4]["input"] = 5
+    return _edited("jayanti2", _SCANS_THEN_WRITE, edit)
+
+
+def _cell_write_after_flag_read() -> History:
+    """jayanti2: the write's cell write returns after its flag read starts
+    (F+.wrstruct)."""
+    def edit(ev):
+        ev[16]["end"] = 33
+    return _edited("jayanti2", _SCANS_THEN_WRITE, edit)
+
+
+def _escaping_virtual_scan() -> History:
+    """jayanti3: the scan returns before its own rep events do, so its
+    virtual scan escapes it (F.1, F+.vrtinscan)."""
+    def edit(ev):
+        scan = next(e for e in ev.values() if e["op"] == "scan")
+        scan["end"] = scan["start"] + 2
+    return _edited("jayanti3", [[("scan",)], [("write", 0, 2)]], edit)
+
+
+def _forward_under_a_scan() -> History:
+    """jayanti2: the write forwards twice; the events of its second forward
+    are moved onto the concurrent scan, which is stretched to hold them, so
+    RB's EV.parent accepts them.  The write now forwards once (F+.wrstruct),
+    and the moved forward runs under no flag read (F+.fwdprecond) and skips
+    its SC after a validation made to succeed (F+.fwdstruct)."""
+    def edit(ev):
+        assert [ev[k]["op"] for k in (9, 21, 22, 23)] == \
+            ["scan", "fll[0]@2.ll", "fa[0]@2.r", "fvl[0]@2.vl"]
+        for k in (21, 22, 23):
+            ev[k]["parent"] = 9
+        ev[9]["end"] = 48
+        ev[23]["output"] = True
+    return _edited("jayanti2", _SCANS_THEN_WRITE, edit, schedule=5)
+
+
 HAND_BUILT = (_llsc_no_successful_pair, _llsc_reversed_link, _llsc_nested_window,
-              _llsc_overlapping_successes, _overlapping_writes, _overlapping_cell_writes, _scans_disagree_on_order)
+              _llsc_overlapping_successes, _overlapping_writes, _overlapping_cell_writes,
+              _scans_disagree_on_order, _overlapping_virtual_scans, _stray_writers,
+              _cell_write_after_flag_read, _escaping_virtual_scan, _forward_under_a_scan)
 
 
 # -- seeded mutations -------------------------------------------------------------
@@ -210,7 +283,12 @@ def test_hand_built_histories_fire_their_axioms():
             _llsc_overlapping_successes: {"L4.1", "L4.2", "L4.3"},
             _overlapping_writes: {"M.wrtotal", "M+.wrtotal"},
             _overlapping_cell_writes: {"S.4"},
-            _scans_disagree_on_order: {"S.7"}}
+            _scans_disagree_on_order: {"S.7"},
+            _overlapping_virtual_scans: {"F.2a", "F+.sctotal"},
+            _stray_writers: {"F.3a", "F+.wrauniq", "F.3b", "F+.scruniq", "F+.fbBuniq"},
+            _cell_write_after_flag_read: {"F+.wrstruct"},
+            _escaping_virtual_scan: {"F.1", "F+.vrtinscan"},
+            _forward_under_a_scan: {"F+.wrstruct", "F+.fwdstruct", "F+.fwdprecond"}}
     for build, axioms in want.items():
         report = verdict(snaplab, build().to_json())
         got = {v["axiom"] for s in report["suites"].values() for v in s["violations"]}

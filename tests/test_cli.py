@@ -150,6 +150,40 @@ def test_usage_errors_exit_two(script_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode", "bogus"],
+     "snaplab: bad mode 'bogus': unknown mode 'bogus'\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode", "dfs:x"],
+     "snaplab: bad mode 'dfs:x': invalid literal for int() with base 10: 'x'\n"),
+    (["dump-edges", "--history", "{history}", "--labels", "rf,zz"],
+     "snaplab: unknown edge label 'zz'; have rf,ll,fwd,wr,sc,rf-abs,hb1,hb,hb-rep,rb,"
+     "wrDiff,whb\n"),
+    (["stress", "--alg", "jayanti3", "--n", "0", "--threads", "1", "--ops", "2"],
+     "snaplab: --n 0: want at least one cell\n"),
+], ids=["unknown-mode", "mode-count", "edge-label", "no-cells"])
+def test_bad_arguments_exit_two(script_file, tmp_path, capsys, argv, message):
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    history = str(tmp_path / "jayanti1_fig3.history.json")
+    assert main([a.format(script=script_file, history=history) for a in argv]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_program_fault_is_no_usage_error(tmp_path, capsys, monkeypatch):
+    """A ValueError raised while checking a history that loaded is a fault
+    of the program: it escapes ``main`` rather than exiting 2."""
+    from snaplab import checker
+
+    def fault(d, out):
+        raise ValueError("a fault of the checker")
+
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    monkeypatch.setitem(checker._SUITE_FNS, "S", fault)
+    with pytest.raises(ValueError, match="a fault of the checker"):
+        main(["check", "--history", str(tmp_path / "jayanti1_fig3.history.json")])
+
+
 def _history_text(start=1, op="a[0].r", rf=(), n=1, initial=(0,), abs_op="scan",
                   register="A[0]") -> str:
     """A one-scan jayanti1 history with one rep read, as JSON."""
@@ -382,6 +416,14 @@ def test_missing_parent_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "EV.parent[2] parent id missing" in err.splitlines()
     assert "Traceback" not in err
+
+
+def test_main_array_register_without_a_cell_number_is_foreign(tmp_path, capsys):
+    """A write into a register named like the main array but with no cell
+    number is a foreign write (F.3a), not a fault of the checker."""
+    hist = _fig3_history(tmp_path, capsys, lambda e: e.update(object="A[x]"))
+    assert main(["check", "--history", hist, "--suites", "F"]) == 1
+    assert "F.3a[2] foreign write into A[x]" in capsys.readouterr().err.splitlines()
 
 
 def test_alg3_commit_without_load_link_is_corrupt(tmp_path, capsys):

@@ -76,6 +76,8 @@ def test_max_pred_start():
     assert best[0] == 0
     assert best[1] == 4  # preds {0, 2}, max(0, 2, own 4)
     assert best[2] == 2
+    # an edge from a later-starting node: 2's predecessors are 0 and 1
+    assert HbClosure(intervals, [(1, 2)]).max_pred_start() == {0: 0, 1: 4, 2: 4}
     # a chain, where every predecessor starts earlier: each node's own start
     chain = HbClosure({0: (0, 1), 1: (2, 3), 2: (4, 5)}, [(0, 2)])
     assert chain.max_pred_start() == {0: 0, 1: 2, 2: 4}
