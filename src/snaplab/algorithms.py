@@ -87,6 +87,8 @@ class OpScript:
 
 
 def _check_basic(script: OpScript, n: int) -> None:
+    if n < 1:
+        raise ScriptError(f"n={n}: want at least one cell")
     pids = script.pids()
     if len(set(pids)) != len(pids):
         raise ScriptError("thread pids must be unique")

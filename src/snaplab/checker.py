@@ -508,12 +508,6 @@ def _contained(d: Derived, axiom: str, out: list) -> ForwardingFacts:
     return facts
 
 
-def sigma_containment(d: Derived, axiom: str = "F.1") -> list[Violation]:
-    out: list[Violation] = []
-    _contained(d, axiom, out)
-    return out
-
-
 def check_forwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
@@ -561,9 +555,12 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
             _viol(out, "F.4c", (w, sid), "forwarded write did not precede the forward read")
         elif fl.direct.get((sid, i)):
             _viol(out, "F.4c", (w, sid), "forward read observed the reset yet an edge exists")
-    # F.5 / F.6: the forwarding principles
+    # F.5 / F.6: the forwarding principles; the threshold is the start of
+    # the node that F's level names, read from this history
+    by_id = d.sigma_by_id
     for sigma in sigmas:
-        threshold = fl.threshold.get(sigma.id, -1)
+        node = fl.threshold.get(sigma.id)
+        threshold = -1 if node is None else (by_id.get(node) or h.event(node)).start
         for i in range(h.n):
             writes_i = idx.effectful.get(i, ())
             if fl.direct.get((sigma.id, i)):

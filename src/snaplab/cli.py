@@ -171,8 +171,11 @@ def cmd_explore(args) -> int:
 
 
 def cmd_stress(args) -> int:
-    if args.n < 1:
-        raise BadArgument(f"--n {args.n}: want at least one cell")
+    for flag, count, what in (("--n", args.n, "cell"), ("--threads", args.threads, "thread"),
+                              ("--ops", args.ops, "operation per thread"),
+                              ("--runs", args.runs, "run")):
+        if count < 1:
+            raise BadArgument(f"{flag} {count}: want at least one {what}")
     script = random_script(args.n, args.threads, args.ops, args.seed)
     cfg = StressConfig(algorithm=args.alg, n=args.n, script=script,
                        runs=args.runs, suites=_suites(args.check))

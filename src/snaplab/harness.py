@@ -211,11 +211,19 @@ class Exhaustive:
 class DfsBounded:
     limit: int = 200_000
 
+    def __post_init__(self):
+        if self.limit < 1:
+            raise ValueError(f"limit {self.limit}: want at least one schedule")
+
 
 @dataclass(frozen=True)
 class RandomWalks:
     seed: int
     samples: int
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples {self.samples}: want at least one schedule")
 
 
 @dataclass(frozen=True)

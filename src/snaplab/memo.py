@@ -7,13 +7,30 @@ run, so schedules that show the same behaviour get the same verdict.
 once.  The memo is exact: each layer is keyed on a digest of everything
 that layer reads, so a hit returns what a fresh derivation would.
 
-Snapshot layer: the snapshot closure, S, the linearizer and the oracle.
-They read the abs events (id, op, input, output, and the order of their
-start and end ticks, not the ticks themselves), each scan's observed
-writes, each cell's effectful-write order, the edges of the snapshot
-closure (the derived scan order among them) and, for virtual scans
-without forwarding (afek), the F.1 containment outcome that S reports
-first.
+Snapshot layer: the forwarding level and the snapshot closure, S, the
+linearizer and the oracle.  The key is taken from what the two abstract
+derivations read, not from what they build, so it costs one pass over
+the abstract level and no closure:
+
+- the algorithm and n;
+- the abs events (id, op, input, output), each start and end tick
+  replaced by its rank among the abs ticks and the virtual-scan ticks;
+- per virtual scan its id, the ranks of its span and whether it is
+  complete, and the abs scans' virtual scans (``sigma_of``);
+- what the virtual scans observed: with forwarding, the forwarding
+  level's observation pass (``visibility.observe``: per virtual scan and
+  cell, whether its b-read read its reset, the writes its a-read lifts,
+  and the writes forwarded to it); without, each abs scan's observed
+  writes;
+- each cell's effectful-write order.
+
+A key's entry holds S's report, the linearization and the oracle's
+verdict, and the forwarding level and snapshot view they were read from;
+a hit takes the two views over (``Derived.adopt``), so F and F+ read the
+stored forwarding level.  An entry carries no history's ticks into
+another: its closures are built before it is stored, so their ticks are
+not read again, and the forwarding level names the threshold of F.5 and
+F.6b as the node it came from, whose start F reads from its own history.
 
 Per-register layer: M, M+ and L, one entry per register.  When the rep
 events are pairwise disjoint and every rf/ll edge joins two events of
@@ -36,8 +53,8 @@ of alg2-dfs's 1,000 schedules share one.  They, RB and CHAIN run for
 every schedule; F and F+ share their forwarding facts (``Derived.fwd``).
 
 Keys are 16-byte digests of a marshal encoding.  A snapshot entry holds a
-linearization, so it is kept only from a behaviour's second sighting on:
-a behaviour that never repeats costs its digest.
+linearization and two closures, so it is kept only from a behaviour's
+second sighting on: a behaviour that never repeats costs its digest.
 """
 from __future__ import annotations
 
@@ -45,7 +62,7 @@ import hashlib
 import marshal
 from typing import Callable, Optional
 
-from .checker import REGISTER_SUITES, sigma_containment
+from .checker import REGISTER_SUITES
 from .events import ABS, INF
 from .report import SuiteResult, Violation
 from .visibility import CorruptHistory, Derived
@@ -63,24 +80,38 @@ def _digest(parts) -> Optional[bytes]:
 
 
 def snapshot_key(d: Derived) -> Optional[bytes]:
-    """The snapshot layer's key, or None when the derivation it reads
-    fails (the layer then reports the failure itself)."""
-    h = d.history
+    """The snapshot layer's key, or None when the virtual scans or what
+    they observed cannot be derived (the layer then reports that itself)."""
+    h, idx = d.history, d.idx
     try:
-        sv = d.snap
-        f1 = [(v.axiom, v.witnesses, v.note) for v in sigma_containment(d)] \
-            if d.rules.unforwarded else None
+        sigmas, sigma_of = d.sigmas, d.sigma_of
+        seen = d.observations
+        seen = d.observed if seen is None else tuple(seen)
     except CorruptHistory:
         return None
     abs_events = [e for e in h.events if e.kind == ABS]
     ticks = {e.start for e in abs_events}
     ticks.update(e.end for e in abs_events if e.end != INF)
+    for s in sigmas:
+        ticks.add(s.start)
+        ticks.add(s.end)
     rank = {t: k for k, t in enumerate(sorted(ticks))}
     events = [(e.id, e.op, e.input, e.output, rank[e.start], rank[e.end])
               if e.end != INF else (e.id, e.op, e.input, rank[e.start])
               for e in abs_events]
-    effectful = [(cell, [w.id for w in ws]) for cell, ws in d.idx.effectful.items()]
-    return _digest((d.algorithm, h.n, events, sv.obs, effectful, sv.prec_edges, f1))
+    scans = [(s.id, rank[s.start], rank[s.end], s.complete) for s in sigmas]
+    effectful = [(cell, [w.id for w in ws]) for cell, ws in idx.effectful.items()]
+    return _digest((d.algorithm, h.n, events, scans, sigma_of, seen, effectful))
+
+
+def _views(d: Derived) -> Optional[tuple]:
+    """``(d.flevel, d.snap)`` with both closures built, so that another
+    history reads neither's ticks, or None when either cannot be derived."""
+    try:
+        d.snap.hb
+    except CorruptHistory:
+        return None
+    return d.flevel, d.snap
 
 
 def register_traces(d: Derived) -> Optional[tuple[dict, dict]]:
@@ -104,21 +135,26 @@ class Memo:
     """The results of one exploration, keyed by behaviour."""
 
     def __init__(self):
-        self._snap: dict[bytes, object] = {}  # key -> layer, or None when seen once
+        # key -> None when seen once, then (layer, (F level, snapshot view)
+        # or None when they cannot be derived)
+        self._snap: dict[bytes, Optional[tuple]] = {}
         # key -> suite -> violations, witnesses as indices into the trace
         self._regs: dict[bytes, dict[str, list]] = {}
 
     def snapshot(self, d: Derived, compute: Callable[[], object]):
-        """``(compute()'s result for d's behaviour, the key or None)``."""
+        """``(compute()'s result for d's behaviour, the key or None)``.  On a
+        hit ``d`` also takes over the entry's F level and snapshot view."""
         key = snapshot_key(d)
         if key is None:
             return compute(), None
-        if key not in self._snap:
-            self._snap[key] = None
-            return compute(), key
-        layer = self._snap[key]
-        if layer is None:
-            layer = self._snap[key] = compute()
+        entry = self._snap.get(key)
+        if entry is None:
+            layer = compute()
+            self._snap[key] = (layer, _views(d)) if key in self._snap else None
+            return layer, key
+        layer, views = entry
+        if views is not None:
+            d.adopt(*views)
         return layer, key
 
     def register_suites(self, d: Derived, suites) -> tuple[dict, tuple]:

@@ -171,18 +171,20 @@ class HbClosure:
             for j in bits(self._reach[k]):
                 yield (eid, self.ids[j])
 
-    def max_pred_start(self) -> dict[int, int]:
-        """For each node a: max start over {x : x = a or x happens-before a}."""
+    def max_pred(self) -> dict[int, int]:
+        """For each node a: the node that starts last, by (start, id), among
+        a and the nodes that happen before it."""
         n = self.n
+        ids = self.ids
         if self._forward:  # every predecessor starts no later than a
-            return dict(zip(self.ids, self.starts))
-        best = list(self.starts) + [-1] * n
+            return dict(zip(ids, ids))
+        best = list(range(n)) + [-1] * n  # positions are in (start, id) order
         for node in reversed(self._topo):  # _topo is reverse topological order
             b = best[node]
             for s in self._succs(node):
                 if best[s] < b:
                     best[s] = b
-        return {self.ids[k]: best[k] for k in range(n)}
+        return {ids[k]: ids[best[k]] for k in range(n)}
 
 
 class ChainClosure(HbClosure):
@@ -559,14 +561,25 @@ def _rf_pairs(obs: dict) -> set:
     return {(w, o) for o, per_cell in obs.items() for ws in per_cell.values() for w in ws}
 
 
-class FLevel(NamedTuple):
-    """What each virtual scan observed, and its closure with the write order."""
+class Observations(NamedTuple):
+    """What each virtual scan observed at the forwarding level (``observe``)."""
 
     obs: dict          # sigma_id -> {i: [w,...]}
     fwd_by_slot: dict  # (sigma_id, i) -> [forwarded w]
     direct: dict       # (sigma_id, i) -> whether its b-read observed its reset
+
+
+class FLevel(NamedTuple):
+    """What each virtual scan observed, and its closure with the write order."""
+
+    obs: dict
+    fwd_by_slot: dict
+    direct: dict
     hb: HbClosure
-    threshold: dict    # sigma_id -> the latest start of an observed write or its predecessors
+    # sigma_id -> the node that starts last among its observed writes and
+    # their predecessors, or None; a reader takes its start from its own
+    # history (``Derived.adopt``)
+    threshold: dict
 
 
 def _effectful_writes(idx: EventIndex, edges: Optional[list]) -> dict:
@@ -582,9 +595,10 @@ def _effectful_writes(idx: EventIndex, edges: Optional[list]) -> dict:
     return intervals
 
 
-def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
-    """A virtual scan observes at cell i the writes its a-read observed,
-    if its b-read observed its own reset, then those forwarded to it."""
+def observe(idx: EventIndex, sigmas, fwd_edges) -> Observations:
+    """The forwarding level's observation pass.  A virtual scan observes at
+    cell i the writes its a-read observed, if its b-read observed its own
+    reset, then those forwarded to it."""
     h = idx.h
     by_slot, obs, direct = {}, {}, {}
     for w, sid, i in fwd_edges:
@@ -605,7 +619,12 @@ def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
             got.extend(by_slot.get((sigma.id, i), ()))
             if got:
                 per_cell[i] = got
-    rf = _rf_pairs(obs)
+    return Observations(obs, by_slot, direct)
+
+
+def derive_flevel(idx: EventIndex, sigmas, seen: Observations) -> FLevel:
+    """The closure of the observations ``seen`` with the write order."""
+    rf = _rf_pairs(seen.obs)
     edges = list(rf)
     intervals = _effectful_writes(idx, edges)
     for sigma in sigmas:
@@ -613,11 +632,13 @@ def derive_flevel(idx: EventIndex, sigmas, fwd_edges) -> FLevel:
     for s in idx.abs_scans:
         intervals.setdefault(s.id, (s.start, s.end))
     hb = HbClosure(intervals, edges)
-    maxstart = hb.max_pred_start()
-    threshold = dict.fromkeys((sigma.id for sigma in sigmas), -1)
+    latest, pos = hb.max_pred(), hb.pos
+    threshold = dict.fromkeys(sigma.id for sigma in sigmas)
     for w, sid in rf:
-        threshold[sid] = max(threshold[sid], maxstart[w])
-    return FLevel(obs, by_slot, direct, hb, threshold)
+        node, old = latest[w], threshold[sid]
+        if old is None or pos[old] < pos[node]:
+            threshold[sid] = node
+    return FLevel(*seen, hb, threshold)
 
 
 @dataclass
@@ -862,10 +883,17 @@ class Derived:
         return rule(self.idx, self.sigmas) if rule is not None else []
 
     @cached
-    def flevel(self) -> Optional[FLevel]:
+    def observations(self) -> Optional[Observations]:
+        """The forwarding level's observation pass (``observe``), which the
+        snapshot key reads too; None without forwarding."""
         if self.rules.forwards is None:
             return None
-        return derive_flevel(self.idx, self.sigmas, self.fwd_edges)
+        return observe(self.idx, self.sigmas, self.fwd_edges)
+
+    @cached
+    def flevel(self) -> Optional[FLevel]:
+        seen = self.observations
+        return None if seen is None else derive_flevel(self.idx, self.sigmas, seen)
 
     @cached
     def fwd(self) -> ForwardingFacts:
@@ -874,15 +902,26 @@ class Derived:
 
     @cached
     def snap(self) -> SnapView:
-        return derive_snapshot(self.idx, self._observed(), self.sigmas, self.sigma_of,
+        return derive_snapshot(self.idx, self.observed, self.sigmas, self.sigma_of,
                                ordered=not self.rules.unforwarded)
 
-    def _observed(self) -> dict:
+    def adopt(self, flevel: Optional[FLevel], snap: SnapView) -> None:
+        """Take over ``flevel`` and ``snap`` from a history with the same
+        snapshot key (memo.py) instead of deriving them.  Their closures
+        must be built: what a closure holds past that names events by id,
+        and ``flevel.threshold`` names a node, whose start F reads from
+        this history."""
+        self.__dict__["flevel"], self.__dict__["snap"] = flevel, snap
+
+    @cached
+    def observed(self) -> dict:
         """Each abs scan's observed abs writes, ``{scan: {cell: [writes]}}``.
         Without virtual scans, a cell's writes are those whose cell write
         the scan's own a-read observed.  Otherwise each scan has its
         virtual scan's map: the forwarding level's observations, or
-        without one, what the virtual scan's a-reads observed."""
+        without one, what the virtual scan's a-reads observed.  With
+        forwarding it builds the forwarding level, whose failure the
+        snapshot level reports."""
         idx = self.idx
         if self.rules.sigmas is None:
             obs: dict[int, dict[int, list[int]]] = {}

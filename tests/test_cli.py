@@ -160,12 +160,35 @@ def test_usage_errors_exit_two(script_file, capsys):
      "wrDiff,whb\n"),
     (["stress", "--alg", "jayanti3", "--n", "0", "--threads", "1", "--ops", "2"],
      "snaplab: --n 0: want at least one cell\n"),
-], ids=["unknown-mode", "mode-count", "edge-label", "no-cells"])
+    # counts that would check nothing, or one schedule, and exit 0
+    (["explore", "--alg", "jayanti2", "--n", "0", "--script", "{scans}"],
+     "snaplab: n=0: want at least one cell\n"),
+    (["explore", "--alg", "jayanti2", "--n", "-1", "--script", "{scans}"],
+     "snaplab: n=-1: want at least one cell\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode", "dfs:0"],
+     "snaplab: bad mode 'dfs:0': limit 0: want at least one schedule\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode", "dfs:-2"],
+     "snaplab: bad mode 'dfs:-2': limit -2: want at least one schedule\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode",
+      "random:1:0"],
+     "snaplab: bad mode 'random:1:0': samples 0: want at least one schedule\n"),
+    (["stress", "--alg", "jayanti3", "--n", "1", "--threads", "0"],
+     "snaplab: --threads 0: want at least one thread\n"),
+    (["stress", "--alg", "jayanti3", "--n", "1", "--ops", "-1"],
+     "snaplab: --ops -1: want at least one operation per thread\n"),
+    (["stress", "--alg", "jayanti3", "--n", "1", "--runs", "0"],
+     "snaplab: --runs 0: want at least one run\n"),
+], ids=["unknown-mode", "mode-count", "edge-label", "no-cells", "explore-no-cells",
+        "explore-negative-cells", "dfs-zero", "dfs-negative", "random-no-samples",
+        "no-threads", "negative-ops", "no-runs"])
 def test_bad_arguments_exit_two(script_file, tmp_path, capsys, argv, message):
     main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
     capsys.readouterr()
     history = str(tmp_path / "jayanti1_fig3.history.json")
-    assert main([a.format(script=script_file, history=history) for a in argv]) == 2
+    scans = tmp_path / "scans.json"
+    scans.write_text(json.dumps({"threads": [{"pid": 0, "ops": ["scan"]}]}))
+    assert main([a.format(script=script_file, history=history, scans=scans)
+                 for a in argv]) == 2
     assert capsys.readouterr() == ("", message)
 
 

@@ -1,13 +1,15 @@
 """explore()'s memo is exact: every schedule's report, linearization and
 oracle verdict equal a fresh derivation of its own history."""
+import dataclasses
+
 import pytest
 
-from snaplab import ExploreConfig, Exhaustive, History, Linearization, OpScript, SimRun, \
-    brute_force_linearize, derive, explore, linearize, random_script, run_checks
-from snaplab.checker import sigma_containment
+from snaplab import ALGORITHMS, ExploreConfig, Exhaustive, History, Linearization, OpScript, \
+    SimRun, brute_force_linearize, derive, explore, linearize, random_script, run_checks
+from snaplab.algorithms import LL, W, _j2_forward
 from snaplab.harness import DfsBounded, RandomWalks
 from snaplab.linearize import LinearizeError, SizeGuard
-from snaplab.memo import register_traces, snapshot_key
+from snaplab.memo import Memo, register_traces, snapshot_key
 from snaplab.registers import Memory
 
 SUITES = ("RB", "M", "M+", "L", "F+", "F", "S", "CHAIN")
@@ -173,6 +175,27 @@ def test_memo_maps_register_witnesses_back(monkeypatch, broken):
     assert any(len(seen) > 1 for seen in witnesses.values())
 
 
+def _forward_once(bank, n, pid, i, v):
+    """jayanti2's writer with its second forward left out."""
+    yield (W, bank.A[i], v, ("wa", None, None))
+    if (yield (LL, bank.X, None, ("wx", None, None))):
+        yield from _j2_forward(bank, i, 1)
+
+
+def test_memo_under_a_forwarding_fault(monkeypatch):
+    """A writer that forwards once makes F+ fire; F and F+ still run on
+    every schedule, on the F level a hit takes over."""
+    monkeypatch.setitem(ALGORITHMS, "jayanti2",
+                        dataclasses.replace(ALGORITHMS["jayanti2"], writer=_forward_once))
+    algorithm, n, threads, mode = CASES["alg2-dfs"]
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(800),
+                        suites=SUITES, linearize=True, oracle=True)
+    results, summary = _sweep(cfg)
+    fired = [v.axiom for res in results for v in res.report.all_violations()]
+    assert fired.count("F+.wrstruct") == len(fired) == 1235
+    assert 0 < summary.distinct_snapshot_keys < summary.schedules
+
+
 def test_keys_counted_the_same_under_jobs():
     algorithm, n, threads, mode = CASES["alg2-dfs"]
     cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(300),
@@ -194,6 +217,37 @@ def _afek_history():
         e.start *= 10
         e.end *= 10
     return h
+
+
+def _jayanti2_history(schedule=(1, 1, 1, 1, 0, 0, 1), shift=0):
+    """write[0] | scan, by default with the write's cell write after the
+    scan's a-read and the write returning inside the scan; every tick is
+    scaled by ten, then moved by ``shift``."""
+    sim = SimRun("jayanti2", 1, OpScript.from_lists([[("write", 0, 2)], [("scan",)]]))
+    sim.run_schedule(schedule)
+    h = History.from_json(sim.history().to_json())
+    for e in h.events:
+        e.start = e.start * 10 + shift
+        e.end = e.end * 10 + shift
+    return h
+
+
+def test_a_hit_reads_its_own_ticks():
+    """F.5 and F.6b compare a write's end with the start of the latest write
+    a virtual scan observed.  A hit takes over another history's F level,
+    so it must read that start from its own ticks: here the stored start is
+    past every tick of the other copy, where F.5 would then fire."""
+    early, late = _jayanti2_history(), _jayanti2_history(shift=10_000)
+    assert _keys(early)[0] == _keys(late)[0]
+    memo = Memo()
+    ds = [derive(h) for h in (late, late, early, late)]
+    for d in ds:  # the entry is kept from the second sighting, with late's levels
+        memo.snapshot(d, lambda: None)
+    assert ds[2].flevel is ds[1].flevel is ds[3].flevel
+    for d in ds:
+        fresh = run_checks(derive(d.history), ("F", "F+"))
+        assert fresh.passed
+        assert _report(run_checks(d, ("F", "F+"))) == _report(fresh)
 
 
 def _keys(h):
@@ -229,8 +283,8 @@ def test_keys_change_with_what_the_checks_read():
     def escape(h):
         last = max((e for e in h.events if e.parent == scan(h).id), key=lambda e: e.end)
         last.end = scan(h).end + 5
-    assert not sigma_containment(derive(_afek_history()))
-    snap, regs = changed(escape, fires=sigma_containment)
+    assert not derive(_afek_history()).fwd.escapes
+    snap, regs = changed(escape, fires=lambda d: d.fwd.escapes)
     assert snap != base[0]
 
     # a rep read returns another value, or belongs to another operation
@@ -245,3 +299,20 @@ def test_keys_change_with_what_the_checks_read():
         r.parent = max(e.id for e in h.events if e.op == "write[0]")
     snap, regs = changed(reparent)
     assert regs != base[1]
+
+    # jayanti2: the b-read observes its reset, not the forward, so the scan
+    # observes the initial write through its a-read
+    forwarded = (1, 1, 1) + (0,) * 10 + (1, 1)
+    base2 = _keys(_jayanti2_history(forwarded))[0]
+    h = _jayanti2_history(forwarded)
+    b = next(e for e in h.events if e.op == "b[0].r")
+    reset = next(e for e in h.events if e.op == "r[0].w")
+    h.rf = [(reset.id if dst == b.id else src, dst) for src, dst in h.rf]
+    assert _keys(h)[0] != base2
+
+    # jayanti2: the virtual scan now ends before the write it spans returns
+    base2 = _keys(_jayanti2_history())[0]
+    h = _jayanti2_history()
+    write = max((e for e in h.events if e.op == "write[0]"), key=lambda e: e.id)
+    scan(h).end = write.end - 5
+    assert _keys(h)[0] != base2

@@ -70,17 +70,19 @@ def test_closure_matches_warshall(spans, raw_edges):
 
 
 def test_max_pred_start():
+    """``max_pred`` names the node that starts last among a node and its
+    predecessors."""
     intervals = {0: (0, 1), 1: (4, 5), 2: (2, 9)}
     hb = HbClosure(intervals, [(2, 1)])
-    best = hb.max_pred_start()
+    best = hb.max_pred()
     assert best[0] == 0
-    assert best[1] == 4  # preds {0, 2}, max(0, 2, own 4)
+    assert best[1] == 1  # preds {0, 2} start at 0 and 2, before its own 4
     assert best[2] == 2
     # an edge from a later-starting node: 2's predecessors are 0 and 1
-    assert HbClosure(intervals, [(1, 2)]).max_pred_start() == {0: 0, 1: 4, 2: 4}
-    # a chain, where every predecessor starts earlier: each node's own start
+    assert HbClosure(intervals, [(1, 2)]).max_pred() == {0: 0, 1: 1, 2: 1}
+    # a chain, where every predecessor starts earlier: each node itself
     chain = HbClosure({0: (0, 1), 1: (2, 3), 2: (4, 5)}, [(0, 2)])
-    assert chain.max_pred_start() == {0: 0, 1: 2, 2: 4}
+    assert chain.max_pred() == {0: 0, 1: 1, 2: 2}
 
 
 # -- rep-level visibility ------------------------------------------------------
