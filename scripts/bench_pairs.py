@@ -10,8 +10,17 @@ in that copy ("parent") and in the working tree ("new"), one after the
 other and never at once, alternating which side runs first: ten pairs per
 workload at seed 1, then one pair at seed 2, for every workload.  Writes
 ``BENCH_<pr>.json``: every run's result line under ``runs``, and per
-workload and metric the medians, the parent's interquartile range and
-how many pairs the change won under ``summary``.
+workload and metric the medians, the parent's interquartile range, how
+many pairs the change won and a verdict against the metric's ``bound`` in
+BENCHMARK.json under ``summary``, and prints that verdict one line per
+workload and metric:
+
+- ``within bound``: the change's median is not worse than the parent's
+  by more than the bound (a fraction of the parent's median);
+- ``worse than bound``: it is;
+- ``unresolved``: the parent's interquartile range is wider than the
+  bound, so the runs cannot tell, unless every run of the change reads
+  better than every run of the parent.
 
 Usage: python scripts/bench_pairs.py PARENT_REV --pr N [--claim TEXT]
 """
@@ -34,6 +43,7 @@ from workloads import NAMES  # noqa: E402
 
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCH["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCH["end_to_end"]}
 PAIRS = 10     # per workload at seed 1
 SECONDS = 30   # perfbench --seconds per run
 
@@ -66,6 +76,19 @@ def _iqr(xs: list) -> float:
     return q[2] - q[0]
 
 
+def against_bound(better: str, par: list, new: list, bound: float) -> str:
+    """The verdict of the change's runs ``new`` against the parent's ``par``
+    on ``bound``, a fraction of the parent's median."""
+    def cost(x):  # lower is better
+        return x if better == "lower" else -x
+
+    pm = statistics.median(par)
+    if _iqr(par) > bound * pm and not max(map(cost, new)) < min(map(cost, par)):
+        return "unresolved"
+    worse = (cost(statistics.median(new)) - cost(pm)) / pm
+    return "worse than bound" if worse > bound else "within bound"
+
+
 def summarize(runs: list, workload: str) -> dict:
     mine = [r for r in runs if r["workload"] == workload]
     value = {(r["seed"], r["pair"], r["side"]): r["result"] for r in mine}
@@ -77,6 +100,7 @@ def summarize(runs: list, workload: str) -> dict:
         pm, nm = statistics.median(par), statistics.median(new)
         out[metric] = {
             "better": better, "pairs": len(pairs),
+            "bound": BOUND[metric], "verdict": against_bound(better, par, new, BOUND[metric]),
             "change_wins": sum((n < p) if better == "lower" else (n > p)
                                for p, n in zip(par, new)),
             "parent_median": round(pm, 6), "change_median": round(nm, 6),
@@ -128,10 +152,13 @@ def main() -> int:
     }
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     for w in NAMES:
-        s = doc["summary"][w]["verdict_s"]
-        print(f"{w}: verdict_s {s['parent_median']} -> {s['change_median']} "
-              f"({s['change_vs_parent']:+.1%}, {s['change_wins']}/{s['pairs']} pairs, "
-              f"parent IQR {s['parent_iqr']})")
+        for metric in BETTER:
+            s = doc["summary"][w][metric]
+            print(f"{w} {metric}: {s['parent_median']} -> {s['change_median']} "
+                  f"({s['change_vs_parent']:+.1%}, {s['change_wins']}/{s['pairs']} pairs, "
+                  f"parent IQR {s['parent_iqr']}), bound {s['bound']:.0%}: {s['verdict']}")
+        failed = doc["summary"][w]["failed"]
+        print(f"{w} failed operations: parent {failed['parent']}, new {failed['new']}")
     print(f"wrote {out_path}")
     return 0
 

@@ -52,6 +52,7 @@ from functools import partial
 from typing import Iterable, Optional
 
 from .events import INF, REP, abs_write_cell, returns_before, validate_history
+from .linearize import lin_verdict
 from .report import CheckReport, SuiteResult, Violation
 from .visibility import SIGNATURES, CorruptHistory, Derived, ForwardingFacts, HbClosure, \
     bits, cached, prec_closure_pairs, rules_for
@@ -94,13 +95,13 @@ def _rep_closure(d: Derived, out: list):
     witnesses are enumerated only when the closure fails; if there are
     none, the failure propagates."""
     try:
-        return d.rep.hb
+        return d.rep_hb
     except Exception:  # whatever stops the closure, V.1 is enumerated first
         h = d.history
         rep_ids = [e.id for e in h.events if e.kind == REP]
         events = {e.id: e for e in h.events}  # an edge may name a missing event
         found = False
-        for a, b in prec_closure_pairs(rep_ids, d.rep.edges):
+        for a, b in prec_closure_pairs(rep_ids, d.rep_edges):
             if a == b or (b in events and returns_before(events[b], events[a])):
                 _viol(out, "V.1", (a, b), "observation chain reaches backward in time")
                 found = True
@@ -224,8 +225,7 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
             _viol(out, "M+.robsuniq", (*srcs, r.id), f"read-like of {reg} observes two writes")
         if r.terminated and not srcs:
             _viol(out, "M+.robspop", (r.id,), f"read-like of {reg} observes nothing")
-        memop = idx.rep_info[r.id][3]
-        if r.terminated and memop in ("r", "ll"):
+        if r.terminated and r.info[3] in ("r", "ll"):
             if srcs and not any(h.event(w).input == r.output for w in srcs):
                 _viol(out, "M+.io", (r.id,), f"read of {reg} returns unwritten value")
         for w in srcs:
@@ -253,7 +253,7 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
             w = idx.single_rf(l)
             w2 = idx.single_rf(c.id)
             if w is not None and w2 is not None:
-                if (w == w2) != (c.id in idx.success):
+                if (w == w2) != (c.output is True):
                     _viol(out, "M+.llsc-success", (l, c.id, w, w2),
                           "success must equal observing the linked write")
     _check_total(wcnodes, "M+.wrtotal", f"unordered write-likes to {reg}", out)
@@ -275,11 +275,11 @@ def check_llsc_reg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     for c in ops.scs + ops.vls:
         for l in idx.ll_src.get(c.id, []):
             pairs.append((l, c))
-    sc_pairs = [(l, c) for l, c in pairs if idx.rep_info[c.id][3] == "sc"]
-    good = [(l, c) for l, c in sc_pairs if c.id in idx.success and c.terminated]
+    sc_pairs = [(l, c) for l, c in pairs if c.info[3] == "sc"]
+    good = [(l, c) for l, c in sc_pairs if c.output is True and c.terminated]
     chain = _check_l41(hb, good, out)
     windows = [(l, c) for l, c in pairs if c.terminated and
-               not (c.id in idx.success and idx.rep_info[c.id][3] == "vl")]
+               not (c.output is True and c.info[3] == "vl")]
     _check_l42(hb, idx.write_likes(reg), windows, out)
     closed = [(l, c, h.event(l)) for l, c in sc_pairs if c.terminated]
     _check_l43(hb, ops.writes, closed, good, chain, out)
@@ -516,7 +516,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
     if fl is None:
         return  # virtual scans without forwarding: only the containment applies
     sigmas = facts.complete
-    rhb = d.rep.hb
+    rhb = d.rep_hb
     by_slot = fl.fwd_by_slot
     io, overlaps, foreign, bottom = facts.shared
     _emit(out, "F.io", io)
@@ -590,7 +590,7 @@ def check_forwarding_suite(d: Derived, out: list) -> None:
 def check_mwforwarding_suite(d: Derived, out: list) -> None:
     h = d.history
     idx = d.idx
-    rhb = d.rep.hb
+    rhb = d.rep_hb
     facts = _contained(d, "F+.vrtinscan", out)
     sigmas = facts.complete
     io, overlaps, foreign, bottom = facts.shared
@@ -604,18 +604,19 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
             _viol(out, "F+.scruniq", (e,), f"unexpected bottom writer of {reg}")
     # sconuniq: observing the phase flag == being inside the on..off window
     x_reads = idx.read_likes("X") if "X" in idx.regs else []
-    x_at = {rhb.pos[x.id]: k for k, x in enumerate(x_reads)}  # closure position -> k
+    x_at, observers = {}, {}  # closure position -> k; rf source -> mask of its X observers
+    for k, x in enumerate(x_reads):
+        p = rhb.pos[x.id]
+        x_at[p] = k
+        for src in idx.rf_src.get(x.id, ()):
+            observers[src] = observers.get(src, 0) | 1 << p
     x_mask = sum(1 << p for p in x_at)
     for sigma in sigmas:
         on, off = sigma.on, sigma.off
         if on is None or off is None or not x_reads:
             continue
         inside = rhb.succ_mask(on) & ~rhb.succ_mask(off) & x_mask
-        observed = 0
-        for e in idx.rf_out.get(on, ()):
-            if rhb.pos[e] in x_at:
-                observed |= 1 << rhb.pos[e]
-        for k in sorted(x_at[p] for p in bits(inside ^ observed)):
+        for k in sorted(x_at[p] for p in bits(inside ^ observers.get(on, 0))):
             _viol(out, "F+.sconuniq", (sigma.id, on, x_reads[k].id),
                   "phase observation disagrees with the on..off window")
     # scan structure chain: r < on rf= on_obs < a < off rf= off_obs < b
@@ -719,7 +720,7 @@ REGISTER_SUITES = {
 
 def _check_registers(name: str, d: Derived, out: list) -> None:
     llsc, v1, body = REGISTER_SUITES[name]
-    hb = _rep_closure(d, out) if v1 else d.rep.hb
+    hb = _rep_closure(d, out) if v1 else d.rep_hb
     if hb is None:
         return
     for reg, ops in sorted(d.idx.regs.items()):
@@ -756,7 +757,9 @@ def run_suite(d: Derived, name: str) -> SuiteResult:
 def run_checks(d: Derived, suites: Iterable[str], lin_ok: Optional[bool] = None,
                label: str = "", done: Optional[dict] = None) -> CheckReport:
     """Run the applicable ``suites`` on ``d``.  ``done`` maps suite names to
-    results already known for this history; those suites are not run."""
+    results already known for this history; those suites are not run.
+    CHAIN reads the linearizer's verdict ``lin_ok``; unless it is given,
+    the linearizer runs here."""
     t0 = time.perf_counter()
     names = applicable_suites(d.algorithm, suites)
     report = CheckReport(history=label or d.algorithm)
@@ -766,6 +769,8 @@ def run_checks(d: Derived, suites: Iterable[str], lin_ok: Optional[bool] = None,
         res = done.get(name) if done else None
         report.suites[name] = res if res is not None else run_suite(d, name)
     if "CHAIN" in names:
+        if lin_ok is None:
+            lin_ok = lin_verdict(d)[1]
         res = SuiteResult("CHAIN")
         check_chain(report.suites, lin_ok, res.violations)
         report.suites["CHAIN"] = res

@@ -112,6 +112,8 @@ def _load_schedule(path: str) -> FixedSchedule:
 
 
 def cmd_explore(args) -> int:
+    if args.jobs < 1:
+        raise BadArgument(f"--jobs {args.jobs}: want at least one job")
     script = _load_script(args.script)
     fixed = args.mode.split(":", 1)[1] if args.mode.startswith("fixed:") else None
     cfg = ExploreConfig(
@@ -189,9 +191,7 @@ def cmd_stress(args) -> int:
 
 def cmd_check(args) -> int:
     suites = _suites(args.suites)
-    d = derive(_load_history(args.history))
-    lin_ok = lin_verdict(d)[1] if "CHAIN" in suites else None
-    report = run_checks(d, suites, lin_ok=lin_ok, label=args.history)
+    report = run_checks(derive(_load_history(args.history)), suites, label=args.history)
     _emit(report.to_obj(), args.out)
     if not report.passed:
         _report_failures(report)
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--hash", action="store_true", help="hash the history/linearization stream")
     ex.add_argument("--out", default=None)
     ex.add_argument("--jobs", type=int, default=1,
-                    help="parallelize checking across histories (ignored with --out)")
+                    help="check histories in a pool of N workers, which replay each "
+                         "schedule: pays under random: only (ignored with --out)")
     ex.set_defaults(fn=cmd_explore)
 
     st = sub.add_parser("stress", help="real-thread runs with post-hoc checking")

@@ -490,9 +490,11 @@ def _start(e: Event):
 
 
 class EventIndex:
-    """Per-history indices: children, op parses, per-register event sets,
-    recorded edges, the effectful-write order per cell, the rep events in
-    order and the guards of the two fast paths that read that order.
+    """Per-history indices: children, per-register event sets, the sources
+    of the recorded edges into each event, the effectful-write order per
+    cell, the rep events in order and the guards of the two fast paths
+    that read that order.  What one event records (its step label's parse
+    ``info``, an SC or VL's outcome) is read off the event.
 
     An index is built one event and one edge at a time by ``feed``: a
     recorder feeds its own along the run (``HistoryRecorder.history``) and
@@ -508,14 +510,11 @@ class EventIndex:
     def __init__(self, h: Optional["History"] = None):
         self._h = None if h is None else weakref.ref(h)
         self.kids: dict[int, list[Event]] = {}  # parent id -> its events, by start
-        self.rep_info: dict[int, tuple] = {}
         self.regs: dict[str, RegOps] = {}
         self.rf_src: dict[int, list[int]] = {}
-        self.rf_out: dict[int, list[int]] = {}
         self.ll_src: dict[int, list[int]] = {}
         self.abs_writes: dict[int, list[Event]] = {}
         self.abs_scans: list[Event] = []
-        self.success: set[int] = set()
         self.wa_of: dict[int, Event] = {}
         # effectful writes per cell, in serialization (wa interval) order
         self.effectful: dict[int, list[Event]] = {}
@@ -539,8 +538,7 @@ class EventIndex:
         self._forget()
         counts = self._fed
         pos = counts[0]
-        kids, regs, rep_info, reps, rep_pos = self.kids, self.regs, self.rep_info, \
-            self.reps, self.rep_pos
+        kids, regs, reps, rep_pos = self.kids, self.regs, self.reps, self.rep_pos
         abs_rank, bad = self.abs_rank, self._bad[0]
         nreps = len(reps)
         for e in events[pos:]:
@@ -557,13 +555,9 @@ class EventIndex:
                 pos += 1
                 continue
             eid, info, reg = e.id, e.info, e.object
-            rep_info[eid] = info
             ops = regs[reg] if reg in regs else regs.setdefault(reg, RegOps())
-            memop = info[3]
-            if memop in ops.by_memop:
-                ops.by_memop[memop].append(e)
-                if e.output is True and (memop == "sc" or memop == "vl"):
-                    self.success.add(eid)
+            if info[3] in ops.by_memop:
+                ops.by_memop[info[3]].append(e)
             if info[0] == "wa" and parent is not None:
                 self._set_wa(e)
             # the chain: each rep event returns before the next starts; the
@@ -588,11 +582,6 @@ class EventIndex:
                     src[b].append(a)
                 else:
                     src[b] = [a]
-                if which == 1:
-                    if a in self.rf_out:
-                        self.rf_out[a].append(b)
-                    else:
-                        self.rf_out[a] = [b]
                 if a not in rep_pos or b not in rep_pos or not rep_pos[a] < rep_pos[b]:
                     bad.append((q, 2))
                 elif reps[rep_pos[a]].object != reps[rep_pos[b]].object:
@@ -637,22 +626,16 @@ class EventIndex:
         for which, edges, src in ((1, rf, self.rf_src), (2, ll, self.ll_src)):
             bad = self._bad[which]
             for q in range(counts[which] - 1, mark[which] - 1, -1):
-                a, b = edges[q]
+                b = edges[q][1]
                 held = src[b]
                 del held[-1]
                 if not held:
                     del src[b]
-                if which == 1:
-                    held = self.rf_out[a]
-                    del held[-1]
-                    if not held:
-                        del self.rf_out[a]
                 if bad and bad[-1][0] == q:
                     del bad[-1]
             if counts[which] > mark[which]:
                 counts[which] = mark[which]
-        kids, regs, rep_info, reps, rep_pos, success = self.kids, self.regs, self.rep_info, \
-            self.reps, self.rep_pos, self.success
+        kids, regs, reps, rep_pos = self.kids, self.regs, self.reps, self.rep_pos
         bad = self._bad[0]
         for p in range(counts[0] - 1, mark[0] - 1, -1):
             e = events[p]
@@ -671,7 +654,6 @@ class EventIndex:
                 self._drop_other(e)
                 continue
             eid, info, reg = e.id, e.info, e.object
-            del rep_info[eid]
             ops = regs[reg]
             if info[3] in ops.by_memop:
                 del ops.by_memop[info[3]][-1]
@@ -681,8 +663,6 @@ class EventIndex:
                 ops.trim(len(trace))
             if not trace:
                 del regs[reg]
-            if eid in success:
-                success.remove(eid)
             if info[0] == "wa" and parent is not None:
                 self._unset_wa(e)
             del reps[-1]
@@ -767,14 +747,11 @@ class EventIndex:
         new = EventIndex.__new__(EventIndex)
         new._h = None if h is None else weakref.ref(h)
         new.kids = {p: sibs[:] for p, sibs in self.kids.items()}
-        new.rep_info = dict(self.rep_info)
         new.regs = {reg: ops.copy() for reg, ops in self.regs.items()}
         new.rf_src = {b: srcs[:] for b, srcs in self.rf_src.items()}
-        new.rf_out = {a: outs[:] for a, outs in self.rf_out.items()}
         new.ll_src = {b: srcs[:] for b, srcs in self.ll_src.items()}
         new.abs_writes = {cell: ws[:] for cell, ws in self.abs_writes.items()}
         new.abs_scans = self.abs_scans[:]
-        new.success = set(self.success)
         new.wa_of = dict(self.wa_of)
         new.effectful = {cell: ws[:] for cell, ws in self.effectful.items()}
         new.reps = self.reps[:]
@@ -846,7 +823,7 @@ class EventIndex:
         if groups is None:
             groups = self._instances[parent] = {}
             for e in self.kids.get(parent, ()):
-                base, i, inst, _ = self.rep_info[e.id]
+                base, i, inst, _ = e.info
                 if inst is None:
                     continue
                 g = groups.setdefault(inst, {})
@@ -856,6 +833,11 @@ class EventIndex:
                     g.setdefault(base, {})[i] = e
         return groups
 
+    def label(self, eid: int) -> str:
+        """The step label of rep event ``eid``; "" if no rep event has that id."""
+        pos = self.rep_pos.get(eid)
+        return "" if pos is None else self.reps[pos].info[0]
+
     def single_rf(self, reader: int) -> Optional[int]:
         srcs = self.rf_src.get(reader)
         if srcs and len(srcs) == 1:
@@ -864,7 +846,7 @@ class EventIndex:
 
     def write_likes(self, reg: str) -> list[Event]:
         ops = self.regs[reg]
-        out = list(ops.writes) + [e for e in ops.scs if e.id in self.success]
+        out = list(ops.writes) + [e for e in ops.scs if e.output is True]
         out.sort(key=lambda e: e.start)
         return out
 

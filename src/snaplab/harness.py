@@ -43,7 +43,7 @@ class ScheduleError(ValueError):
 
 
 class _Thread:
-    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "op_key", "results")
+    __slots__ = ("pid", "ops", "op_idx", "gen", "pending", "abs_ev", "results")
 
     def __init__(self, pid, ops):
         self.pid = pid
@@ -52,7 +52,6 @@ class _Thread:
         self.gen = None
         self.pending = None
         self.abs_ev = None
-        self.op_key = None  # (op kind, abs event id) of the current operation
         self.results: list = []  # what the current operation's steps returned
 
 
@@ -78,7 +77,6 @@ class SimRun:
             self.rec.finish(ev, UNIT)
         self.threads = [_Thread(t.pid, t.ops) for t in script.threads]
         self.schedule: list[int] = []
-        self.op_steps: dict[tuple[str, int], int] = {}
         # calls of step() since this run was made or the DFS last yielded
         # it, those a restore undid included
         self.steps_run = 0
@@ -110,41 +108,36 @@ class SimRun:
         raise ValueError(f"bad step descriptor {desc!r}")
 
     def step(self, k: int) -> None:
-        key = self._advance(self.threads[k])
-        self.op_steps[key] = self.op_steps.get(key, 0) + 1
+        self._advance(self.threads[k])
         self.schedule.append(k)
         self.steps_run += 1
 
-    def _advance(self, t: _Thread) -> tuple[str, int]:
-        """Run the next register operation of ``t`` and return its
-        ``op_key``.  Stress workers call this, each for its own thread, and
-        keep out of ``step``'s schedule bookkeeping."""
+    def _advance(self, t: _Thread) -> None:
+        """Run the next register operation of ``t``.  Stress workers call
+        this, each for its own thread, and keep out of ``step``'s schedule
+        bookkeeping."""
         if t.gen is None:
             op = t.ops[t.op_idx]
             t.abs_ev = self.rec.begin(ABS, op_name(op), op_input(op), None, None)
-            t.op_key = ("write" if op[0] == WRITE else "scan", t.abs_ev.id)
             t.gen = op_generator(self.adef, self.bank, self.n, t.pid, op)
             t.pending = next(t.gen)
-        key = t.op_key
         res = self._exec(t.pending, t)
         try:
             t.pending = t.gen.send(res)
             t.results.append(res)
         except StopIteration as stop:
-            self.rec.finish(t.abs_ev, UNIT if key[0] == "write" else list(stop.value))
+            self.rec.finish(t.abs_ev, UNIT if t.ops[t.op_idx][0] == WRITE else list(stop.value))
             t.gen = None
             t.abs_ev = None
             t.op_idx += 1
             t.results = []
-        return key
 
     def checkpoint(self) -> tuple:
         """The state ``restore`` takes this run back to: the recorder's and
-        the memory's, the schedule bookkeeping, and per thread its
-        operation, its open abs event and what that operation's steps
-        returned so far."""
-        return (self.rec.mark(), self.mem.save(), len(self.schedule), dict(self.op_steps),
-                [(t.op_idx, t.abs_ev.id if t.abs_ev else None, t.op_key, tuple(t.results))
+        the memory's, the schedule's length, and per thread its operation,
+        its open abs event and what that operation's steps returned so far."""
+        return (self.rec.mark(), self.mem.save(), len(self.schedule),
+                [(t.op_idx, t.abs_ev.id if t.abs_ev else None, tuple(t.results))
                  for t in self.threads])
 
     def restore(self, cp: tuple) -> None:
@@ -153,15 +146,14 @@ class SimRun:
         since is replaced by an open copy.  A generator cannot be copied, so
         a thread that moved since ``cp`` gets a new one, sent the recorded
         results again; the step machines are functions of those results."""
-        mark, mem, steps, op_steps, threads = cp
+        mark, mem, steps, threads = cp
         self.rec.rewind(mark)
         self.mem.restore(mem)
         del self.schedule[steps:]
-        self.op_steps = dict(op_steps)
-        for t, (op_idx, abs_id, op_key, results) in zip(self.threads, threads):
+        for t, (op_idx, abs_id, results) in zip(self.threads, threads):
             if t.op_idx == op_idx and len(t.results) == len(results):
                 continue  # not moved: every step changes one of the two
-            t.op_idx, t.op_key, t.results = op_idx, op_key, list(results)
+            t.op_idx, t.results = op_idx, list(results)
             if abs_id is None:
                 t.gen = t.pending = t.abs_ev = None
                 continue
@@ -191,13 +183,6 @@ class SimRun:
 
     def history(self) -> History:
         return self.rec.history()
-
-    def max_steps(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for (kind, _), steps in self.op_steps.items():
-            if steps > out.get(kind, 0):
-                out[kind] = steps
-        return out
 
 
 # -- exploration modes --------------------------------------------------------
@@ -435,6 +420,25 @@ class _Outcome:
     steps: int  # register steps the enumeration ran to reach this schedule
 
 
+def max_steps(d: Derived) -> dict[str, int]:
+    """The most register steps one write and one scan of ``d``'s history
+    ran.  Each step records one rep event under its abs operation, so an
+    operation's steps are its children; the first ``n`` abs events are the
+    initial writes, which no thread ran."""
+    out: dict[str, int] = {}
+    kids, skip = d.idx.kids, d.history.n
+    for e in d.history.events:
+        if e.kind == ABS:
+            if skip:
+                skip -= 1
+                continue
+            kind = "scan" if e.op == "scan" else "write"
+            steps = len(kids.get(e.id, ()))
+            if steps > out.get(kind, 0):
+                out[kind] = steps
+    return out
+
+
 def _view_returned(d: Derived) -> bool:
     """Whether a scan returned a borrowed view; False where the virtual
     scans cannot be derived (F and S report that as H.corrupt)."""
@@ -458,7 +462,7 @@ def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, steps: int,
     nviol = len(res.report.all_violations())
     bad = nviol > 0 or res.lin_ok is False or res.agree is False
     return _Outcome(digest, nviol, res.lin_ok is False, res.agree is False,
-                    cfg.oracle and res.oracle is None, sim.max_steps(),
+                    cfg.oracle and res.oracle is None, max_steps(res.derived),
                     len(completed_set(res.derived)), _view_returned(res.derived),
                     Failure(res.schedule, res.report, res.lin_error) if bad else None,
                     res.snapshot_key, res.register_keys, steps)
@@ -584,8 +588,7 @@ def stress(cfg: StressConfig, per_run=None) -> StressSummary:
         errors: list = []
         h = stress_once(cfg, errors)
         d = derive(h)
-        lin_ok = lin_verdict(d)[1] if "CHAIN" in cfg.suites else None
-        report = run_checks(d, cfg.suites, lin_ok=lin_ok)
+        report = run_checks(d, cfg.suites)
         summary.runs += 1
         summary.worker_errors += len(errors)
         nviol = len(report.all_violations())

@@ -119,10 +119,10 @@ def build_whb(d: Derived):
     return ids, pos, adj
 
 
-def extend_total_writes(d: Derived, whb=None) -> WriteOrder:
+def extend_total_writes(d: Derived) -> WriteOrder:
     """Deterministic topological extension of whb; ties broken by
     (end timestamp, event id).  Raises CycleError if whb has a cycle."""
-    ids, pos, adj = whb if whb is not None else build_whb(d)
+    ids, _, adj = build_whb(d)
     h = d.history
     n = len(ids)
     indeg = [0] * n

@@ -179,7 +179,7 @@ class Memo:
                 stored = entry.get(suite)
                 if stored is None:
                     found: list = []
-                    body(d, d.rep.hb, reg, ops, found)
+                    body(d, d.rep_hb, reg, ops, found)
                     out.extend(found)
                     pos = {e.id: k for k, e in enumerate(trace)} if found else {}
                     if all(w in pos for v in found for w in v.witnesses):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .algorithms import ALGORITHMS
@@ -241,39 +242,6 @@ def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
             yield (a, b)
 
 
-class RepVisibility:
-    """Rep-level visibility: recorded rf ∪ ll edges, and their
-    happens-before closure with returns-before.  When the index's rep
-    events form a chain (``EventIndex.chained``) the closure is that
-    chain's order."""
-
-    def __init__(self, idx: EventIndex):
-        self.idx = idx
-        self._hb: Optional[HbClosure] = None
-        self._err: Optional[CorruptHistory] = None
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return list(self.idx.h.rf) + list(self.idx.h.ll)
-
-    @property
-    def hb(self) -> HbClosure:
-        if self._err is not None:
-            raise self._err
-        if self._hb is None:
-            idx = self.idx
-            if idx.chained:
-                self._hb = ChainClosure(idx.reps, idx.rep_pos)
-                return self._hb
-            intervals = {e.id: (e.start, e.end) for e in idx.h.events if e.kind == REP}
-            try:
-                self._hb = HbClosure(intervals, self.edges)
-            except CorruptHistory as exc:
-                self._err = exc
-                raise
-        return self._hb
-
-
 # -- virtual scans ----------------------------------------------------------
 
 @dataclass
@@ -327,7 +295,7 @@ def _identity_sigmas(idx: EventIndex):
     for s in idx.abs_scans:
         sigma = VirtualScan(s.id, s.start, s.end, fwd_array="B", owner=s.id)
         for e in idx.kids.get(s.id, ()):
-            base, i, _, _ = idx.rep_info[e.id]
+            base, i, _, _ = e.info
             if base in ("r", "a", "b"):
                 getattr(sigma, base)[i] = e.id
             elif base in ("on", "off"):
@@ -349,7 +317,7 @@ def _extract_alg3(idx: EventIndex):
 
     def group(e):
         """The instance of its parent that rep event ``e`` belongs to."""
-        return idx.instances(e.parent).get(idx.rep_info[e.id][2], {})
+        return idx.instances(e.parent).get(e.info[2], {})
 
     def link(commit, phase):
         """The LL that a phase-1 or phase-2 commit SC is linked to."""
@@ -361,7 +329,7 @@ def _extract_alg3(idx: EventIndex):
     def successful(reg, base):
         """The successful SCs on ``reg`` labelled ``base``, by start."""
         return sorted((e for e in idx.regs.get(reg, RegOps()).scs
-                       if e.id in idx.success and idx.rep_info[e.id][0] == base),
+                       if e.output is True and e.info[0] == base),
                       key=lambda e: e.start)
 
     # successful SS writes anchor the complete chains
@@ -373,7 +341,7 @@ def _extract_alg3(idx: EventIndex):
         for cand in g3.get("vx", ()):  # the LL that entered phase 3
             srcs = idx.rf_src.get(cand.id, ())
             for s in srcs:
-                if idx.rep_info.get(s, ("",))[0] == "voff":
+                if idx.label(s) == "voff":
                     voff, vx3 = h.event(s), cand
         if voff is None:
             raise CorruptHistory("SS write without a phase-3 entry", (vssb.id,))
@@ -381,7 +349,7 @@ def _extract_alg3(idx: EventIndex):
         vx2 = _edge_source(h, link(voff, 2), voff.id)
         von_src = idx.single_rf(voff.id)
         von = _edge_source(h, von_src, voff.id) if von_src is not None else None
-        if von is None or idx.rep_info[von.id][0] != "von":
+        if von is None or idx.label(von.id) != "von":
             raise CorruptHistory("phase-2 commit does not observe a phase-1 commit",
                                  (voff.id,))
         g1 = group(von)
@@ -412,7 +380,7 @@ def _extract_alg3(idx: EventIndex):
     for s in idx.abs_scans:
         sss = None
         for e in idx.kids.get(s.id, ()):
-            if idx.rep_info[e.id][0] == "sss":
+            if e.info[0] == "sss":
                 sss = e
         if sss is None:
             continue
@@ -527,7 +495,7 @@ def fwd_alg1(idx: EventIndex, sigmas: list[VirtualScan]):
     for sigma in sigmas:
         for i, eid in sigma.b.items():
             for src in idx.rf_src.get(eid, ()):
-                if idx.rep_info.get(src, ("",))[0] == "wb":
+                if idx.label(src) == "wb":
                     edges.append((idx.h.event(src).parent, sigma.id, i))
     return edges
 
@@ -539,10 +507,10 @@ def fwd_mw(idx: EventIndex, sigmas: list[VirtualScan]):
     for sigma in sigmas:
         for i, eid in sigma.b.items():
             for src in idx.rf_src.get(eid, ()):
-                if idx.rep_info.get(src, ("",))[0] != "fsc":
+                if idx.label(src) != "fsc":
                     continue
                 fsc = idx.h.event(src)
-                group = idx.instances(fsc.parent).get(idx.rep_info[src][2], {})
+                group = idx.instances(fsc.parent).get(fsc.info[2], {})
                 fa = group.get("fa", {}).get(i)
                 if fa is None:
                     continue
@@ -612,7 +580,7 @@ def observe(idx: EventIndex, sigmas, fwd_edges) -> Observations:
                 direct[sigma.id, i] = r in idx.rf_src.get(b, ())
             if a is not None and direct.get((sigma.id, i)):
                 for src in idx.rf_src.get(a, ()):
-                    if idx.rep_info.get(src, ("",))[0] in ("wa", "init"):
+                    if idx.label(src) in ("wa", "init"):
                         w = h.event(src).parent
                         if w is not None:
                             got.append(w)
@@ -748,11 +716,11 @@ class ForwardingFacts:
                 want = "write" + reg[1:]  # A[x] names no cell: every write into it is foreign
                 for e in idx.regs[reg].writes:
                     parent_op = h.event(e.parent).op if e.parent is not None else None
-                    if idx.rep_info[e.id][0] != "wa" or parent_op != want:
+                    if e.info[0] != "wa" or parent_op != want:
                         foreign.append(((e.id,), f"foreign write into {reg}"))
             elif reg.startswith("B[") or reg.startswith("Bp["):
                 for e in idx.write_likes(reg):
-                    base = idx.rep_info[e.id][0]
+                    base = e.info[0]
                     if (e.input is BOT) != (base in ("r", "vr")):
                         bottom.append((e.id, reg, False))
                     if (e.input is not BOT) != (base == "fsc"):
@@ -771,8 +739,7 @@ class ForwardingFacts:
         for f in self.forwards:
             by_write.setdefault(f.write, []).append(f)
         return {w.id: (w, idx.wa_of.get(w.id),
-                       next((e for e in idx.kids.get(w.id, ()) if idx.rep_info[e.id][0] == "wx"),
-                            None),
+                       next((e for e in idx.kids.get(w.id, ()) if e.info[0] == "wx"), None),
                        by_write.get(w.id, []))
                 for _, ws in sorted(idx.abs_writes.items()) for w in ws}
 
@@ -844,9 +811,38 @@ class Derived:
     def algorithm(self) -> str:
         return self.history.algorithm
 
+    @property
+    def rep_edges(self) -> list[tuple[int, int]]:
+        """The recorded rf and ll edges, which the rep-level closure closes."""
+        return self.history.rf + self.history.ll
+
     @cached
-    def rep(self) -> RepVisibility:
-        return RepVisibility(self.idx)
+    def _rep(self):
+        """The rep-level closure, or the CorruptHistory that stopped it."""
+        idx = self.idx
+        if idx.chained:
+            return ChainClosure(idx.reps, idx.rep_pos)
+        intervals = {e.id: (e.start, e.end) for e in self.history.events if e.kind == REP}
+        try:
+            return HbClosure(intervals, self.rep_edges)
+        except CorruptHistory as exc:
+            return exc
+
+    @property
+    def rep_hb(self) -> HbClosure:
+        """The happens-before closure of returns-before with the rf and ll
+        edges over the rep events: the order of ``idx.reps`` when they form
+        a chain (``EventIndex.chained``).  Built once; a CorruptHistory that
+        stopped it is kept and raised to every reader."""
+        hb = self._rep
+        if isinstance(hb, CorruptHistory):
+            raise hb
+        return hb
+
+    @property
+    def rep(self) -> SimpleNamespace:
+        """``rep.hb`` is ``rep_hb``, for readers of the former name."""
+        return SimpleNamespace(hb=self.rep_hb)
 
     @cached
     def _sigma_triple(self) -> tuple:
@@ -928,7 +924,7 @@ class Derived:
             for s in idx.abs_scans:
                 per_cell = obs[s.id] = {}
                 for e in idx.kids.get(s.id, ()):
-                    base, i, _, _ = idx.rep_info[e.id]
+                    base, i, _, _ = e.info
                     got = _lifted(idx, e.id) if base == "a" else None
                     if got:
                         per_cell[i] = got
@@ -963,7 +959,7 @@ _EDGES: dict[str, Callable[[Derived], Iterable[tuple]]] = {
     "rf-abs": lambda d: d.snap.rf_pairs,
     "hb1": lambda d: d.snap.prec_edges,
     "hb": lambda d: d.snap.hb.pairs(),
-    "hb-rep": lambda d: d.rep.hb.pairs(),
+    "hb-rep": lambda d: d.rep_hb.pairs(),
     "rb": lambda d: ((a.id, b.id) for a in d.history.events for b in d.history.events
                      if a is not b and a.end < b.start),
 }

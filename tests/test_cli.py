@@ -178,9 +178,13 @@ def test_usage_errors_exit_two(script_file, capsys):
      "snaplab: --ops -1: want at least one operation per thread\n"),
     (["stress", "--alg", "jayanti3", "--n", "1", "--runs", "0"],
      "snaplab: --runs 0: want at least one run\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--jobs", "0"],
+     "snaplab: --jobs 0: want at least one job\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--jobs", "-2"],
+     "snaplab: --jobs -2: want at least one job\n"),
 ], ids=["unknown-mode", "mode-count", "edge-label", "no-cells", "explore-no-cells",
         "explore-negative-cells", "dfs-zero", "dfs-negative", "random-no-samples",
-        "no-threads", "negative-ops", "no-runs"])
+        "no-threads", "negative-ops", "no-runs", "no-jobs", "negative-jobs"])
 def test_bad_arguments_exit_two(script_file, tmp_path, capsys, argv, message):
     main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
     capsys.readouterr()

@@ -34,15 +34,13 @@ def index_state(idx: EventIndex) -> dict:
     """Everything the index holds, with events named by id."""
     return {
         "kids": {p: _ids(k) for p, k in idx.kids.items()},
-        "rep_info": idx.rep_info,
         "regs": {reg: ([_ids(getattr(ops, m)) for m in ("writes", "reads", "lls", "scs",
                                                          "vls", "trace")],
                        ops.keyparts, ops.rf_pairs, ops.ll_pairs)
                  for reg, ops in idx.regs.items()},
-        "rf_src": idx.rf_src, "rf_out": idx.rf_out, "ll_src": idx.ll_src,
+        "rf_src": idx.rf_src, "ll_src": idx.ll_src,
         "abs_writes": {c: _ids(ws) for c, ws in idx.abs_writes.items()},
         "abs_scans": _ids(idx.abs_scans),
-        "success": idx.success,
         "wa_of": {w: e.id for w, e in idx.wa_of.items()},
         "effectful": {c: _ids(ws) for c, ws in idx.effectful.items()},
         "reps": _ids(idx.reps), "rep_pos": idx.rep_pos,
@@ -61,7 +59,7 @@ def derived_state(h) -> tuple:
     traces = register_traces(d)
     if traces is not None:
         traces = (traces[0], {reg: _ids(t) for reg, t in traces[1].items()})
-    return index_state(d.idx), sorted(d.rep.hb.pairs()), traces
+    return index_state(d.idx), sorted(d.rep_hb.pairs()), traces
 
 
 def _holds_its_own_events(h) -> bool:
@@ -101,10 +99,10 @@ def test_a_leaf_derivation_survives_the_dfs_moving_on():
         sim = next(sims)
     kept = sim.history()
     d = derive(kept)
-    before = index_state(d.idx), sorted(d.rep.hb.pairs()), register_traces(d)[0]
+    before = index_state(d.idx), sorted(d.rep_hb.pairs()), register_traces(d)[0]
     for _ in range(50):
         next(sims)
-    assert (index_state(d.idx), sorted(d.rep.hb.pairs()), register_traces(d)[0]) == before
+    assert (index_state(d.idx), sorted(d.rep_hb.pairs()), register_traces(d)[0]) == before
     assert derived_state(kept) == derived_state(History.from_json(kept.to_json()))
     assert _holds_its_own_events(kept)
 

@@ -70,6 +70,16 @@ def test_fixed_partial_schedule_keeps_unterminated_events():
     assert summary.violations == 0
 
 
+def test_max_steps_counts_the_steps_of_unfinished_operations():
+    """A fixed schedule that stops mid-operation: max_steps counts the
+    steps each open operation has run so far."""
+    script = OpScript.from_lists([[("write", 0, 2)], [("scan",)]])
+    cfg = ExploreConfig("jayanti1", 1, script, FixedSchedule((1, 1, 1, 0)), suites=("RB",))
+    assert explore(cfg).max_steps == {"scan": 3, "write": 1}
+    cfg = ExploreConfig("jayanti1", 1, script, FixedSchedule((0, 0, 1)), suites=("RB",))
+    assert explore(cfg).max_steps == {"write": 2, "scan": 1}
+
+
 def test_schedule_recorded_matches_request():
     sim = SimRun("naive", 2, OpScript.from_lists([[("scan",)], [("write", 0, 2)]]))
     sim.run_schedule([0, 1, 0])
@@ -123,6 +133,18 @@ def test_stress_chain_reads_the_linearizer(monkeypatch):
     assert summary.violations == 2
     assert [[v.axiom for v in r.all_violations()] for r in summary.failing] == \
         [["CHAIN.snap-lin"]] * 2
+
+
+def test_run_checks_reads_the_linearizer_for_chain(monkeypatch):
+    """run_checks asked for CHAIN without a linearizer verdict runs the
+    linearizer itself: with one that fails, a clean S fails CHAIN.snap-lin."""
+    import snaplab.checker
+
+    monkeypatch.setattr(snaplab.checker, "lin_verdict", lambda d: (None, False, "refused"))
+    d = derive(repro("jayanti1_fig3").history)
+    report = run_checks(d, ("S", "CHAIN"))
+    assert [v.axiom for v in report.all_violations()] == ["CHAIN.snap-lin"]
+    assert run_checks(d, ("S", "CHAIN"), lin_ok=True).passed
 
 
 def test_stress_worker_exception_is_counted(monkeypatch):

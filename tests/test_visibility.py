@@ -103,7 +103,7 @@ def test_two_sequential_reads_of_one_write():
     w = next(e for e in h.events if e.op == "wa.w")
     r1, r2 = [e for e in h.events if e.op == "a[0].r"]
     assert (w.id, r1.id) in h.rf and (w.id, r2.id) in h.rf
-    hb = d.rep.hb
+    hb = d.rep_hb
     assert hb.hb(w.id, r1.id) and hb.hb(w.id, r2.id) and hb.hb(r1.id, r2.id)
 
 
@@ -144,7 +144,7 @@ def test_fig3_rep_hb_reaches_forward_chain(fig3):
     h = res.history
     wa_w0 = d.idx.wa_of[res.ids["w0"]]
     b0 = next(e for e in h.events if e.op == "b[0].r")
-    assert d.rep.hb.hb(wa_w0.id, b0.id)
+    assert d.rep_hb.hb(wa_w0.id, b0.id)
 
 
 def test_identity_sigma_intervals_equal_scan(fig3):
@@ -181,7 +181,7 @@ def test_abs_hb_has_rep_witnesses():
     for sim in iter_sims(cfg):
         d = derive(sim.history())
         fl = d.flevel
-        rep_hb = d.rep.hb
+        rep_hb = d.rep_hb
         for a in fl.hb.ids:
             for b in fl.hb.ids:
                 if a == b or not fl.hb.hb(a, b):
