@@ -22,6 +22,11 @@ workload and metric:
   bound, so the runs cannot tell, unless every run of the change reads
   better than every run of the parent.
 
+Per workload and side it also records and prints the failed share: the
+failed operations over the attempted ones, summed over the result
+lines.  A faster side attempts more operations, so the share, not the
+count, compares the two.
+
 Usage: python scripts/bench_pairs.py PARENT_REV --pr N [--claim TEXT]
 """
 import argparse
@@ -109,8 +114,12 @@ def summarize(runs: list, workload: str) -> dict:
     out["seed_2"] = {side: {m: round(value[2, 1, side]["metrics"][m]["value"], 6)
                             for m in BETTER}
                      for side in ("parent", "new") if (2, 1, side) in value}
-    out["failed"] = {side: sum(r["result"]["failed"] for r in mine if r["side"] == side)
-                     for side in ("parent", "new")}
+    out["failed"] = {}
+    for side in ("parent", "new"):
+        failed = sum(r["result"]["failed"] for r in mine if r["side"] == side)
+        attempted = sum(r["result"]["attempted"] for r in mine if r["side"] == side)
+        out["failed"][side] = {"failed": failed, "attempted": attempted,
+                               "share": round(failed / max(attempted, 1), 6)}
     out["correct"] = all(r["result"]["correct"] for r in mine)
     return out
 
@@ -157,8 +166,9 @@ def main() -> int:
             print(f"{w} {metric}: {s['parent_median']} -> {s['change_median']} "
                   f"({s['change_vs_parent']:+.1%}, {s['change_wins']}/{s['pairs']} pairs, "
                   f"parent IQR {s['parent_iqr']}), bound {s['bound']:.0%}: {s['verdict']}")
-        failed = doc["summary"][w]["failed"]
-        print(f"{w} failed operations: parent {failed['parent']}, new {failed['new']}")
+        print(f"{w} failed share: " + ", ".join(
+            f"{side} {f['failed']}/{f['attempted']} = {f['share']:.6f}"
+            for side, f in doc["summary"][w]["failed"].items()))
     print(f"wrote {out_path}")
     return 0
 

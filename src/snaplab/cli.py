@@ -143,9 +143,6 @@ def cmd_explore(args) -> int:
     try:
         summary = explore(cfg, per_result=per_result if args.out else None,
                           jobs=1 if args.out else args.jobs)
-    except ExploreCapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except ScheduleError as exc:
         raise ScheduleError(f"{fixed}: malformed schedule: {exc}") from exc
     out = {
@@ -200,6 +197,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_linearize(args) -> int:
+    if args.guard < 1:
+        raise BadArgument(f"--guard {args.guard}: want at least one event")
     h = _load_history(args.history)
     d = derive(h)
     lin, legal, error = lin_verdict(d)
@@ -325,7 +324,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (MalformedHistory, BadArgument, ScriptError, ScheduleError, OSError) as exc:
+    except (MalformedHistory, BadArgument, ScriptError, ScheduleError, ExploreCapExceeded,
+            OSError) as exc:
         print(f"snaplab: {exc}", file=sys.stderr)
         return 2
 

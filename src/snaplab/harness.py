@@ -191,6 +191,10 @@ class SimRun:
 class Exhaustive:
     cap: int = 200_000
 
+    def __post_init__(self):
+        if self.cap < 1:
+            raise ValueError(f"cap {self.cap}: want at least one schedule")
+
 
 @dataclass(frozen=True)
 class DfsBounded:
@@ -319,6 +323,7 @@ def evaluate(cfg: ExploreConfig, sim: SimRun, memo: Memo) -> EvalResult:
     if "S" in names or cfg.linearize or cfg.oracle or "CHAIN" in cfg.suites:
         layer, snap_key = memo.snapshot(d, partial(_snapshot_layer, cfg, d, "S" in names))
     done, reg_keys = memo.register_suites(d, names)
+    done.update(memo.forwarding_suites(d, names, snap_key, reg_keys))
     if layer.s is not None:
         done["S"] = SuiteResult("S", list(layer.s.violations))
     report = run_checks(d, cfg.suites, lin_ok=layer.lin_ok, done=done)

@@ -47,10 +47,84 @@ the index keeps each register's trace and its key parts, extended to the
 events that lack them when a key is asked for: a DFS leaf pays for the
 events past its branch point and one digest per register.
 
-F and F+ read ≺ across registers (F.4c compares the write to A[i] with
-the read of B[i]), so their key would be the whole rep trace, and no two
-of alg2-dfs's 1,000 schedules share one.  They, RB and CHAIN run for
-every schedule; F and F+ share their forwarding facts (``Derived.fwd``).
+Forwarding layer: F and F+, under the snapshot entry, keyed on
+``forwarding_key``.  It applies where the register layer does
+(``EventIndex.traced``), to algorithms with forwarding, where the
+snapshot layer is consulted, from a behaviour's second snapshot sighting
+on, and when ``step_layout`` and ``scan_marks`` find their guards hold.  Under ``traced`` the rep events
+form one chain, so ≺ and returns-before between rep events are both the
+order of ``idx.reps``, and each register's trace and each operation's
+steps come in that order.  Name a rep event by its register and its index
+in that register's trace.  The register keys then fix, per name, its op
+(so its step label, cell and instance), input, output and operation, and
+the rf/ll edges between names; the step layout (per abs operation the
+registers of its steps, in order: the k-th step on register R is the
+operation's k-th event in R's trace) fixes the order of each operation's
+own steps; the snapshot key fixes the abs events' ids and the virtual
+scans' ids.  All a history holds beyond these is the interleaving of
+steps of different operations on different registers, and what is
+derived from the rest corresponds name by name between two histories
+with equal keys: the virtual scans' marks (the extractors read labels,
+instances, in-register edges and in-register order), the forwarding
+edges, ``wa_of``, the forward instances and their grouping.  Of that
+interleaving F and F+ read only what ``scan_marks`` holds: per virtual
+scan the order of its own marks (r, a and b per cell, on, on_obs, off,
+off_obs), and per r, a or b mark which writes' wa step precedes it.
+
+The audit, read by read (S snapshot key, R register keys, L step
+layout, O a virtual scan's own mark order, W the wa masks):
+
+- ``ForwardingFacts``: ``escapes`` (F.1, F+.vrtinscan) read ``sigma_of``,
+  the virtual scans' spans and the abs scans' ticks: S.  ``flevel`` and a
+  ``corrupt`` met building it are derived from S's facts, and its
+  witnesses are abs writes, scans and virtual scans: S.  ``shared``: io
+  (F.io, F+.io) reads the abs scans' ends and outputs, ``sigma_of``, the
+  level's observations and the writes' inputs: S; overlaps (F.2a,
+  F+.sctotal) the complete virtual scans' spans: S; foreign (F.3a,
+  F+.wrauniq) each A register's writes, their labels and their
+  operations' ops: R, S; bottom (F.3b, F+.scruniq, F+.fbBuniq) each B and
+  Bp register's write-likes in start order, their labels and inputs: R.
+  ``forwards`` groups the rep events by operation and instance, a label
+  repeated within one operation going to its later step: R, L; ``first``
+  is the step of least id, the first step, as ids ascend along an
+  operation's steps (guard): L.  ``writes``: per abs write its last wa
+  step (``wa_of``), its first wx step and its forwards: R, L, S.
+- F: F.2b compares r, a and b of one virtual scan: O.  F.4a reads the
+  forwarded writes per scan and cell: S.  F.4b reads whether b returned
+  (every rep event has, under ``traced``), what b observed and the
+  forwarded writes: S, R.  F.4c reads the forwarding edges (b's rf
+  sources and their operations, or for an fsc source its instance's fa
+  and the source of that: in-register edges and one operation's
+  grouping, R, L), ``wa_of``, wa ≺ b (W) and what b observed (S).  F.5 reads the effectful writes, their ends against the
+  start of the threshold node (S), what b observed (S) and wa ≺ a (W).
+  F.6a reads wa2 ≺ r (W) and the forwarding level's order (S); F.6b
+  ticks and that order (S).
+- F+: sconuniq reads X's read-likes and their rf sources (R) and whether
+  each lies after on and not after off; on and off are steps on X
+  (guard), so that is X's trace order: R.  scstruct reads the rf edges
+  from on to on_obs and off to off_obs (R) and r < on, on_obs < a,
+  a < off, off_obs < b: O.  wrstruct compares wa, wx and the forwards of
+  one write, all its own steps (L), reads wx's rf source among the on
+  events (R) and whether the write returned (S).  fwdstruct compares
+  the steps of one forward instance, one operation's (L), and reads its
+  ll edge and the VL's outcome (R) and whether the write returned (S).
+  fwdprecond and fwdsccond compare wx with a forward's first step (L)
+  and read rf sources, the forwarding array (``"B"``, or the von step's
+  input) and the forward's register and cell: R.
+
+Not in the key: the jayanti3 SS write and the partial virtual scans.
+F+ reads the partial scans only for the on events a flag read may
+observe, a set of named events (R, L), and SS only ties abs scans to
+virtual scans (``sigma_of``, S); neither is compared in ≺.  A virtual
+scan's flags are compared only with its own marks (O) and with X's
+read-likes (R), so W leaves them out.
+
+Witnesses: abs and virtual-scan ids are fixed by S and stored as they
+are; rep events are stored as ``(register, trace index)`` and mapped
+back.  No abs id names a rep event (guard), so the two stay apart, and
+notes name cells and registers only.  Without forwarding, F is F.1
+alone, cheaper than its key, so the layer does not apply.  RB and CHAIN
+run for every schedule.
 
 Keys are 16-byte digests of a marshal encoding.  A snapshot entry holds a
 linearization and two closures, so it is kept only from a behaviour's
@@ -62,8 +136,8 @@ import hashlib
 import marshal
 from typing import Callable, Optional
 
-from .checker import REGISTER_SUITES
-from .events import ABS, INF
+from .checker import REGISTER_SUITES, run_suite
+from .events import ABS, INF, REP, EventIndex
 from .report import SuiteResult, Violation
 from .visibility import CorruptHistory, Derived
 
@@ -131,12 +205,80 @@ def register_traces(d: Derived) -> Optional[tuple[dict, dict]]:
     return keys, {reg: ops.trace for reg, ops in idx.regs.items()}
 
 
+def _registers(steps) -> Optional[list]:
+    """The registers of ``steps``, or None unless they are rep events with
+    ascending ids."""
+    regs, last = [], None
+    for e in steps:
+        if e.kind != REP or (last is not None and e.id <= last):
+            return None
+        last = e.id
+        regs.append(e.object)
+    return regs
+
+
+def step_layout(idx: EventIndex) -> Optional[list]:
+    """Per abs operation in invocation order, then for the rep events of
+    no operation (a register's initial write), the registers of the steps
+    in order; None unless every step is a rep event, ids ascend along each
+    operation's steps and no abs event has a rep event's id.  ``traced``
+    must hold, so every rep event is a step of one of these."""
+    rep_pos, kids = idx.rep_pos, idx.kids
+    layout = []
+    for a in idx.abs_rank:
+        regs = None if a in rep_pos else _registers(kids.get(a, ()))
+        if regs is None:
+            return None
+        layout.append(regs)
+    regs = _registers([e for e in idx.reps if e.parent is None])
+    return None if regs is None else [*layout, regs]
+
+
+def scan_marks(d: Derived) -> Optional[list]:
+    """Per virtual scan, the order of its own marks as ``(kind, cell)``,
+    and per r, a and b mark which writes' wa steps precede it, the writes
+    with one taken by id; None when a scan's on or off flag is no step on
+    X."""
+    idx = d.idx
+    pos, reps, wa_of = idx.rep_pos, idx.reps, idx.wa_of
+    was = [pos[wa_of[w].id] for w in sorted(wa_of)]
+    out = []
+    for s in d.sigmas:
+        on, off = s.on, s.off
+        if on is not None and off is not None and \
+                (reps[pos[on]].object != "X" or reps[pos[off]].object != "X"):
+            return None
+        own, before = [], []
+        for kind, marks in (("r", s.r), ("a", s.a), ("b", s.b)):
+            for i, e in marks.items():
+                p = pos[e]
+                own.append((p, kind, i))
+                before.append([q < p for q in was])
+        for kind in ("on", "on_obs", "off", "off_obs"):
+            e = getattr(s, kind)
+            if e is not None:
+                own.append((pos[e], kind, -1))
+        own.sort()
+        out.append(([(kind, i) for _, kind, i in own], before))
+    return out
+
+
+def forwarding_key(d: Derived, reg_keys: tuple) -> Optional[bytes]:
+    """The forwarding layer's key below the snapshot entry, from the
+    register keys ``reg_keys`` in register order, or None where the
+    layer's guards fail."""
+    layout = step_layout(d.idx) if d.idx.traced else None
+    marks = scan_marks(d) if layout is not None else None
+    return None if marks is None else _digest((reg_keys, layout, marks))
+
+
 class Memo:
     """The results of one exploration, keyed by behaviour."""
 
     def __init__(self):
         # key -> None when seen once, then (layer, (F level, snapshot view)
-        # or None when they cannot be derived)
+        # or None when they cannot be derived, forwarding key -> suite ->
+        # violations, rep witnesses as (register, trace index))
         self._snap: dict[bytes, Optional[tuple]] = {}
         # key -> suite -> violations, witnesses as indices into the trace
         self._regs: dict[bytes, dict[str, list]] = {}
@@ -150,9 +292,9 @@ class Memo:
         entry = self._snap.get(key)
         if entry is None:
             layer = compute()
-            self._snap[key] = (layer, _views(d)) if key in self._snap else None
+            self._snap[key] = (layer, _views(d), {}) if key in self._snap else None
             return layer, key
-        layer, views = entry
+        layer, views, _ = entry
         if views is not None:
             d.adopt(*views)
         return layer, key
@@ -188,4 +330,41 @@ class Memo:
                 else:
                     out.extend(Violation(axiom, tuple(trace[k].id for k in ws), note)
                                for axiom, ws, note in stored)
-        return results, tuple(keys.values())
+        return results, tuple(keys[reg] for reg in sorted(keys))
+
+    def forwarding_suites(self, d: Derived, suites, snap_key: Optional[bytes],
+                          reg_keys: tuple) -> dict:
+        """``{suite: result}`` for F and F+ among ``suites``; empty unless
+        ``d``'s behaviour, ``snap_key``, was seen before and the layer
+        applies.  ``reg_keys`` are the register keys in register order, or
+        empty when the register layer did not take them."""
+        wanted = [n for n in suites if n in ("F", "F+")]
+        entry = self._snap.get(snap_key) if wanted and snap_key is not None else None
+        if entry is None or d.rules.forwards is None:
+            return {}
+        if not reg_keys:
+            traces = register_traces(d)
+            if traces is None:
+                return {}
+            reg_keys = tuple(traces[0][reg] for reg in sorted(traces[0]))
+        key = forwarding_key(d, reg_keys)
+        if key is None:
+            return {}
+        entry = entry[2].setdefault(key, {})
+        regs = d.idx.regs
+        results, place = {}, None
+        for suite in wanted:
+            stored = entry.get(suite)
+            if stored is None:
+                res = results[suite] = run_suite(d, suite)
+                if res.violations and place is None:
+                    place = {e.id: (reg, k) for reg, ops in regs.items()
+                             for k, e in enumerate(ops.trace)}
+                entry[suite] = [(v.axiom, tuple(place.get(w, w) for w in v.witnesses), v.note)
+                                for v in res.violations]
+            else:
+                results[suite] = SuiteResult(suite, [
+                    Violation(axiom, tuple(regs[w[0]].trace[w[1]].id if type(w) is tuple
+                                           else w for w in ws), note)
+                    for axiom, ws, note in stored])
+        return results

@@ -172,6 +172,16 @@ def test_usage_errors_exit_two(script_file, capsys):
     (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode",
       "random:1:0"],
      "snaplab: bad mode 'random:1:0': samples 0: want at least one schedule\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode",
+      "exhaustive:0"],
+     "snaplab: bad mode 'exhaustive:0': cap 0: want at least one schedule\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode",
+      "exhaustive:-4"],
+     "snaplab: bad mode 'exhaustive:-4': cap -4: want at least one schedule\n"),
+    (["linearize", "--history", "{history}", "--oracle", "--guard", "-3"],
+     "snaplab: --guard -3: want at least one event\n"),
+    (["linearize", "--history", "{history}", "--guard", "0"],
+     "snaplab: --guard 0: want at least one event\n"),
     (["stress", "--alg", "jayanti3", "--n", "1", "--threads", "0"],
      "snaplab: --threads 0: want at least one thread\n"),
     (["stress", "--alg", "jayanti3", "--n", "1", "--ops", "-1"],
@@ -184,7 +194,7 @@ def test_usage_errors_exit_two(script_file, capsys):
      "snaplab: --jobs -2: want at least one job\n"),
 ], ids=["unknown-mode", "mode-count", "edge-label", "no-cells", "explore-no-cells",
         "explore-negative-cells", "dfs-zero", "dfs-negative", "random-no-samples",
-        "no-threads", "negative-ops", "no-runs", "no-jobs", "negative-jobs"])
+        "exhaustive-zero", "exhaustive-negative", "guard-negative", "guard-zero", "no-threads", "negative-ops", "no-runs", "no-jobs", "negative-jobs"])
 def test_bad_arguments_exit_two(script_file, tmp_path, capsys, argv, message):
     main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
     capsys.readouterr()
@@ -251,7 +261,8 @@ def test_exhaustive_cap_instructs_switching(tmp_path, capsys):
     rc = main(["explore", "--alg", "naive", "--n", "2", "--script", str(p),
                "--mode", "exhaustive:50"])
     assert rc == 2
-    assert "dfs:" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("snaplab: more than 50 interleavings; use dfs:LIMIT "
+                                       "or random:SEED:SAMPLES\n")
 
 
 def test_check_edge_to_missing_event_reports_axioms(tmp_path, capsys):

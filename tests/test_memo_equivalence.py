@@ -1,15 +1,18 @@
 """explore()'s memo is exact: every schedule's report, linearization and
 oracle verdict equal a fresh derivation of its own history."""
 import dataclasses
+import random
 
 import pytest
 
 from snaplab import ALGORITHMS, ExploreConfig, Exhaustive, History, Linearization, OpScript, \
-    SimRun, brute_force_linearize, derive, explore, linearize, random_script, run_checks
-from snaplab.algorithms import LL, W, _j2_forward
-from snaplab.harness import DfsBounded, RandomWalks
+    SimRun, brute_force_linearize, checker, derive, explore, linearize, random_script, \
+    run_checks
+from snaplab.algorithms import LL, R, W, _j2_forward
+from snaplab.events import BOT, REP
+from snaplab.harness import DfsBounded, RandomWalks, iter_sims
 from snaplab.linearize import LinearizeError, SizeGuard
-from snaplab.memo import Memo, register_traces, snapshot_key
+from snaplab.memo import Memo, forwarding_key, register_traces, snapshot_key, step_layout
 from snaplab.registers import Memory
 
 SUITES = ("RB", "M", "M+", "L", "F+", "F", "S", "CHAIN")
@@ -47,15 +50,19 @@ def _fresh(cfg, history):
             _verdict(verdict))
 
 
+def _got(res):
+    """What ``_fresh`` gives, as explore() found it for one schedule."""
+    return (_report(res.report), list(res.report.suites), res.lin and res.lin.to_json(),
+            res.lin_error, _verdict(res.oracle))
+
+
 def _sweep(cfg):
     """Explore ``cfg`` and compare every schedule with a fresh derivation;
     returns the results and the summary."""
     results = []
 
     def per_result(res):
-        got = (_report(res.report), list(res.report.suites), res.lin and res.lin.to_json(),
-               res.lin_error, _verdict(res.oracle))
-        assert got == _fresh(cfg, res.history), res.schedule
+        assert _got(res) == _fresh(cfg, res.history), res.schedule
         results.append(res)
 
     summary = explore(cfg, per_result=per_result)
@@ -183,8 +190,9 @@ def _forward_once(bank, n, pid, i, v):
 
 
 def test_memo_under_a_forwarding_fault(monkeypatch):
-    """A writer that forwards once makes F+ fire; F and F+ still run on
-    every schedule, on the F level a hit takes over."""
+    """A writer that forwards once makes F+ fire; F and F+ read the F level
+    a snapshot hit takes over, or their results come from the forwarding
+    layer, with each schedule's own witnesses."""
     monkeypatch.setitem(ALGORITHMS, "jayanti2",
                         dataclasses.replace(ALGORITHMS["jayanti2"], writer=_forward_once))
     algorithm, n, threads, mode = CASES["alg2-dfs"]
@@ -194,6 +202,63 @@ def test_memo_under_a_forwarding_fault(monkeypatch):
     fired = [v.axiom for res in results for v in res.report.all_violations()]
     assert fired.count("F+.wrstruct") == len(fired) == 1235
     assert 0 < summary.distinct_snapshot_keys < summary.schedules
+
+
+def _flag_first(bank, n, pid, i, v):
+    """jayanti2's writer with its flag read before its cell write."""
+    x = yield (LL, bank.X, None, ("wx", None, None))
+    yield (W, bank.A[i], v, ("wa", None, None))
+    if x:
+        yield from _j2_forward(bank, i, 1)
+        yield from _j2_forward(bank, i, 2)
+
+
+def _never_forward(bank, n, pid, i, v):
+    """jayanti2's writer that reads the flag and never forwards."""
+    yield (W, bank.A[i], v, ("wa", None, None))
+    yield (LL, bank.X, None, ("wx", None, None))
+
+
+def _read_before_flag(bank, n, pid):
+    """jayanti2's scan with its reads of A before it raises its flag."""
+    out = [None] * n
+    for i in range(n):
+        yield (W, bank.B[i], BOT, ("r", i, None))
+    for i in range(n):
+        out[i] = yield (R, bank.A[i], None, ("a", i, None))
+    yield (W, bank.X, True, ("on", None, None))
+    yield (W, bank.X, False, ("off", None, None))
+    for i in range(n):
+        b = yield (R, bank.B[i], None, ("b", i, None))
+        if b is not BOT:
+            out[i] = b
+    return out
+
+
+MUTANTS = {"forward-once": {"writer": _forward_once}, "flag-first": {"writer": _flag_first},
+           "never-forward": {"writer": _never_forward},
+           "read-before-flag": {"scanner": _read_before_flag}}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_memo_under_forwarding_mutants(monkeypatch, mutant, n):
+    """Each schedule of a broken jayanti2 equals a fresh derivation, and the
+    forwarding layer spares F+ on some of them."""
+    monkeypatch.setitem(ALGORITHMS, "jayanti2",
+                        dataclasses.replace(ALGORITHMS["jayanti2"], **MUTANTS[mutant]))
+    ran = []
+    body = checker._SUITE_FNS["F+"]
+    monkeypatch.setitem(checker._SUITE_FNS, "F+", lambda d, out: (ran.append(1), body(d, out)))
+    threads = [[("write", 0, 2)], [("write", n - 1, 3)], [("scan",)]]
+    cfg = ExploreConfig("jayanti2", n, OpScript.from_lists(threads), DfsBounded(400),
+                        suites=SUITES, linearize=True, oracle=True)
+    results = []
+    summary = explore(cfg, per_result=results.append)
+    assert len(ran) < summary.schedules == 400
+    for res in results:  # after explore(), so that only its F+ runs were counted
+        assert _got(res) == _fresh(cfg, res.history), res.schedule
+    assert summary.violations > 0
 
 
 def test_keys_counted_the_same_under_jobs():
@@ -316,3 +381,122 @@ def test_keys_change_with_what_the_checks_read():
     write = max((e for e in h.events if e.op == "write[0]"), key=lambda e: e.id)
     scan(h).end = write.end - 5
     assert _keys(h)[0] != base2
+
+
+def _forwarded_over(swap: bool):
+    """jayanti2, n = 1: w and w2 write 2, the scan raises its flag, w sees it
+    and forwards twice, the scan's b-read observes the second forward.  Both
+    forwards' A-reads are edited to read w's cell write, though w2's came
+    between, so w is forwarded.  With ``swap``, w2's cell write moves from
+    after the scan's reset of B[0] to before it, a step of another
+    operation on another register: F.6a (an old write forwarded over a
+    pre-scan write) then fires.  Every tick is scaled by ten."""
+    sim = SimRun("jayanti2", 1, OpScript.from_lists([[("write", 0, 2)], [("write", 0, 2)],
+                                                    [("scan",)]]))
+    sim.run_schedule([0, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 1])
+    h = History.from_json(sim.history().to_json())
+    for e in h.events:
+        e.start, e.end = e.start * 10, e.end * 10
+    w, w2 = (e.id for e in h.events if e.op == "write[0]" and e.input == 2)
+    scan = next(e.id for e in h.events if e.op == "scan")
+    wa, wa2, reset = (next(e for e in h.events if e.op == op and e.parent == p)
+                      for op, p in (("wa.w", w), ("wa.w", w2), ("r[0].w", scan)))
+    fas = {e.id for e in h.events if e.op.startswith("fa[0]")}
+    h.rf = [(wa.id if b in fas else a, b) for a, b in h.rf]
+    if swap:
+        reset.start, reset.end = wa2.start, wa2.end
+        wa2.start, wa2.end = h.event(wa2.parent).start + 1, h.event(wa2.parent).start + 2
+        h.events.sort(key=lambda e: e.start)
+    return h
+
+
+def test_forwarding_key_holds_the_order_across_registers():
+    """Two histories that differ only in whether w2's cell write precedes the
+    scan's reset share their snapshot key, register keys and step layout,
+    but not F's verdict; so their forwarding keys differ, and one memo
+    gives each history what a fresh derivation gives it."""
+    before, after = _forwarded_over(True), _forwarded_over(False)
+    fired = [{v.axiom for v in run_checks(derive(h), ("F",)).all_violations()}
+             for h in (before, after)]
+    assert fired == [{"F.6a"}, set()]
+    keys = [_layer_keys(h) for h in (before, after)]
+    assert keys[0][:3] == keys[1][:3]
+    assert None not in keys[0] and keys[0][3] != keys[1][3]
+    assert _through_one_memo((after, after, before, before, after)) == [False] + [True] * 4
+
+
+def _layer_keys(h) -> tuple:
+    """``h``'s snapshot key, register keys, step layout and forwarding key."""
+    d = derive(h)
+    regs = register_traces(d)[0]
+    reg_keys = tuple(regs[r] for r in sorted(regs))
+    return snapshot_key(d), reg_keys, step_layout(d.idx), forwarding_key(d, reg_keys)
+
+
+def _through_one_memo(histories) -> list:
+    """Pass ``histories`` through one memo in turn and check that each gets
+    the F and F+ reports of a fresh derivation; returns, per history,
+    whether the forwarding layer answered."""
+    memo = Memo()
+    answered = []
+    for h in histories:
+        d = derive(h)
+        snap = memo.snapshot(d, lambda: None)[1]
+        got = memo.forwarding_suites(d, ("F", "F+"), snap, ())
+        answered.append(bool(got))
+        assert _report(run_checks(d, ("F", "F+"), done=got)) == \
+            _report(run_checks(derive(h), ("F", "F+")))
+    return answered
+
+
+def _steps_swapped(h, x, y):
+    """``h`` with its adjacent rep events ``x`` and ``y`` trading places:
+    their ticks and their ids, so that ids still ascend along the rep
+    order."""
+    ex, ey = h.event(x), h.event(y)
+    (ex.start, ex.end), (ey.start, ey.end) = (ey.start, ey.end), (ex.start, ex.end)
+    ex.id, ey.id = y, x
+    swap = {x: y, y: x}
+    h.rf = [(swap.get(a, a), swap.get(b, b)) for a, b in h.rf]
+    h.ll = [(swap.get(a, a), swap.get(b, b)) for a, b in h.ll]
+    h.events.sort(key=lambda e: e.start)
+    return History.from_json(h.to_json())
+
+
+def test_forwarding_key_holds_each_operations_step_order():
+    """A write that reads the flag before its cell write (F+.wrstruct)
+    differs from the real one only in the order of its own two steps, on
+    two registers: the forwarding keys differ, and one memo gives each
+    history what a fresh derivation gives it."""
+    write = lambda h: max(e.id for e in h.events if e.op == "write[0]")
+    real = _jayanti2_history()
+    wa, wx = (next(e.id for e in real.events if e.op == op and e.parent == write(real))
+              for op in ("wa.w", "wx.ll"))
+    flipped = _steps_swapped(_jayanti2_history(), wa, wx)
+    fired = [{v.axiom for v in run_checks(derive(h), ("F+",)).all_violations()}
+             for h in (flipped, real)]
+    assert fired == [{"F+.wrstruct"}, set()]
+    keys = [_layer_keys(h) for h in (flipped, real)]
+    assert keys[0][:2] == keys[1][:2] and keys[0][2] != keys[1][2]
+    assert None not in keys[0] and keys[0][3] != keys[1][3]
+    assert _through_one_memo((real, real, flipped, flipped, real)) == [False] + [True] * 4
+
+
+def test_memo_on_histories_with_swapped_steps():
+    """The histories of an alg2 DFS prefix, each with a copy whose two
+    adjacent steps on different registers trade places, pass through one
+    memo twice in a shuffled order: each gets a fresh derivation's F and
+    F+ reports."""
+    algorithm, n, threads, _ = CASES["alg2-dfs"]
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(150))
+    rng = random.Random(1)
+    histories = []
+    for sim in iter_sims(cfg):
+        text = sim.history().to_json()
+        copy = History.from_json(text)
+        reps = sorted((e for e in copy.events if e.kind == REP), key=lambda e: e.start)
+        x, y = rng.choice([(x, y) for x, y in zip(reps, reps[1:]) if x.object != y.object])
+        histories += [History.from_json(text), _steps_swapped(copy, x.id, y.id)]
+    order = histories * 2
+    rng.shuffle(order)
+    assert sum(_through_one_memo(order)) > len(order) // 2
