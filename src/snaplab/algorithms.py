@@ -199,20 +199,22 @@ def _j1_scan(bank, n, pid):
 
 # -- Jayanti multi-writer single-scanner -------------------------------------
 
-def _j2_forward(bank, i, k):
-    yield (LL, bank.B[i], None, ("fll", i, k))
+def _forward(bank, b, i, k):
+    """The k-th forward of a write to cell i, into register ``b``: jayanti2's
+    B[i], or jayanti3's Bp[p][i] for the scanner p that raised X."""
+    yield (LL, b, None, ("fll", i, k))
     v = yield (R, bank.A[i], None, ("fa", i, k))
     ok = yield (VL, bank.X, None, ("fvl", i, k))
     if ok:
-        yield (SC, bank.B[i], v, ("fsc", i, k))
+        yield (SC, b, v, ("fsc", i, k))
 
 
 def _j2_write(bank, n, pid, i, v):
     yield (W, bank.A[i], v, ("wa", None, None))
     x = yield (LL, bank.X, None, ("wx", None, None))
     if x:
-        yield from _j2_forward(bank, i, 1)
-        yield from _j2_forward(bank, i, 2)
+        yield from _forward(bank, bank.B[i], i, 1)
+        yield from _forward(bank, bank.B[i], i, 2)
 
 
 def _j2_scan(bank, n, pid):
@@ -232,20 +234,12 @@ def _j2_scan(bank, n, pid):
 
 # -- Jayanti multi-writer multi-scanner --------------------------------------
 
-def _j3_forward(bank, i, p, k):
-    yield (LL, bank.Bp[p][i], None, ("fll", i, k))
-    v = yield (R, bank.A[i], None, ("fa", i, k))
-    ok = yield (VL, bank.X, None, ("fvl", i, k))
-    if ok:
-        yield (SC, bank.Bp[p][i], v, ("fsc", i, k))
-
-
 def _j3_write(bank, n, pid, i, v):
     yield (W, bank.A[i], v, ("wa", None, None))
     x = yield (LL, bank.X, None, ("wx", None, None))
     if x[0] == 2:
-        yield from _j3_forward(bank, i, x[2], 1)
-        yield from _j3_forward(bank, i, x[2], 2)
+        yield from _forward(bank, bank.Bp[x[2]][i], i, 1)
+        yield from _forward(bank, bank.Bp[x[2]][i], i, 2)
 
 
 def _j3_push_vs(bank, n, p, k):

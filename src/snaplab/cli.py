@@ -112,8 +112,6 @@ def _load_schedule(path: str) -> FixedSchedule:
 
 
 def cmd_explore(args) -> int:
-    if args.jobs < 1:
-        raise BadArgument(f"--jobs {args.jobs}: want at least one job")
     script = _load_script(args.script)
     fixed = args.mode.split(":", 1)[1] if args.mode.startswith("fixed:") else None
     cfg = ExploreConfig(
@@ -141,8 +139,7 @@ def cmd_explore(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     try:
-        summary = explore(cfg, per_result=per_result if args.out else None,
-                          jobs=1 if args.out else args.jobs)
+        summary = explore(cfg, per_result=per_result if args.out else None)
     except ScheduleError as exc:
         raise ScheduleError(f"{fixed}: malformed schedule: {exc}") from exc
     out = {
@@ -275,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--oracle", action="store_true")
     ex.add_argument("--hash", action="store_true", help="hash the history/linearization stream")
     ex.add_argument("--out", default=None)
-    ex.add_argument("--jobs", type=int, default=1,
-                    help="check histories in a pool of N workers, which replay each "
-                         "schedule: pays under random: only (ignored with --out)")
     ex.set_defaults(fn=cmd_explore)
 
     st = sub.add_parser("stress", help="real-thread runs with post-hoc checking")

@@ -108,9 +108,6 @@ class _Absent:
     def __repr__(self):
         return "<absent>"
 
-    def __reduce__(self):
-        return "_ABSENT"  # unpickled as the one marker, which callers test with ``is``
-
 
 _ABSENT = _Absent()
 ABSENT = _ABSENT
@@ -216,10 +213,6 @@ class History:
         self._by_id: Optional[dict[int, Event]] = None
         self._keep_json = False  # set by the recorder, whose returned events never change
         self.index: Optional[EventIndex] = None
-
-    def __getstate__(self) -> dict:
-        """Pickled without its index, which ``derive`` builds again."""
-        return {**self.__dict__, "index": None}
 
     def event(self, eid: int) -> Event:
         if self._by_id is None:

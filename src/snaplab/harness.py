@@ -220,19 +220,22 @@ class FixedSchedule:
     schedule: tuple[int, ...]
 
 
+# mode name -> its class, the numbers of counts it takes, and its forms
+_MODES = {"exhaustive": (Exhaustive, (0, 1), "exhaustive or exhaustive:CAP"),
+          "dfs": (DfsBounded, (1,), "dfs:LIMIT"),
+          "random": (RandomWalks, (2,), "random:SEED:SAMPLES")}
+
+
 def parse_mode(text: str):
-    if text == "exhaustive":
-        return Exhaustive()
-    if text.startswith("exhaustive:"):
-        return Exhaustive(int(text.split(":")[1]))
-    if text.startswith("dfs:"):
-        return DfsBounded(int(text.split(":")[1]))
-    if text.startswith("random:"):
-        _, seed, samples = text.split(":")
-        return RandomWalks(int(seed), int(samples))
-    if text.startswith("fixed:"):
+    name, *counts = text.split(":")
+    if name == "fixed":
         raise ValueError("fixed schedules are loaded by the CLI from a file")
-    raise ValueError(f"unknown mode {text!r}")
+    if name not in _MODES:
+        raise ValueError(f"unknown mode {text!r}")
+    mode, arity, forms = _MODES[name]
+    if len(counts) not in arity:
+        raise ValueError(f"want {forms}")
+    return mode(*map(int, counts))
 
 
 @dataclass(frozen=True)
@@ -407,24 +410,6 @@ class Failure:
     lin_error: Optional[str] = None
 
 
-@dataclass
-class _Outcome:
-    """What the summary keeps of one evaluated schedule; small enough to
-    send back from a pool worker."""
-    digest: bytes
-    violations: int
-    lin_failed: bool
-    mismatch: bool
-    oracle_skipped: bool
-    max_steps: dict
-    ec: int
-    view_return: bool
-    failure: Optional[Failure]
-    snapshot_key: Optional[bytes]
-    register_keys: tuple
-    steps: int  # register steps the enumeration ran to reach this schedule
-
-
 def max_steps(d: Derived) -> dict[str, int]:
     """The most register steps one write and one scan of ``d``'s history
     ran.  Each step records one rep event under its abs operation, so an
@@ -453,91 +438,51 @@ def _view_returned(d: Derived) -> bool:
         return False
 
 
-def _outcome(cfg: ExploreConfig, sim: SimRun, memo: Memo, steps: int,
-             per_result=None) -> _Outcome:
-    res = evaluate(cfg, sim, memo)
-    if per_result is not None:
-        per_result(res)
-    digest = b""
-    if cfg.hash_stream:
-        payload = res.history.to_json()
-        if res.lin is not None:
-            payload += "\n" + res.lin.to_json()
-        digest = hashlib.sha256(payload.encode()).digest()
-    nviol = len(res.report.all_violations())
-    bad = nviol > 0 or res.lin_ok is False or res.agree is False
-    return _Outcome(digest, nviol, res.lin_ok is False, res.agree is False,
-                    cfg.oracle and res.oracle is None, max_steps(res.derived),
-                    len(completed_set(res.derived)), _view_returned(res.derived),
-                    Failure(res.schedule, res.report, res.lin_error) if bad else None,
-                    res.snapshot_key, res.register_keys, steps)
-
-
-def _fold(cfg: ExploreConfig, outcomes: Iterable[_Outcome], keep_failing: int) -> ExploreSummary:
+def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None]] = None,
+            keep_failing: int = 5) -> ExploreSummary:
+    """Evaluate every schedule of ``cfg.mode``, each behaviour once (see
+    memo.py), and fold each result into the summary."""
+    memo = Memo()
     summary = ExploreSummary()
     hasher = hashlib.sha256()
     snapshot_keys: set = set()
     register_keys: set = set()
-    for o in outcomes:
+    for sim in iter_sims(cfg):
+        summary.steps_executed += sim.steps_run
+        res = evaluate(cfg, sim, memo)
+        if per_result is not None:
+            per_result(res)
+        if cfg.hash_stream:
+            payload = res.history.to_json()
+            if res.lin is not None:
+                payload += "\n" + res.lin.to_json()
+            hasher.update(hashlib.sha256(payload.encode()).digest())
+        nviol = len(res.report.all_violations())
         summary.schedules += 1
-        summary.violations += o.violations
-        summary.lin_failures += o.lin_failed
-        summary.oracle_mismatches += o.mismatch
-        summary.oracle_skipped += o.oracle_skipped
-        if o.failure is None:
-            summary.passed += 1
-        else:
+        summary.violations += nviol
+        summary.lin_failures += res.lin_ok is False
+        summary.oracle_mismatches += res.agree is False
+        summary.oracle_skipped += cfg.oracle and res.oracle is None
+        if nviol or res.lin_ok is False or res.agree is False:
             summary.failed += 1
             if len(summary.failing) < keep_failing:
-                summary.failing.append(o.failure)
-        for k, v in o.max_steps.items():
+                summary.failing.append(Failure(res.schedule, res.report, res.lin_error))
+        else:
+            summary.passed += 1
+        for k, v in max_steps(res.derived).items():
             summary.max_steps[k] = max(summary.max_steps.get(k, 0), v)
-        summary.max_ec = max(summary.max_ec, o.ec)
-        summary.afek_view_returns += o.view_return
-        summary.steps_executed += o.steps
-        hasher.update(o.digest)
-        if o.snapshot_key is not None:
-            snapshot_keys.add(o.snapshot_key)
-        register_keys.update(o.register_keys)
+        summary.max_ec = max(summary.max_ec, len(completed_set(res.derived)))
+        summary.afek_view_returns += _view_returned(res.derived)
+        if res.snapshot_key is not None:
+            snapshot_keys.add(res.snapshot_key)
+        register_keys.update(res.register_keys)
+        # a live history makes the recorder copy its index on the next step
+        del res
     if cfg.hash_stream:
         summary.stream_sha256 = hasher.hexdigest()
     summary.distinct_snapshot_keys = len(snapshot_keys)
     summary.distinct_register_keys = len(register_keys)
     return summary
-
-
-def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None]] = None,
-            keep_failing: int = 5, jobs: int = 1) -> ExploreSummary:
-    """Evaluate every schedule of ``cfg.mode``, each behaviour once (see
-    memo.py).  With ``jobs > 1`` (and no ``per_result``) schedules are
-    enumerated here and re-executed and checked in a pool, each worker
-    with its own memo; the summary is the same as with one job."""
-    if jobs > 1 and per_result is None:
-        import multiprocessing
-
-        schedules = ((tuple(sim.schedule), sim.steps_run) for sim in iter_sims(cfg))
-        with multiprocessing.Pool(jobs, initializer=_start_worker) as pool:
-            return _fold(cfg, pool.imap(partial(_pool_eval, cfg), schedules, chunksize=32),
-                         keep_failing)
-    memo = Memo()
-    return _fold(cfg, (_outcome(cfg, sim, memo, sim.steps_run, per_result)
-                       for sim in iter_sims(cfg)), keep_failing)
-
-
-_worker_memo: Optional[Memo] = None  # a pool worker's memo, for one explore() call
-
-
-def _start_worker() -> None:
-    global _worker_memo
-    _worker_memo = Memo()
-
-
-def _pool_eval(cfg: ExploreConfig, job: tuple) -> _Outcome:
-    """Replay and check one ``(schedule, steps the enumeration ran)``."""
-    schedule, steps = job
-    sim = _new_sim(cfg)
-    sim.run_schedule(schedule)
-    return _outcome(cfg, sim, _worker_memo, steps)
 
 
 # -- stress ---------------------------------------------------------------------

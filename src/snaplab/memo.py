@@ -40,12 +40,14 @@ the register's own trace and nothing else: per event its op, input,
 output and operation (M+ compares operations), and the edges.  The key
 names an event by its index in the register's trace and an operation by
 its invocation rank, so a trace repeats even when its events got other
-ids; witnesses are stored as indices and mapped back to each schedule's
-ids.  That guard is checked along the run, by O(1) checks per event and
-edge as the recorder feeds the event index (``EventIndex.traced``), and
-the index keeps each register's trace and its key parts, extended to the
-events that lack them when a key is asked for: a DFS leaf pays for the
-events past its branch point and one digest per register.
+ids; witnesses are stored as ``(register, trace index)`` and mapped back
+to each schedule's ids, and a violation with a witness off its
+register's trace is not stored.  That guard is checked along the run,
+by O(1) checks per event and edge as the recorder feeds the event index
+(``EventIndex.traced``), and the index keeps each register's trace and
+its key parts, extended to the events that lack them when a key is asked
+for: a DFS leaf pays for the events past its branch point and one digest
+per register.
 
 Forwarding layer: F and F+, under the snapshot entry, keyed on
 ``forwarding_key``.  It applies where the register layer does
@@ -188,12 +190,11 @@ def _views(d: Derived) -> Optional[tuple]:
     return d.flevel, d.snap
 
 
-def register_traces(d: Derived) -> Optional[tuple[dict, dict]]:
-    """Each register's key and trace, ``({register: key}, {register:
-    [events]})``, or None unless the index's register guard held along
-    the run (``EventIndex.traced``): the rep events pairwise disjoint, all
-    returned, and every rf/ll edge joining two events of one register in
-    start order."""
+def register_keys(d: Derived) -> Optional[dict]:
+    """Each register's key, ``{register: key}``, or None unless the index's
+    register guard held along the run (``EventIndex.traced``): the rep
+    events pairwise disjoint, all returned, and every rf/ll edge joining
+    two events of one register in start order."""
     idx = d.idx
     if not idx.traced:
         return None
@@ -202,7 +203,27 @@ def register_traces(d: Derived) -> Optional[tuple[dict, dict]]:
         keys[reg] = _digest((reg, *idx.register_key_parts(reg)))
         if keys[reg] is None:
             return None
-    return keys, {reg: ops.trace for reg, ops in idx.regs.items()}
+    return keys
+
+
+def _places(idx: EventIndex, regs) -> dict:
+    """``{id: (register, trace index)}`` for the events of ``regs``."""
+    return {e.id: (reg, k) for reg in regs for k, e in enumerate(idx.regs[reg].trace)}
+
+
+def _store(violations, place: dict) -> list:
+    """``violations`` as an entry keeps them: each witness ``place`` names as
+    its ``(register, trace index)``, any other as it is."""
+    return [(v.axiom, tuple(place.get(w, w) for w in v.witnesses), v.note)
+            for v in violations]
+
+
+def _restore(stored: list, idx: EventIndex) -> list[Violation]:
+    """The violations ``_store`` kept, with ``idx``'s ids for its rep events."""
+    regs = idx.regs
+    return [Violation(axiom, tuple(regs[w[0]].trace[w[1]].id if type(w) is tuple else w
+                                   for w in ws), note)
+            for axiom, ws, note in stored]
 
 
 def _registers(steps) -> Optional[list]:
@@ -280,7 +301,7 @@ class Memo:
         # or None when they cannot be derived, forwarding key -> suite ->
         # violations, rep witnesses as (register, trace index))
         self._snap: dict[bytes, Optional[tuple]] = {}
-        # key -> suite -> violations, witnesses as indices into the trace
+        # key -> suite -> violations, witnesses as (register, trace index)
         self._regs: dict[bytes, dict[str, list]] = {}
 
     def snapshot(self, d: Derived, compute: Callable[[], object]):
@@ -303,16 +324,14 @@ class Memo:
         """``({suite: result}, the register keys)`` for the per-register
         suites among ``suites``; both empty when the guard fails."""
         wanted = [n for n in suites if n in REGISTER_SUITES]
-        traces = register_traces(d) if wanted else None
-        if traces is None:
+        keys = register_keys(d) if wanted else None
+        if keys is None:
             return {}, ()
-        keys, traces = traces
         idx = d.idx
         results = {n: SuiteResult(n) for n in wanted}
         for reg, ops in sorted(idx.regs.items()):
             llsc = idx.is_llsc_reg(reg)
             entry = self._regs.setdefault(keys[reg], {})
-            trace = traces[reg]
             for suite in wanted:
                 on_llsc, _, body = REGISTER_SUITES[suite]
                 if on_llsc != llsc:
@@ -323,13 +342,11 @@ class Memo:
                     found: list = []
                     body(d, d.rep_hb, reg, ops, found)
                     out.extend(found)
-                    pos = {e.id: k for k, e in enumerate(trace)} if found else {}
-                    if all(w in pos for v in found for w in v.witnesses):
-                        entry[suite] = [(v.axiom, tuple(pos[w] for w in v.witnesses), v.note)
-                                        for v in found]
+                    place = _places(idx, (reg,)) if found else {}
+                    if all(w in place for v in found for w in v.witnesses):
+                        entry[suite] = _store(found, place)
                 else:
-                    out.extend(Violation(axiom, tuple(trace[k].id for k in ws), note)
-                               for axiom, ws, note in stored)
+                    out.extend(_restore(stored, idx))
         return results, tuple(keys[reg] for reg in sorted(keys))
 
     def forwarding_suites(self, d: Derived, suites, snap_key: Optional[bytes],
@@ -343,28 +360,22 @@ class Memo:
         if entry is None or d.rules.forwards is None:
             return {}
         if not reg_keys:
-            traces = register_traces(d)
-            if traces is None:
+            keys = register_keys(d)
+            if keys is None:
                 return {}
-            reg_keys = tuple(traces[0][reg] for reg in sorted(traces[0]))
+            reg_keys = tuple(keys[reg] for reg in sorted(keys))
         key = forwarding_key(d, reg_keys)
         if key is None:
             return {}
         entry = entry[2].setdefault(key, {})
-        regs = d.idx.regs
-        results, place = {}, None
+        idx = d.idx
+        results = {}
         for suite in wanted:
             stored = entry.get(suite)
             if stored is None:
                 res = results[suite] = run_suite(d, suite)
-                if res.violations and place is None:
-                    place = {e.id: (reg, k) for reg, ops in regs.items()
-                             for k, e in enumerate(ops.trace)}
-                entry[suite] = [(v.axiom, tuple(place.get(w, w) for w in v.witnesses), v.note)
-                                for v in res.violations]
+                place = _places(idx, idx.regs) if res.violations else {}
+                entry[suite] = _store(res.violations, place)
             else:
-                results[suite] = SuiteResult(suite, [
-                    Violation(axiom, tuple(regs[w[0]].trace[w[1]].id if type(w) is tuple
-                                           else w for w in ws), note)
-                    for axiom, ws, note in stored])
+                results[suite] = SuiteResult(suite, _restore(stored, idx))
         return results

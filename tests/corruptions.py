@@ -99,6 +99,28 @@ def fabricate_hb_cycle() -> tuple[History, str, str]:
     raise AssertionError("no pair of disjoint load-links found")
 
 
+def _first_with_sc() -> History:
+    return next(h for h in _alg2_histories() if any(e.op.endswith(".sc") for e in h.events))
+
+
+def sc_output_not_bool() -> tuple[History, str, str]:
+    h = _copy(_first_with_sc())
+    sc = next(e for e in h.events if e.op.endswith(".sc"))
+    sc.output = 1
+    return h, "M+", "M+.vl-io"
+
+
+def write_step_relabelled() -> tuple[History, str, str]:
+    """A returned write whose cell write carries another label: the write
+    has no wa step.  Relabelled in the record, as an event's label is
+    parsed when it is made."""
+    obj = _first_with_sc().to_obj()
+    initial_writes = obj["meta"]["n"]
+    rec = [r for r in obj["events"] if r["op"] == "wa.w"][initial_writes]
+    rec["op"] = "wz.w"
+    return History.from_obj(obj), "S", "S.5"
+
+
 ALL = (
     duplicate_rf,
     ll_edge_across_parents,
@@ -106,4 +128,6 @@ ALL = (
     sc_success_wrong_version,
     scan_output_mismatch,
     fabricate_hb_cycle,
+    sc_output_not_bool,
+    write_step_relabelled,
 )

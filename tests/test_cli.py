@@ -188,13 +188,16 @@ def test_usage_errors_exit_two(script_file, capsys):
      "snaplab: --ops -1: want at least one operation per thread\n"),
     (["stress", "--alg", "jayanti3", "--n", "1", "--runs", "0"],
      "snaplab: --runs 0: want at least one run\n"),
-    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--jobs", "0"],
-     "snaplab: --jobs 0: want at least one job\n"),
-    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--jobs", "-2"],
-     "snaplab: --jobs -2: want at least one job\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode",
+      "dfs:5:junk"],
+     "snaplab: bad mode 'dfs:5:junk': want dfs:LIMIT\n"),
+    (["explore", "--alg", "naive", "--n", "1", "--script", "{script}", "--mode",
+      "exhaustive:3:x"],
+     "snaplab: bad mode 'exhaustive:3:x': want exhaustive or exhaustive:CAP\n"),
 ], ids=["unknown-mode", "mode-count", "edge-label", "no-cells", "explore-no-cells",
         "explore-negative-cells", "dfs-zero", "dfs-negative", "random-no-samples",
-        "exhaustive-zero", "exhaustive-negative", "guard-negative", "guard-zero", "no-threads", "negative-ops", "no-runs", "no-jobs", "negative-jobs"])
+        "exhaustive-zero", "exhaustive-negative", "guard-negative", "guard-zero", "no-threads",
+        "negative-ops", "no-runs", "dfs-trailing-field", "exhaustive-trailing-field"])
 def test_bad_arguments_exit_two(script_file, tmp_path, capsys, argv, message):
     main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
     capsys.readouterr()
@@ -310,16 +313,14 @@ def _explore_naive(script, capsys, *extra):
     return rc, captured.out, captured.err
 
 
-def test_explore_failure_output_is_the_same_for_any_jobs(naive_script, capsys):
-    one = _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--jobs", "1")
-    two = _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--jobs", "2")
-    assert one == two
-    assert one[0] == 1
-    assert "CycleError: write order has a cycle" in one[2]
+def test_explore_failure_output_names_the_cycle(naive_script, capsys):
+    rc, _, err = _explore_naive(naive_script, capsys, "--mode", "exhaustive")
+    assert rc == 1
+    assert "CycleError: write order has a cycle" in err
 
 
 def test_explore_failure_replays_from_its_schedule_line(naive_script, tmp_path, capsys):
-    _, _, err = _explore_naive(naive_script, capsys, "--mode", "exhaustive", "--jobs", "2")
+    _, _, err = _explore_naive(naive_script, capsys, "--mode", "exhaustive")
     lines = err.splitlines()
     starts = [k for k, line in enumerate(lines) if line.startswith('{"schedule": ')]
     assert starts
@@ -372,13 +373,10 @@ def test_stress_worker_exception_exits_one(monkeypatch, capsys):
     ('{"schedule": [0, 0, 0, 0, 0]}', "step 2 runs thread 0, which has finished"),
 ], ids=["missing-key", "not-an-object", "not-json", "not-a-list", "not-an-int",
         "negative", "out-of-range", "finished-thread"])
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_malformed_fixed_schedule_exits_two(naive_script, tmp_path, capsys, text, message,
-                                            jobs):
+def test_malformed_fixed_schedule_exits_two(naive_script, tmp_path, capsys, text, message):
     fixed = tmp_path / "schedule.json"
     fixed.write_text(text)
-    rc, out, err = _explore_naive(naive_script, capsys, "--mode", f"fixed:{fixed}",
-                                  "--jobs", jobs)
+    rc, out, err = _explore_naive(naive_script, capsys, "--mode", f"fixed:{fixed}")
     assert rc == 2 and out == ""
     assert err.startswith(f"snaplab: {fixed}: malformed schedule: ")
     assert message in err and "Traceback" not in err
@@ -399,17 +397,13 @@ def test_explore_out_writes_replayable_schedules(naive_script, tmp_path, capsys)
 
 
 def test_explore_prints_distinct_keys(script_file, capsys):
-    outs = []
-    for jobs in ("1", "2"):
-        rc = main(["explore", "--alg", "jayanti2", "--n", "1", "--script", script_file,
-                   "--mode", "exhaustive", "--check", "M,M+,L,F+,F,S,CHAIN", "--jobs", jobs])
-        assert rc == 0
-        outs.append(json.loads(capsys.readouterr().out))
-    out = outs[0]
+    rc = main(["explore", "--alg", "jayanti2", "--n", "1", "--script", script_file,
+               "--mode", "exhaustive", "--check", "M,M+,L,F+,F,S,CHAIN"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
     assert 0 < out["distinct_snapshot_keys"] < out["schedules"]
     assert out["distinct_register_keys"] > 0
     assert out["steps_executed"] > out["schedules"]
-    assert outs[1] == out  # the same summary under any --jobs
 
 
 @pytest.mark.parametrize("argv", [

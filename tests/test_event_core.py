@@ -1,6 +1,5 @@
 """Events, returns-before, subevents, structural checks, and history JSON."""
 import json
-import pickle
 import sys
 from pathlib import Path
 
@@ -146,19 +145,6 @@ def test_history_json_round_trip():
     # unterminated events serialize with "inf" end and null output
     dangling = [e for e in obj["events"] if e["end"] == "inf"]
     assert dangling and all(e["output"] is None for e in dangling)
-
-
-def test_pickled_open_events_keep_the_absent_marker():
-    """An open event's output unpickles as ``ABSENT`` itself, which the
-    encoder and ``validate_history`` test with ``is``."""
-    h = repro("jayanti1_fig3").history
-    assert any(e.output is ABSENT for e in h.events)
-    back = pickle.loads(pickle.dumps(h))
-    assert back.to_json() == h.to_json()
-    assert [(v.axiom, v.witnesses) for v in validate_history(back)] == \
-        [(v.axiom, v.witnesses) for v in validate_history(h)]
-    assert [e.id for e in back.events if e.output is ABSENT] == \
-        [e.id for e in h.events if e.output is ABSENT]
 
 
 def test_harness_histories_pass_structural_checks():

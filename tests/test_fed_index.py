@@ -16,7 +16,7 @@ import pytest
 from snaplab import ExploreConfig, History, OpScript, SimRun, derive, explore, events
 from snaplab.events import EventIndex
 from snaplab.harness import DfsBounded, iter_sims
-from snaplab.memo import register_traces
+from snaplab.memo import register_keys
 from snaplab.visibility import HbClosure
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -54,12 +54,9 @@ def index_state(idx: EventIndex) -> dict:
 
 def derived_state(h) -> tuple:
     """What ``derive`` reads off the index of ``h``: the index, the rep
-    closure's pairs and the register keys and traces."""
+    closure's pairs and the register keys."""
     d = derive(h)
-    traces = register_traces(d)
-    if traces is not None:
-        traces = (traces[0], {reg: _ids(t) for reg, t in traces[1].items()})
-    return index_state(d.idx), sorted(d.rep_hb.pairs()), traces
+    return index_state(d.idx), sorted(d.rep_hb.pairs()), register_keys(d)
 
 
 def _holds_its_own_events(h) -> bool:
@@ -89,6 +86,19 @@ def test_fed_index_equals_the_rebuilt_one(name):
     assert leaves == QUICK[name].limit if isinstance(QUICK[name], DfsBounded) else leaves > 0
 
 
+def test_explore_lets_each_leaf_go(monkeypatch):
+    """explore() holds no leaf's history when the DFS moves on, so the
+    recorder feeds its one index in place and never copies it."""
+    copies = []
+    copy = EventIndex.copy
+    monkeypatch.setattr(EventIndex, "copy", lambda idx, *a: copies.append(a) or copy(idx, *a))
+    algorithm, n, threads = ALG2
+    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(200),
+                        suites=("M", "M+", "L", "F+", "F", "S", "CHAIN"), linearize=True)
+    assert explore(cfg).schedules == 200
+    assert copies == []
+
+
 def test_a_leaf_derivation_survives_the_dfs_moving_on():
     """A leaf kept while the DFS yields 50 more, and a mid-run history
     taken before the DFS restores past it, derive what they did."""
@@ -99,10 +109,10 @@ def test_a_leaf_derivation_survives_the_dfs_moving_on():
         sim = next(sims)
     kept = sim.history()
     d = derive(kept)
-    before = index_state(d.idx), sorted(d.rep_hb.pairs()), register_traces(d)[0]
+    before = index_state(d.idx), sorted(d.rep_hb.pairs()), register_keys(d)
     for _ in range(50):
         next(sims)
-    assert (index_state(d.idx), sorted(d.rep_hb.pairs()), register_traces(d)[0]) == before
+    assert (index_state(d.idx), sorted(d.rep_hb.pairs()), register_keys(d)) == before
     assert derived_state(kept) == derived_state(History.from_json(kept.to_json()))
     assert _holds_its_own_events(kept)
 

@@ -189,17 +189,6 @@ def test_random_script_is_deterministic():
         random_script(3, 2, 9, seed=4).to_json()
 
 
-def test_parallel_explore_matches_sequential():
-    script = OpScript.from_lists([[("write", 0, 2)], [("scan",)]])
-    cfg = ExploreConfig("jayanti1", 1, script, Exhaustive(1000),
-                        suites=("F", "S"), linearize=True, hash_stream=True)
-    seq = explore(cfg)
-    par = explore(cfg, jobs=2)
-    assert par.schedules == seq.schedules
-    assert par.stream_sha256 == seq.stream_sha256
-    assert par.clean and seq.clean
-
-
 def test_dfs_bounded_stops_at_limit():
     script = OpScript.from_lists([[("write", 0, 2)], [("write", 1, 3)], [("scan",)]])
     cfg = ExploreConfig("naive", 2, script, DfsBounded(5))

@@ -8,11 +8,11 @@ import pytest
 from snaplab import ALGORITHMS, ExploreConfig, Exhaustive, History, Linearization, OpScript, \
     SimRun, brute_force_linearize, checker, derive, explore, linearize, random_script, \
     run_checks
-from snaplab.algorithms import LL, R, W, _j2_forward
+from snaplab.algorithms import LL, R, W, _forward
 from snaplab.events import BOT, REP
 from snaplab.harness import DfsBounded, RandomWalks, iter_sims
 from snaplab.linearize import LinearizeError, SizeGuard
-from snaplab.memo import Memo, forwarding_key, register_traces, snapshot_key, step_layout
+from snaplab.memo import Memo, forwarding_key, register_keys, snapshot_key, step_layout
 from snaplab.registers import Memory
 
 SUITES = ("RB", "M", "M+", "L", "F+", "F", "S", "CHAIN")
@@ -186,7 +186,7 @@ def _forward_once(bank, n, pid, i, v):
     """jayanti2's writer with its second forward left out."""
     yield (W, bank.A[i], v, ("wa", None, None))
     if (yield (LL, bank.X, None, ("wx", None, None))):
-        yield from _j2_forward(bank, i, 1)
+        yield from _forward(bank, bank.B[i], i, 1)
 
 
 def test_memo_under_a_forwarding_fault(monkeypatch):
@@ -209,8 +209,8 @@ def _flag_first(bank, n, pid, i, v):
     x = yield (LL, bank.X, None, ("wx", None, None))
     yield (W, bank.A[i], v, ("wa", None, None))
     if x:
-        yield from _j2_forward(bank, i, 1)
-        yield from _j2_forward(bank, i, 2)
+        yield from _forward(bank, bank.B[i], i, 1)
+        yield from _forward(bank, bank.B[i], i, 2)
 
 
 def _never_forward(bank, n, pid, i, v):
@@ -261,16 +261,6 @@ def test_memo_under_forwarding_mutants(monkeypatch, mutant, n):
     assert summary.violations > 0
 
 
-def test_keys_counted_the_same_under_jobs():
-    algorithm, n, threads, mode = CASES["alg2-dfs"]
-    cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(300),
-                        suites=SUITES, linearize=True, oracle=True, hash_stream=True)
-    one, two = explore(cfg), explore(cfg, jobs=2)
-    assert (one.distinct_snapshot_keys, one.distinct_register_keys, one.stream_sha256) == \
-        (two.distinct_snapshot_keys, two.distinct_register_keys, two.stream_sha256)
-    assert 0 < one.distinct_snapshot_keys < one.schedules
-
-
 def _afek_history():
     """write[0] | scan | write[0] | write[0], with every tick scaled by ten
     so that events can move between their neighbours."""
@@ -317,8 +307,7 @@ def test_a_hit_reads_its_own_ticks():
 
 def _keys(h):
     d = derive(h)
-    traces = register_traces(d)
-    return snapshot_key(d), traces and traces[0]
+    return snapshot_key(d), register_keys(d)
 
 
 def test_keys_read_the_order_of_ticks_not_their_values():
@@ -428,7 +417,7 @@ def test_forwarding_key_holds_the_order_across_registers():
 def _layer_keys(h) -> tuple:
     """``h``'s snapshot key, register keys, step layout and forwarding key."""
     d = derive(h)
-    regs = register_traces(d)[0]
+    regs = register_keys(d)
     reg_keys = tuple(regs[r] for r in sorted(regs))
     return snapshot_key(d), reg_keys, step_layout(d.idx), forwarding_key(d, reg_keys)
 

@@ -21,7 +21,6 @@ from snaplab.algorithms import R
 from snaplab.harness import DfsBounded, Exhaustive, RandomWalks, iter_sims
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from report_stream import QUICK  # noqa: E402
 from sweep import SWEEPS, sweep_config  # noqa: E402
 
 # a prefix of every standard sweep, or all of it where it is small
@@ -128,9 +127,7 @@ def test_steps_executed_counts_tree_edges():
     """dfs:1000 of the alg2 unit script runs 3,898 register steps, one per
     edge of its schedule tree; replaying each prefix ran 15,713."""
     cfg = sweep_config("alg2", DfsBounded(1_000))
-    one = explore(cfg)
-    assert one.steps_executed == 3_898
-    assert explore(cfg, jobs=2).steps_executed == 3_898
+    assert explore(cfg).steps_executed == 3_898
     replayed = sum(len(sim.schedule) for sim in _replay_dfs(cfg, 1_000))
     assert replayed == 15_713
 
@@ -139,17 +136,6 @@ def test_steps_executed_outside_dfs_is_the_schedule_lengths():
     cfg = sweep_config("alg3", RandomWalks(20260808, 20))
     total = sum(len(sim.schedule) for sim in iter_sims(cfg))
     assert explore(cfg).steps_executed == total
-    assert explore(cfg, jobs=2).steps_executed == total
-
-
-def test_random_walks_in_a_pool_summarize_like_one_job():
-    """Random walks are where the pool pays: over the alg3 quick prefix,
-    two jobs give the whole summary of one, max_steps and the stream hash
-    included."""
-    cfg = sweep_config("alg3", QUICK["alg3"], hash_stream=True)
-    one = explore(cfg)
-    assert one.stream_sha256 and one.max_steps and not one.failing
-    assert explore(cfg, jobs=2) == one
 
 
 def _one_collect_scan(bank, n, pid):
@@ -167,9 +153,8 @@ def _one_collect_scan(bank, n, pid):
     return [x[0] for x in b]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("lin", [False, True], ids=["F,S", "F,S+linearizer"])
-def test_underivable_virtual_scans_are_counted_failures(monkeypatch, jobs, lin):
+def test_underivable_virtual_scans_are_counted_failures(monkeypatch, lin):
     """Where the virtual scans cannot be derived, explore() counts the
     schedule as failed (H.corrupt from F and S, a CorruptHistory
     linearizer error) instead of raising."""
@@ -178,7 +163,7 @@ def test_underivable_virtual_scans_are_counted_failures(monkeypatch, jobs, lin):
                                 scanner=_one_collect_scan))
     cfg = sweep_config("afek", algorithm="afek-one-collect", suites=("F", "S"),
                        linearize=lin, oracle=False)
-    summary = explore(cfg, jobs=jobs)
+    summary = explore(cfg)
     assert summary.failed > 0 and summary.passed > 0
     assert summary.lin_failures == (summary.failed if lin else 0)
     failure = summary.failing[0]
