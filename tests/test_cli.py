@@ -313,10 +313,13 @@ def _explore_naive(script, capsys, *extra):
     return rc, captured.out, captured.err
 
 
-def test_explore_failure_output_names_the_cycle(naive_script, capsys):
-    rc, _, err = _explore_naive(naive_script, capsys, "--mode", "exhaustive")
-    assert rc == 1
-    assert "CycleError: write order has a cycle" in err
+def test_explore_failure_output_is_the_same_for_any_jobs(naive_script, capsys):
+    """Every schedule takes one path, so two runs print the same exit code,
+    stdout and stderr, the naive control's CycleError line included."""
+    one = _explore_naive(naive_script, capsys, "--mode", "exhaustive")
+    assert _explore_naive(naive_script, capsys, "--mode", "exhaustive") == one
+    assert one[0] == 1
+    assert "CycleError: write order has a cycle" in one[2]
 
 
 def test_explore_failure_replays_from_its_schedule_line(naive_script, tmp_path, capsys):
