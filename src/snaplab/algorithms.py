@@ -373,6 +373,11 @@ def op_generator(adef: AlgorithmDef, bank: Bank, n: int, pid: int, op: tuple):
     return adef.scanner(bank, n, pid)
 
 
+def initial_write(adef: AlgorithmDef, bank: Bank, i: int, initial: list) -> tuple:
+    """The step descriptor that stores cell i's initial value into A[i]."""
+    return (W, bank.A[i], adef.initial_cell(initial[i], initial), ("wa", None, None))
+
+
 def op_name(op: tuple) -> str:
     return f"write[{op[1]}]" if op[0] == WRITE else "scan"
 

@@ -56,6 +56,11 @@ def _load_history(path: str) -> History:
         if e.kind == ABS and e.op != "scan" and not (write and int(write[1]) < h.n):
             raise MalformedHistory(f"malformed history {path}: event {e.id} op {e.op!r} is "
                                    f"neither scan nor write[cell] with a cell below {h.n}")
+        if e.kind == ABS and e.op == "scan" and e.terminated and not (
+                isinstance(e.output, list) and len(e.output) == h.n):
+            raise MalformedHistory(f"malformed history {path}: event {e.id} is a returned "
+                                   f"scan with output {e.output!r}: want a list of {h.n} "
+                                   "values")
         if e.kind not in (ABS, REP) or (e.kind == REP and e.object is None):
             raise MalformedHistory(f"malformed history {path}: event {e.id} is of kind "
                                    f"{e.kind!r} with object {e.object!r}: want abs, or rep "

@@ -502,7 +502,7 @@ class EventIndex:
 
     def __init__(self, h: Optional["History"] = None):
         self._h = None if h is None else weakref.ref(h)
-        self.kids: dict[int, list[Event]] = {}  # parent id -> its events, by start
+        self.kids: dict[int, list[Event]] = {}  # parent id -> its rep events, by start
         self.regs: dict[str, RegOps] = {}
         self.rf_src: dict[int, list[int]] = {}
         self.ll_src: dict[int, list[int]] = {}
@@ -535,6 +535,10 @@ class EventIndex:
         abs_rank, bad = self.abs_rank, self._bad[0]
         nreps = len(reps)
         for e in events[pos:]:
+            if e.kind != REP:
+                self._add_other(e, pos)
+                pos += 1
+                continue
             parent = e.parent
             if parent is not None:
                 if parent not in kids:
@@ -543,10 +547,6 @@ class EventIndex:
                     kids[parent].append(e)
                 else:
                     insort(kids[parent], e, key=_start)
-            if e.kind != REP:
-                self._add_other(e, pos)
-                pos += 1
-                continue
             eid, info, reg = e.id, e.info, e.object
             ops = regs[reg] if reg in regs else regs.setdefault(reg, RegOps())
             if info[3] in ops.by_memop:
@@ -634,6 +634,9 @@ class EventIndex:
             e = events[p]
             if bad and bad[-1][0] == p:
                 del bad[-1]
+            if e.kind != REP:
+                self._drop_other(e)
+                continue
             parent = e.parent
             if parent is not None:
                 sibs = kids[parent]
@@ -643,9 +646,6 @@ class EventIndex:
                     sibs.remove(e)
                 if not sibs:
                     del kids[parent]
-            if e.kind != REP:
-                self._drop_other(e)
-                continue
             eid, info, reg = e.id, e.info, e.object
             ops = regs[reg]
             if info[3] in ops.by_memop:
@@ -876,7 +876,9 @@ def validate_history(h: History) -> list[Violation]:
             out.append(Violation("EV.parent", (e.id,), "parent id missing"))
             continue
         p = h.event(e.parent)
-        if e.kind == REP and p.kind != ABS:
+        if e.kind == ABS:
+            out.append(Violation("EV.parent", (e.id, p.id), "abs event nested in an event"))
+        elif e.kind == REP and p.kind != ABS:
             out.append(Violation("EV.parent", (e.id, p.id), "rep parent must be abs"))
         if not subevent(e, p):
             out.append(Violation("EV.parent", (e.id, p.id), "child interval escapes parent"))

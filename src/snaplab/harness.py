@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .algorithms import ALGORITHMS, LL, R, SC, UPD, VL, W, WRITE, OpScript, \
-    op_generator, op_input, op_name
+from .algorithms import ALGORITHMS, WRITE, OpScript, initial_write, op_generator, \
+    op_input, op_name
 from .events import ABS, UNIT, History, HistoryRecorder
 from .linearize import Linearization, SizeGuard, brute_force_linearize, completed_set, \
     lin_verdict
@@ -60,11 +60,11 @@ class SimRun:
     operation of the chosen thread.  ``checkpoint`` and ``restore`` take
     it back to an earlier point, for the DFS to try another branch."""
 
-    def __init__(self, algorithm: str, n: int, script: OpScript, initial=None,
-                 seed=None, threadsafe=False):
+    def __init__(self, algorithm: str, n: int, script: OpScript, seed=None,
+                 threadsafe=False):
         adef = ALGORITHMS[algorithm]
         adef.validate(script, n)
-        initial = list(initial) if initial is not None else [0] * n
+        initial = [0] * n
         self.adef = adef
         self.n = n
         self.rec = HistoryRecorder(algorithm, n, initial, threadsafe=threadsafe, seed=seed)
@@ -72,8 +72,7 @@ class SimRun:
         self.bank = adef.make_bank(self.mem, n, script.pids(), initial)
         for i in range(n):
             ev = self.rec.begin(ABS, f"write[{i}]", initial[i], None, None)
-            self.mem.write(self.bank.A[i], adef.initial_cell(initial[i], initial),
-                           ev.id, ("wa", None, None))
+            self.mem.step(initial_write(adef, self.bank, i, initial), None, ev.id)
             self.rec.finish(ev, UNIT)
         self.threads = [_Thread(t.pid, t.ops) for t in script.threads]
         self.schedule: list[int] = []
@@ -89,24 +88,6 @@ class SimRun:
     def done(self) -> bool:
         return not self.enabled()
 
-    def _exec(self, desc, t: _Thread):
-        kind, reg, val, label = desc
-        par = t.abs_ev.id
-        mem = self.mem
-        if kind == R:
-            return mem.read(reg, par, label)
-        if kind == W:
-            return mem.write(reg, val, par, label)
-        if kind == LL:
-            return mem.ll(reg, t.pid, par, label)
-        if kind == SC:
-            return mem.sc(reg, t.pid, val, par, label)
-        if kind == VL:
-            return mem.vl(reg, t.pid, par, label)
-        if kind == UPD:
-            return mem.update(reg, val, par, label)
-        raise ValueError(f"bad step descriptor {desc!r}")
-
     def step(self, k: int) -> None:
         self._advance(self.threads[k])
         self.schedule.append(k)
@@ -121,7 +102,7 @@ class SimRun:
             t.abs_ev = self.rec.begin(ABS, op_name(op), op_input(op), None, None)
             t.gen = op_generator(self.adef, self.bank, self.n, t.pid, op)
             t.pending = next(t.gen)
-        res = self._exec(t.pending, t)
+        res = self.mem.step(t.pending, t.pid, t.abs_ev.id)
         try:
             t.pending = t.gen.send(res)
             t.results.append(res)
@@ -248,7 +229,6 @@ class ExploreConfig:
     linearize: bool = False
     oracle: bool = False
     oracle_guard: int = 10
-    initial: Optional[tuple] = None
     hash_stream: bool = False
 
 
@@ -340,7 +320,7 @@ def evaluate(cfg: ExploreConfig, sim: SimRun, memo: Memo) -> EvalResult:
 
 def _new_sim(cfg: ExploreConfig) -> SimRun:
     seed = cfg.mode.seed if isinstance(cfg.mode, RandomWalks) else None
-    return SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial, seed=seed)
+    return SimRun(cfg.algorithm, cfg.n, cfg.script, seed=seed)
 
 
 def _iter_dfs(cfg: ExploreConfig, limit: Optional[int]):
@@ -494,14 +474,13 @@ class StressConfig:
     script: OpScript
     runs: int = 1
     suites: tuple[str, ...] = ("RB", "S")
-    initial: Optional[tuple] = None
 
 
 def stress_once(cfg: StressConfig, errors: Optional[list] = None) -> History:
     """One real-thread run of the script.  A worker that raises appends its
     exception to ``errors`` and re-raises it, so that ``threading.excepthook``
     still reports it; the history keeps its unfinished operation."""
-    sim = SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial, threadsafe=True)
+    sim = SimRun(cfg.algorithm, cfg.n, cfg.script, threadsafe=True)
 
     def worker(t):
         try:

@@ -139,7 +139,7 @@ import marshal
 from typing import Callable, Optional
 
 from .checker import REGISTER_SUITES, run_suite
-from .events import ABS, INF, REP, EventIndex
+from .events import ABS, INF, EventIndex
 from .report import SuiteResult, Violation
 from .visibility import CorruptHistory, Derived
 
@@ -227,11 +227,11 @@ def _restore(stored: list, idx: EventIndex) -> list[Violation]:
 
 
 def _registers(steps) -> Optional[list]:
-    """The registers of ``steps``, or None unless they are rep events with
-    ascending ids."""
+    """The registers of the rep events ``steps``, or None unless their ids
+    ascend."""
     regs, last = [], None
     for e in steps:
-        if e.kind != REP or (last is not None and e.id <= last):
+        if last is not None and e.id <= last:
             return None
         last = e.id
         regs.append(e.object)
@@ -241,8 +241,8 @@ def _registers(steps) -> Optional[list]:
 def step_layout(idx: EventIndex) -> Optional[list]:
     """Per abs operation in invocation order, then for the rep events of
     no operation (a register's initial write), the registers of the steps
-    in order; None unless every step is a rep event, ids ascend along each
-    operation's steps and no abs event has a rep event's id.  ``traced``
+    in order; None unless ids ascend along each operation's steps and no
+    abs event has a rep event's id.  ``traced``
     must hold, so every rep event is a step of one of these."""
     rep_pos, kids = idx.rep_pos, idx.kids
     layout = []

@@ -1,14 +1,14 @@
 """Instrumented shared registers: plain atomic cells and LL/SC/VL cells.
 
-Each operation performs its memory effect and records a rep event.  A
-step's ``label`` is ``(label, cell, instance)`` (or its text, see
-``events.rep_op``); the recorder keeps it as the event's parsed op.
-Reads-from edges are captured by tagging every cell with the id of its
-last write-like event; load-links are paired with their SC/VL through
-per-thread link state keyed by (thread, register).  LL/SC is emulated
-with a version counter bumped by every write-like event, so an SC
-succeeds exactly when the write-like event its LL observed is still the
-latest one.
+``Memory.step`` runs one step descriptor of ``algorithms`` and records it
+as a rep event.  A step's ``label`` is ``(label, cell, instance)`` (or
+its text, see ``events.rep_op``); the recorder keeps it as the event's
+parsed op.  Reads-from edges are captured by tagging every cell with the
+id of its last write-like event; load-links are paired with their SC/VL
+through per-thread link state keyed by (thread, register).  LL/SC is
+emulated with a version counter bumped by every write-like event, so an
+SC succeeds exactly when the write-like event its LL observed is still
+the latest one.
 
 In threadsafe mode the ticks delimiting a rep event are sampled inside
 the per-register critical section, so rep events of one register never
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 import threading
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
+from .algorithms import LL, R, SC, UPD, VL, W
 from .events import REP, UNIT, HistoryRecorder, rep_op
 
 
@@ -28,10 +29,9 @@ class UsageError(Exception):
 
 
 class Cell:
-    __slots__ = ("name", "value", "last_writer", "version", "lock")
+    __slots__ = ("value", "last_writer", "version", "lock")
 
-    def __init__(self, name, value, lock=None):
-        self.name = name
+    def __init__(self, value, lock=None):
         self.value = value
         self.last_writer = None
         self.version = 0
@@ -43,7 +43,10 @@ class _Link(NamedTuple):
     ``Memory`` state and the live run can share it."""
     version: int
     ll_event: int
-    observed: Any
+
+
+# memop -> the name its rep events end in
+_MEMOPS = {R: "r", W: "w", LL: "ll", SC: "sc", VL: "vl", UPD: "w"}
 
 
 class Memory:
@@ -57,16 +60,9 @@ class Memory:
 
     def make(self, name: str, initial, init_event: bool = False) -> str:
         lock = threading.Lock() if self.threadsafe else None
-        cell = Cell(name, initial, lock)
-        self.cells[name] = cell
+        self.cells[name] = Cell(initial, lock)
         if init_event:
-            rec = self.recorder
-            op, info = rep_op(("init", None, None), "w")
-            with cell.lock or nullcontext():
-                ev = rec.begin(REP, op, initial, None, name, info)
-                cell.last_writer = ev.id
-                cell.version += 1
-                rec.finish(ev, UNIT)
+            self.step((W, name, initial, ("init", None, None)), None, None)
         return name
 
     def save(self) -> tuple:
@@ -81,98 +77,46 @@ class Memory:
             c.value, c.last_writer, c.version = value, writer, version
         self._links = dict(links)
 
-    # -- plain register operations ---------------------------------------
-
-    def write(self, name: str, value, parent: int, label: tuple | str) -> None:
+    def step(self, desc: tuple, thread, parent):
+        """Run the step descriptor ``(memop, register, value, label)`` of
+        ``thread`` as one rep event under ``parent``, and return what the
+        memop returns: None for W and UPD (whose value is a function of
+        the old one), the value for R and LL, the link check for SC and VL.
+        Every memop but W and UPD records an rf edge from the cell's last
+        write-like event, SC and VL an ll edge from their link; W, UPD
+        and a successful SC store."""
+        memop, name, value, label = desc
+        try:
+            text = _MEMOPS[memop]
+        except (KeyError, TypeError):
+            raise ValueError(f"bad step descriptor {desc!r}") from None
+        link = None
+        if memop == SC or memop == VL:
+            link = self._links.get((thread, name))
+            if link is None:
+                raise UsageError(f"{text.upper()} on {name} without prior LL by thread {thread}")
         cell = self.cells[name]
         rec = self.recorder
-        op, info = rep_op(label, "w")
+        op, info = rep_op(label, text)
+        writes = memop == W or memop == UPD
         with cell.lock or nullcontext():
-            ev = rec.begin(REP, op, value, parent, name, info)
-            cell.value = value
-            cell.last_writer = ev.id
-            cell.version += 1
-            rec.finish(ev, UNIT)
-
-    def update(self, name: str, fn: Callable, parent: int, label: tuple | str) -> None:
-        """Atomically replace the cell value with fn(old); one write event."""
-        cell = self.cells[name]
-        rec = self.recorder
-        op, info = rep_op(label, "w")
-        with cell.lock or nullcontext():
-            new = fn(cell.value)
-            ev = rec.begin(REP, op, new, parent, name, info)
-            cell.value = new
-            cell.last_writer = ev.id
-            cell.version += 1
-            rec.finish(ev, UNIT)
-
-    def read(self, name: str, parent: int, label: tuple | str):
-        cell = self.cells[name]
-        rec = self.recorder
-        op, info = rep_op(label, "r")
-        with cell.lock or nullcontext():
-            ev = rec.begin(REP, op, None, parent, name, info)
-            value = cell.value
-            if cell.last_writer is not None:
-                rec.add_rf(cell.last_writer, ev.id)
-            rec.finish(ev, value)
-        return value
-
-    # -- LL/SC/VL ---------------------------------------------------------
-
-    def ll(self, name: str, thread, parent: int, label: tuple | str):
-        cell = self.cells[name]
-        rec = self.recorder
-        op, info = rep_op(label, "ll")
-        with cell.lock or nullcontext():
-            ev = rec.begin(REP, op, None, parent, name, info)
-            value = cell.value
-            if cell.last_writer is not None:
-                rec.add_rf(cell.last_writer, ev.id)
-            self._links[(thread, name)] = _Link(cell.version, ev.id, cell.last_writer)
-            rec.finish(ev, value)
-        return value
-
-    def sc(self, name: str, thread, value, parent: int, label: tuple | str) -> bool:
-        link = self._links.get((thread, name))
-        if link is None:
-            raise UsageError(f"SC on {name} without prior LL by thread {thread}")
-        cell = self.cells[name]
-        rec = self.recorder
-        op, info = rep_op(label, "sc")
-        with cell.lock or nullcontext():
-            ev = rec.begin(REP, op, value, parent, name, info)
-            if cell.last_writer is not None:
-                rec.add_rf(cell.last_writer, ev.id)
-            rec.add_ll(link.ll_event, ev.id)
-            ok = cell.version == link.version
-            if ok:
+            if memop == UPD:
+                value = value(cell.value)
+            ev = rec.begin(REP, op, value if writes or memop == SC else None, parent, name, info)
+            out = None
+            if not writes:
+                if cell.last_writer is not None:
+                    rec.add_rf(cell.last_writer, ev.id)
+                if link is None:
+                    out = cell.value
+                    if memop == LL:
+                        self._links[(thread, name)] = _Link(cell.version, ev.id)
+                else:
+                    rec.add_ll(link.ll_event, ev.id)
+                    out = cell.version == link.version
+            if writes or memop == SC and out:
                 cell.value = value
                 cell.last_writer = ev.id
                 cell.version += 1
-            rec.finish(ev, ok)
-        return ok
-
-    def vl(self, name: str, thread, parent: int, label: tuple | str) -> bool:
-        link = self._links.get((thread, name))
-        if link is None:
-            raise UsageError(f"VL on {name} without prior LL by thread {thread}")
-        cell = self.cells[name]
-        rec = self.recorder
-        op, info = rep_op(label, "vl")
-        with cell.lock or nullcontext():
-            ev = rec.begin(REP, op, None, parent, name, info)
-            if cell.last_writer is not None:
-                rec.add_rf(cell.last_writer, ev.id)
-            rec.add_ll(link.ll_event, ev.id)
-            ok = cell.version == link.version
-            rec.finish(ev, ok)
-        return ok
-
-    def would_sc_succeed(self, name: str, thread) -> bool:
-        """The success an SC/VL would report right now; no event, no effect."""
-        link = self._links.get((thread, name))
-        if link is None:
-            raise UsageError(f"no link for thread {thread} on {name}")
-        return self.cells[name].version == link.version
+            rec.finish(ev, UNIT if writes else out)
+        return out

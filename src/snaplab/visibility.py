@@ -284,6 +284,22 @@ def _edge_source(h: History, src: int, target: int) -> Event:
         raise CorruptHistory("edge references a missing event", (src, target)) from None
 
 
+def _parent(h: History, e: Event) -> Event:
+    """The event that ``e`` names as its parent, which is not None."""
+    try:
+        return h.event(e.parent)
+    except KeyError:
+        raise CorruptHistory("parent references a missing event", (e.id, e.parent)) from None
+
+
+def _forward_array(von: Event) -> str:
+    """The forwarding array of the scanner that phase-1 commit ``von`` names."""
+    x = von.input
+    if not (isinstance(x, list) and len(x) > 2):
+        raise CorruptHistory("phase-1 commit names no scanner", (von.id,))
+    return f"Bp[{x[2]}]"
+
+
 def _span(h: History, ids: list[int]) -> tuple:
     evs = [h.event(i) for i in ids]
     return (min(e.start for e in evs), max(e.end for e in evs))
@@ -360,7 +376,7 @@ def _extract_alg3(idx: EventIndex):
         core = [m[i] for m in (r, a, b) for i in range(n) if i in m]
         sigma = VirtualScan(next_id, *_span(h, core + [von.id, vx2.id, voff.id, vx3.id]),
                             r, a, b, on=von.id, on_obs=vx2.id, off=voff.id, off_obs=vx3.id,
-                            ss=vssb.id, fwd_array=f"Bp[{von.input[2]}]")
+                            ss=vssb.id, fwd_array=_forward_array(von))
         sigma.complete = sigma.covers(n)
         next_id += 1
         if von.id in by_on:
@@ -373,7 +389,7 @@ def _extract_alg3(idx: EventIndex):
         if von.id not in by_on:
             r = {i: e.id for i, e in group(von).get("vr", {}).items()}
             partials.append(VirtualScan(next_id, von.start, INF, r, on=von.id,
-                                        fwd_array=f"Bp[{von.input[2]}]", complete=False))
+                                        fwd_array=_forward_array(von), complete=False))
             next_id += 1
 
     ss_of_sigma = {sigma.ss: sigma.id for sigma in sigmas}
@@ -435,7 +451,7 @@ def _extract_afek(idx: EventIndex):
         wa_src = idx.single_rf(last["b"][via].id)
         if wa_src is None:
             raise CorruptHistory("borrowed view has no writer", (entity,))
-        writer = h.event(wa_src).parent
+        writer = _edge_source(h, wa_src, last["b"][via].id).parent
         if writer is None or not idx.instances(writer):
             raise CorruptHistory("borrowed view from a write with no embedded collect",
                                  (entity, wa_src))
@@ -477,6 +493,10 @@ def collect_forwards(idx: EventIndex) -> list[FwdInstance]:
     for e in idx.reps:
         base, i, inst, _ = e.info
         if base in ("fll", "fa", "fvl", "fsc"):
+            if e.parent is None or inst is None:
+                raise CorruptHistory("forward step outside an operation's instance", (e.id,))
+            if e.parent not in idx.abs_rank:
+                _parent(idx.h, e)  # raises if it names no event
             f = found.get((e.parent, inst))
             if f is None:
                 f = found[e.parent, inst] = FwdInstance(e.parent, i)
@@ -517,7 +537,7 @@ def fwd_mw(idx: EventIndex, sigmas: list[VirtualScan]):
                 wa_src = idx.single_rf(fa.id)
                 if wa_src is None:
                     continue
-                edges.append((idx.h.event(wa_src).parent, sigma.id, i))
+                edges.append((_edge_source(idx.h, wa_src, fa.id).parent, sigma.id, i))
     return edges
 
 
@@ -715,7 +735,7 @@ class ForwardingFacts:
             if reg.startswith("A["):
                 want = "write" + reg[1:]  # A[x] names no cell: every write into it is foreign
                 for e in idx.regs[reg].writes:
-                    parent_op = h.event(e.parent).op if e.parent is not None else None
+                    parent_op = _parent(h, e).op if e.parent is not None else None
                     if e.info[0] != "wa" or parent_op != want:
                         foreign.append(((e.id,), f"foreign write into {reg}"))
             elif reg.startswith("B[") or reg.startswith("Bp["):

@@ -225,12 +225,12 @@ def test_program_fault_is_no_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def _history_text(start=1, op="a[0].r", rf=(), n=1, initial=(0,), abs_op="scan",
-                  register="A[0]") -> str:
+                  register="A[0]", output=(0,)) -> str:
     """A one-scan jayanti1 history with one rep read, as JSON."""
     return json.dumps({
         "meta": {"algorithm": "jayanti1", "n": n, "initial": list(initial)},
         "events": [
-            {"id": 0, "kind": "abs", "op": abs_op, "input": None, "output": [0],
+            {"id": 0, "kind": "abs", "op": abs_op, "input": None, "output": output,
              "start": start, "end": 4, "parent": None, "object": None},
             {"id": 1, "kind": "rep", "op": op, "input": None, "output": 0,
              "start": 2, "end": 3, "parent": 0, "object": register}],
@@ -241,11 +241,13 @@ def _history_text(start=1, op="a[0].r", rf=(), n=1, initial=(0,), abs_op="scan",
     '{"events": []}', "not json {", _history_text(start="a"), _history_text(op=7),
     _history_text(rf=[[1]]), _history_text(op="x"), _history_text(op="a[z].r"),
     _history_text(n=False, initial=()), _history_text(initial=(0, 0)),
-    _history_text(abs_op="write[1]"), _history_text(register=None)],
+    _history_text(abs_op="write[1]"), _history_text(register=None), _history_text(output=5),
+    _history_text(output=None), _history_text(output=(0, 0)), _history_text(output="0")],
     ids=["missing-meta", "not-json", "start-not-a-number", "rep-op-not-a-string",
          "rf-edge-not-a-pair", "rep-op-without-memop", "rep-op-cell-not-a-number",
          "n-not-a-number", "initial-not-n-values", "write-past-the-cells",
-         "rep-without-register"])
+         "rep-without-register", "scan-output-a-number", "scan-output-null",
+         "scan-output-not-n-values", "scan-output-a-string"])
 def test_malformed_history_exits_two(tmp_path, capsys, text):
     hist = tmp_path / "bad.json"
     hist.write_text(text)
@@ -451,6 +453,24 @@ def test_missing_parent_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "EV.parent[2] parent id missing" in err.splitlines()
     assert "Traceback" not in err
+
+
+def test_abs_event_with_a_parent_is_reported(tmp_path, capsys):
+    """An operation nested in the scan is no step of it: RB reports it,
+    and the derivations that read the scan's steps pass over it."""
+    main(["repro", "jayanti1_fig3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    hist = tmp_path / "jayanti1_fig3.history.json"
+    obj = json.loads(hist.read_text())
+    scan = next(e for e in obj["events"] if e["op"] == "scan")
+    w1 = next(e for e in obj["events"] if e["op"] == "write[1]")
+    w1["parent"] = scan["id"]
+    hist.write_text(json.dumps(obj))
+    assert main(["check", "--history", str(hist), "--suites", "RB,F,S"]) == 1
+    err = capsys.readouterr().err
+    witnesses = f"EV.parent[{w1['id']},{scan['id']}]"
+    assert err.splitlines() == [f"{witnesses} abs event nested in an event",
+                                f"{witnesses} child interval escapes parent"]
 
 
 def test_main_array_register_without_a_cell_number_is_foreign(tmp_path, capsys):

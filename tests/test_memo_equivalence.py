@@ -8,7 +8,7 @@ import pytest
 from snaplab import ALGORITHMS, ExploreConfig, Exhaustive, History, Linearization, OpScript, \
     SimRun, brute_force_linearize, checker, derive, explore, linearize, random_script, \
     run_checks
-from snaplab.algorithms import LL, R, W, _forward
+from snaplab.algorithms import LL, R, VL, W, _forward
 from snaplab.events import BOT, REP
 from snaplab.harness import DfsBounded, RandomWalks, iter_sims
 from snaplab.linearize import LinearizeError, SizeGuard
@@ -115,47 +115,47 @@ def _recorded(mem, memop) -> int:
 def _break_second_vl(monkeypatch):
     """The second validate of a run succeeds whatever happened, and so lets
     the SC after it succeed: M+.llsc-success."""
-    vl = Memory.vl
+    step = Memory.step
 
-    def broken_vl(self, name, thread, parent, label):
+    def broken_step(self, desc, thread, parent):
+        name = desc[1]
         link = self._links.get((thread, name))
-        if _recorded(self, "vl") == 1 and link is not None:
-            self._links[(thread, name)] = type(link)(self.cells[name].version,
-                                                     link.ll_event, link.observed)
-        return vl(self, name, thread, parent, label)
+        if desc[0] == VL and _recorded(self, "vl") == 1 and link is not None:
+            self._links[(thread, name)] = link._replace(version=self.cells[name].version)
+        return step(self, desc, thread, parent)
 
-    monkeypatch.setattr(Memory, "vl", broken_vl)
+    monkeypatch.setattr(Memory, "step", broken_step)
     return "M+.llsc-success"
 
 
 def _break_third_read(monkeypatch):
     """The third read of a run records a value nobody wrote: M.io or M+.io."""
-    read = Memory.read
+    step = Memory.step
 
-    def broken_read(self, name, parent, label):
-        value = read(self, name, parent, label)
-        if _recorded(self, "r") == 3:
+    def broken_step(self, desc, thread, parent):
+        value = step(self, desc, thread, parent)
+        if desc[0] == R and _recorded(self, "r") == 3:
             self.recorder._events[-1].output = "stale"
         return value
 
-    monkeypatch.setattr(Memory, "read", broken_read)
+    monkeypatch.setattr(Memory, "step", broken_step)
     return ".io"
 
 
 def _break_third_read_source(monkeypatch):
     """The third read of a run records that it read the register's first
     write, though it returns the latest: M.nowrbetween or M+.nowrbetween."""
-    read = Memory.read
+    step = Memory.step
 
-    def broken_read(self, name, parent, label):
-        value = read(self, name, parent, label)
-        if _recorded(self, "r") == 3:
+    def broken_step(self, desc, thread, parent):
+        value = step(self, desc, thread, parent)
+        if desc[0] == R and _recorded(self, "r") == 3:
             rec = self.recorder
-            first = next(e.id for e in rec._events if e.object == name)
+            first = next(e.id for e in rec._events if e.object == desc[1])
             rec._rf[-1] = (first, rec._rf[-1][1])
         return value
 
-    monkeypatch.setattr(Memory, "read", broken_read)
+    monkeypatch.setattr(Memory, "step", broken_step)
     return ".nowrbetween"
 
 

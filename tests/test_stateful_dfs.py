@@ -33,7 +33,7 @@ def _replay_dfs(cfg, limit):
     frames = []  # [choices, index]
     count = 0
     while True:
-        sim = SimRun(cfg.algorithm, cfg.n, cfg.script, initial=cfg.initial)
+        sim = SimRun(cfg.algorithm, cfg.n, cfg.script)
         for choices, i in frames:
             sim.step(choices[i])
         while True:

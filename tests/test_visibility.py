@@ -89,15 +89,16 @@ def test_max_pred_start():
 
 def test_two_sequential_reads_of_one_write():
     from snaplab import HistoryRecorder, Memory
+    from snaplab.algorithms import R, W
     from snaplab.events import ABS
 
     rec = HistoryRecorder("naive", 1, [0])
     mem = Memory(rec)
     mem.make("A[0]", None)
     par = rec.begin(ABS, "probe", None, None, None).id
-    mem.write("A[0]", 5, par, "wa")
-    mem.read("A[0]", par, "a[0]")
-    mem.read("A[0]", par, "a[0]")
+    mem.step((W, "A[0]", 5, "wa"), 0, par)
+    mem.step((R, "A[0]", None, "a[0]"), 0, par)
+    mem.step((R, "A[0]", None, "a[0]"), 0, par)
     h = rec.history()
     d = derive(h)
     w = next(e for e in h.events if e.op == "wa.w")
