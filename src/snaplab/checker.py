@@ -341,8 +341,7 @@ def _check_l43(hb: HbClosure, plain: list, closed: list, good: list,
 
     With the good pairs in one chain (from L4.1), the l3 ≺ l form a prefix
     of it, so only the first pair past that prefix can lie in the window:
-    one binary search per l.  Without a chain, two masks over the good
-    pairs, built once per event, meet in one AND.
+    one binary search per l.  Without a chain, each good pair is tested.
 
     Candidates (l2, c2) for a window l..c are pruned: if c2* returns before
     c2, then c2* ≺ c2, so a good pair that lies within l..c2* lies within
@@ -367,23 +366,9 @@ def _check_l43(hb: HbClosure, plain: list, closed: list, good: list,
             c3 = first_after[l]
             return c3 is not None and (c3 == c2 or hb.hb(c3, c2))
     else:
-        reach = None  # successor masks of the good pairs, on first use
-        unlinked: dict[int, int] = {}  # l -> {j : not l3_j ≺ l}
-        stored: dict[int, int] = {}  # c2 -> {j : c3_j ≼ c2}
-
         def holds(l: int, c2: int) -> bool:
-            nonlocal reach
-            if reach is None:
-                reach = [(hb.succ_mask(l3), c3.id, hb.succ_mask(c3.id)) for l3, c3 in good]
-            if l not in unlinked:
-                p = hb.pos[l]
-                unlinked[l] = sum(1 << j for j, (m, _, _) in enumerate(reach)
-                                  if not m >> p & 1)
-            if c2 not in stored:
-                p = hb.pos[c2]
-                stored[c2] = sum(1 << j for j, (_, c3, m) in enumerate(reach)
-                                 if c3 == c2 or m >> p & 1)
-            return unlinked[l] & stored[c2] != 0
+            return any(not hb.hb(l3, l) and (c3.id == c2 or hb.hb(c3.id, c2))
+                       for l3, c3 in good)
 
     def mutation(le) -> float:
         # a plain write mutates the window l..c2 iff it does not return

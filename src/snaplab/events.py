@@ -25,20 +25,18 @@ BOT = None  # the "no forwarded value" marker stored in forwarding arrays
 ABS = "abs"
 REP = "rep"
 
-_EVENT_FIELDS = ("id", "kind", "op", "input", "output", "start", "end", "parent", "object")
-
-
 class Event:
     """One recorded operation: an abs-level op or a primitive register step.
 
     ``info`` is a rep event's op parsed, ``(label, cell, instance, memop)``
     (see ``parse_rep_op``): the recorder passes the step label it ran, and
     otherwise the op is parsed here, so a rep op that does not parse raises
-    ValueError.  ``_json`` is the event's record as compact JSON once a
-    recorder's history has encoded it after it returned (see
-    ``History.to_json``)."""
+    ValueError.  ``op`` is read-only, so the two cannot disagree.
+    ``_json`` is the event's record as compact JSON once a recorder's
+    history has encoded it after it returned (see ``History.to_json``)."""
 
-    __slots__ = _EVENT_FIELDS + ("info", "_json")
+    __slots__ = ("id", "kind", "_op", "input", "output", "start", "end", "parent", "object",
+                 "info", "_json")
 
     def __init__(self, id, kind, op, input, output, start, end, parent=None, object=None,
                  info=None):
@@ -46,7 +44,7 @@ class Event:
             info = parse_rep_op(op)
         self.id = id
         self.kind = kind
-        self.op = op
+        self._op = op
         self.input = input
         self.output = output
         self.start = start
@@ -55,6 +53,10 @@ class Event:
         self.object = object
         self.info = info
         self._json = None
+
+    @property
+    def op(self) -> str:
+        return self._op
 
     @property
     def terminated(self) -> bool:
@@ -80,7 +82,7 @@ class Event:
     def encode(self) -> str:
         """``to_record()`` as compact JSON, the bytes ``json.dumps`` gives."""
         end = self.end
-        return (f'{{"id":{_value(self.id)},"kind":{_value(self.kind)},"op":{_value(self.op)},'
+        return (f'{{"id":{_value(self.id)},"kind":{_value(self.kind)},"op":{_value(self._op)},'
                 f'"input":{_value(self.input)},'
                 f'"output":{"null" if self.output is _ABSENT else _value(self.output)},'
                 f'"start":{_value(self.start)},"end":{_INF_JSON if end == INF else _value(end)},'
@@ -197,8 +199,10 @@ class History:
     """A finite set of events plus the recorded rf and ll edges.
 
     ``index`` is the ``EventIndex`` a recorder fed along its run, holding
-    these very events, or None; ``Derived`` builds one from the events
-    when it is None or when events or edges were added or removed since.
+    these very events, or None: a loaded or hand-built history has none,
+    nor has one a recorder gave out while an operation was open.
+    ``Derived`` feeds one from the events when it is None or when events
+    or edges were added or removed since.
     """
 
     def __init__(self, algorithm: str, n: int, initial: list, events=None,
@@ -235,13 +239,10 @@ class History:
             "ll": [list(p) for p in sorted(self.ll)],
         }
 
-    def to_json(self, indent=None) -> str:
-        """``json.dumps(self.to_obj())``: compact without ``indent``.  The
-        compact form joins one fragment per event; in a recorder's history
-        a returned event keeps its fragment, so histories that share it
-        (DFS siblings) encode it once."""
-        if indent is not None:
-            return json.dumps(self.to_obj(), indent=indent)
+    def to_json(self) -> str:
+        """``json.dumps(self.to_obj())``, compact: one fragment per event
+        joined.  In a recorder's history a returned event keeps its
+        fragment, so histories that share it (DFS siblings) encode it once."""
         keep = self._keep_json
         frags = []
         for e in self.events:
@@ -304,14 +305,13 @@ class HistoryRecorder:
     the counter once at invocation and once at return, so no two samples
     are equal and intervals nest strictly.
 
-    Unless ``threadsafe``, the recorder feeds an ``EventIndex`` along the
-    run: ``history()`` first feeds it what was recorded since it last
-    did, and ``rewind`` truncates it with the lists.  A history gets the
-    index itself, and the recorder copies it before it next changes it
-    only if that history is still alive (a weak reference tells), so a
-    DFS leaf that was checked and dropped costs no copy.  A threadsafe
-    recorder adds no work inside the register locks, so its histories
-    build their index when they are derived.
+    The recorder feeds an ``EventIndex`` along the run: ``history()``
+    feeds it what was recorded since it last did, outside any register
+    lock, and ``rewind`` truncates it with the lists.  A history gets the
+    index itself.  While that history is alive (a weak reference tells)
+    the index is the history's: the recorder lets it go and the next
+    ``history()`` feeds a new one from the start.  So a DFS that checks
+    each leaf and drops it feeds one index in place.
     """
 
     def __init__(self, algorithm: str, n: int, initial: list, threadsafe=False, seed=None):
@@ -324,7 +324,7 @@ class HistoryRecorder:
         self._ll: list[tuple[int, int]] = []
         self._tick = 0
         self._lock = threading.Lock() if threadsafe else None
-        self._index: Optional[EventIndex] = None if threadsafe else EventIndex()
+        self._index: Optional[EventIndex] = None
         self._holder = None  # a weak reference to the history holding _index
 
     def tick(self) -> int:
@@ -365,31 +365,30 @@ class HistoryRecorder:
     def history(self) -> History:
         """The events and edges recorded so far.  An event that has not
         returned is held as an open copy, so a later ``finish`` leaves this
-        history as it was, and so does its index.  While a rep event is
-        open (a step raised) it gets no index, and ``derive`` builds one."""
+        history as it was.  Such a history gets no index, and ``derive``
+        feeds one from its events."""
         events = self._events
-        opened = [(e, _opened(e)) for e in events if e.end == INF]
+        opened = {e.id: _opened(e) for e in events if e.end == INF}
         if opened:
-            copies = {e.id: c for e, c in opened}
-            events = [copies.get(e.id, e) if e.end == INF else e for e in events]
+            events = [opened.get(e.id, e) for e in events]
         h = History(self.algorithm, self.n, self.initial, events, self._rf,
                     self._ll, seed=self.seed)
         h._keep_json = True
-        idx = self._own_index()
-        if idx is not None and all(e.kind == ABS for e, _ in opened):
+        if not opened:
+            idx = self._own_index()
+            if idx is None:
+                idx = self._index = EventIndex()
             idx.feed(self._events, self._rf, self._ll)
-            if opened:
-                h.index = idx.copy(h, opened)
-            else:
-                idx._h = self._holder = weakref.ref(h)
-                h.index = idx
+            idx._h = self._holder = weakref.ref(h)
+            h.index = idx
         return h
 
     def _own_index(self) -> Optional[EventIndex]:
-        """The index to feed: copied first if a history still holds it."""
+        """The index to feed, or None: while the history given it is alive
+        it is that history's, and the recorder lets it go."""
         if self._holder is not None:
             if self._holder() is not None:
-                self._index = self._index.copy()
+                self._index = None
             self._holder = None
         return self._index
 
@@ -408,17 +407,14 @@ class HistoryRecorder:
         del self._ll[ll:]
 
     def reopen(self, eid: int) -> Event:
-        """Event ``eid``, open: one that has returned is replaced by an open
-        copy, so the histories that hold it keep it as it was."""
+        """Abs event ``eid``, open: one that has returned is replaced by an
+        open copy, so the histories that hold it keep it as it was."""
         ev = self._events[eid]
         if ev.end != INF:
             old, ev = ev, _opened(ev)
             self._events[eid] = ev
             if self._own_index() is not None:
-                if ev.kind == ABS:
-                    self._index.swap(old, ev)
-                else:
-                    self._index = None  # it holds rep events as they returned
+                self._index.swap(old, ev)
         return ev
 
 
@@ -448,9 +444,8 @@ class RegOps:
     __slots__ = ("writes", "reads", "lls", "scs", "vls", "by_memop", "trace", "keyparts",
                  "rf_pairs", "ll_pairs")
 
-    def __init__(self, writes=(), reads=(), lls=(), scs=(), vls=()):
-        self.writes, self.reads, self.lls, self.scs, self.vls = \
-            list(writes), list(reads), list(lls), list(scs), list(vls)
+    def __init__(self):
+        self.writes, self.reads, self.lls, self.scs, self.vls = [], [], [], [], []
         self.by_memop = {"w": self.writes, "r": self.reads, "ll": self.lls, "sc": self.scs,
                          "vl": self.vls}
         self.trace, self.keyparts, self.rf_pairs, self.ll_pairs = [], [], [], []
@@ -462,12 +457,6 @@ class RegOps:
             for pairs in (self.rf_pairs, self.ll_pairs):
                 while pairs and pairs[-1][1] >= k:
                     pairs.pop()
-
-    def copy(self) -> "RegOps":
-        new = RegOps(self.writes, self.reads, self.lls, self.scs, self.vls)
-        new.trace, new.keyparts, new.rf_pairs, new.ll_pairs = \
-            self.trace[:], self.keyparts[:], self.rf_pairs[:], self.ll_pairs[:]
-        return new
 
 
 def _swapped(seq: list, old, new) -> None:
@@ -489,11 +478,13 @@ class EventIndex:
     that read that order.  What one event records (its step label's parse
     ``info``, an SC or VL's outcome) is read off the event.
 
-    An index is built one event and one edge at a time by ``feed``: a
-    recorder feeds its own along the run (``HistoryRecorder.history``) and
-    ``EventIndex(h)`` feeds a finished history's events, then its rf and
-    ll edges.  ``truncate`` undoes the feeds past a mark, last first, so
-    a rewound index is the one its prefix would have built.
+    An index is made empty, ``EventIndex()``, or for a history,
+    ``EventIndex(h)``, and filled only by ``feed``, one event and one edge
+    at a time: a recorder feeds its own along the run
+    (``HistoryRecorder.history``) and ``EventIndex(h)`` feeds the
+    history's events, then its rf and ll edges.  ``truncate`` undoes the
+    feeds past a mark, last first, so a rewound index is the one its
+    prefix would have built.
 
     Two guards are kept as the events and edges arrive, by O(1) checks
     each (``chained``, ``traced``); ``_bad`` holds the feed positions of
@@ -732,32 +723,6 @@ class EventIndex:
             _swapped(self.abs_writes[cell], old, new)
             _swapped(self.effectful[cell], old, new)
             self._writes[old.id] = (cell, new)
-
-    def copy(self, h: Optional["History"] = None, swaps=()) -> "EventIndex":
-        """A copy that can be fed on its own, for ``h`` if given, which holds
-        the fed events but the abs events of ``swaps``, ``(fed event, h's
-        copy)`` pairs."""
-        new = EventIndex.__new__(EventIndex)
-        new._h = None if h is None else weakref.ref(h)
-        new.kids = {p: sibs[:] for p, sibs in self.kids.items()}
-        new.regs = {reg: ops.copy() for reg, ops in self.regs.items()}
-        new.rf_src = {b: srcs[:] for b, srcs in self.rf_src.items()}
-        new.ll_src = {b: srcs[:] for b, srcs in self.ll_src.items()}
-        new.abs_writes = {cell: ws[:] for cell, ws in self.abs_writes.items()}
-        new.abs_scans = self.abs_scans[:]
-        new.wa_of = dict(self.wa_of)
-        new.effectful = {cell: ws[:] for cell, ws in self.effectful.items()}
-        new.reps = self.reps[:]
-        new.rep_pos = dict(self.rep_pos)
-        new._bad = tuple(bad[:] for bad in self._bad)
-        new._instances = {}
-        new._fed = self._fed[:]
-        new.abs_rank = dict(self.abs_rank)
-        new._writes = dict(self._writes)
-        new._wa_prev = dict(self._wa_prev)
-        for old, copy in swaps:
-            new.swap(old, copy)
-        return new
 
     # -- reading -------------------------------------------------------------
 

@@ -456,7 +456,8 @@ def explore(cfg: ExploreConfig, per_result: Optional[Callable[[EvalResult], None
         if res.snapshot_key is not None:
             snapshot_keys.add(res.snapshot_key)
         register_keys.update(res.register_keys)
-        # a live history makes the recorder copy its index on the next step
+        # a live history keeps the recorder's index, so the next leaf would
+        # feed a new one from the start
         del res
     if cfg.hash_stream:
         summary.stream_sha256 = hasher.hexdigest()

@@ -98,8 +98,7 @@ def wrdiff_pairs(d: Derived):
 class WriteOrder:
     """Total order over effectful writes extending (hb ∪ wrDiff)+."""
 
-    def __init__(self, ids: list[int], total: list[int]):
-        self.ids = ids
+    def __init__(self, total: list[int]):
         self.total = total
         self.rank = {w: k for k, w in enumerate(total)}
 
@@ -141,7 +140,7 @@ def extend_total_writes(d: Derived) -> WriteOrder:
                 heapq.heappush(heap, (h.event(ids[j]).end, ids[j], j))
     if len(total) != n:
         raise CycleError("write order has a cycle", ids)
-    return WriteOrder(ids, total)
+    return WriteOrder(total)
 
 
 def replay_order(d: Derived, order: list[int]):

@@ -67,7 +67,7 @@ class HbClosure:
         self.n = n
         pos = dict(zip(order, range(n)))
         self.pos = pos
-        self.starts = [intervals[eid][0] for eid in order]
+        starts = [intervals[eid][0] for eid in order]
         ends = [intervals[eid][1] for eid in order]
         sparse: list[list[int]] = [[] for _ in range(n)]
         # Whether every edge points forward in start order, found while the
@@ -82,7 +82,7 @@ class HbClosure:
             raise CorruptHistory("edge references a missing event", (a, b)) from None
         self._sparse = sparse
         # chain node k stands for "every node with start >= starts[k]"
-        chain_to = [bisect_right(self.starts, ends[k]) for k in range(n)]
+        chain_to = [bisect_right(starts, ends[k]) for k in range(n)]
         self._chain_to = chain_to
         self._forward = forward and all(k < c for k, c in enumerate(chain_to))
         if self._forward:
@@ -206,10 +206,6 @@ class ChainClosure(HbClosure):
     @cached
     def ids(self) -> list[int]:
         return [e.id for e in self._events]
-
-    @cached
-    def starts(self) -> list:
-        return [e.start for e in self._events]
 
     @cached
     def _reach(self) -> list[int]:

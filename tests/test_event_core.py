@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from snaplab import INF, Event, History, OpScript, SimRun, derive, repro, returns_before, \
@@ -145,6 +146,15 @@ def test_history_json_round_trip():
     # unterminated events serialize with "inf" end and null output
     dangling = [e for e in obj["events"] if e["end"] == "inf"]
     assert dangling and all(e["output"] is None for e in dangling)
+
+
+def test_an_event_op_is_read_only():
+    """A rep event's op is parsed once, into ``info``, so relabelling the
+    event in place would leave the two apart: it raises instead."""
+    e = Event(0, REP, "wa.w", 2, UNIT, 0, 1, None, "A[0]")
+    with pytest.raises(AttributeError):
+        e.op = "wz.w"
+    assert e.op == "wa.w" and e.info == ("wa", None, None, "w")
 
 
 def test_harness_histories_pass_structural_checks():

@@ -1,12 +1,13 @@
 """The recorder-fed event index against one built from the loaded history.
 
 A recorder feeds its ``EventIndex`` one event and one edge at a time and
-truncates it when the DFS rewinds; a leaf's history gets the index
-itself, and the recorder copies it before changing it only while that
-history is alive.  So the index, the rep closure and the register traces
-that ``derive`` reads from a recorder's history must equal those built
-by feeding the same history after a JSON round trip, and what a history
-derived must not change when the DFS moves on.
+truncates it when the DFS rewinds; a history gets the index itself, and
+while that history is alive the recorder lets the index go and feeds a
+new one for the next history.  A history taken while an operation is
+open gets none.  So the index, the rep closure and the register traces
+that ``derive`` reads from a recorder's history, threadsafe or not, must
+equal those built by feeding the same history after a JSON round trip,
+and what a history derived must not change when the DFS moves on.
 """
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 
 from snaplab import ExploreConfig, History, OpScript, SimRun, derive, explore, events
 from snaplab.events import EventIndex
-from snaplab.harness import DfsBounded, iter_sims
+from snaplab.harness import DfsBounded, StressConfig, iter_sims, random_script, stress_once
 from snaplab.memo import register_keys
 from snaplab.visibility import HbClosure
 
@@ -88,15 +89,25 @@ def test_fed_index_equals_the_rebuilt_one(name):
 
 def test_explore_lets_each_leaf_go(monkeypatch):
     """explore() holds no leaf's history when the DFS moves on, so the
-    recorder feeds its one index in place and never copies it."""
-    copies = []
-    copy = EventIndex.copy
-    monkeypatch.setattr(EventIndex, "copy", lambda idx, *a: copies.append(a) or copy(idx, *a))
+    recorder feeds its one index in place and makes no other."""
+    made = []
+    init = EventIndex.__init__
+    monkeypatch.setattr(EventIndex, "__init__", lambda idx, *a: made.append(a) or init(idx, *a))
     algorithm, n, threads = ALG2
     cfg = ExploreConfig(algorithm, n, OpScript.from_lists(threads), DfsBounded(200),
                         suites=("M", "M+", "L", "F+", "F", "S", "CHAIN"), linearize=True)
     assert explore(cfg).schedules == 200
-    assert copies == []
+    assert len(made) == 1
+
+
+def test_a_stress_history_comes_with_its_index():
+    """A real-thread run's history holds the index its recorder fed, equal
+    to one fed from its loaded copy, and ``derive`` reads it."""
+    h = stress_once(StressConfig("jayanti3", 2, random_script(2, 2, 10, 7)))
+    loaded = History.from_json(h.to_json())
+    assert h.index is not None and h.index.describes(h) and derive(h).idx is h.index
+    assert index_state(h.index) == index_state(EventIndex(loaded))
+    assert derived_state(h) == derived_state(loaded)
 
 
 def test_a_leaf_derivation_survives_the_dfs_moving_on():
@@ -121,6 +132,7 @@ def test_a_leaf_derivation_survives_the_dfs_moving_on():
     sim.run_schedule([2, 2, 0, 2])  # the scan and a write are open
     mid = sim.history()
     assert any(not e.terminated for e in mid.events)
+    assert mid.index is None  # derive feeds one from its own events
     before = derived_state(mid)
     sim.run_all(lambda en: en[-1])
     sim.restore(cp)
