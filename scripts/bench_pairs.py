@@ -27,7 +27,14 @@ failed operations over the attempted ones, summed over the result
 lines.  A faster side attempts more operations, so the share, not the
 count, compares the two.
 
-Usage: python scripts/bench_pairs.py PARENT_REV --pr N [--claim TEXT]
+``--claim WORKLOAD/METRIC`` names the gain the change claims.  Its
+verdict, recorded under ``claim`` and printed last, is ``gain shown``
+when the change wins at least nine tenths of the seed-1 pairs (ties
+count for neither), its median is better than the parent's by more than
+the parent's interquartile range, and the seed-2 pair goes the same way;
+otherwise ``gain not shown``.
+
+Usage: python scripts/bench_pairs.py PARENT_REV --pr N [--claim WORKLOAD/METRIC]
 """
 import argparse
 import io
@@ -94,6 +101,36 @@ def against_bound(better: str, par: list, new: list, bound: float) -> str:
     return "worse than bound" if worse > bound else "within bound"
 
 
+def claim_verdict(summary: dict, metric: str) -> dict:
+    """The verdict on a claimed gain in ``metric``, from its workload's
+    ``summary``: see the module docstring."""
+    s = summary[metric]
+    gap = s["parent_median"] - s["change_median"]
+    if s["better"] == "higher":
+        gap = -gap
+    seed_2 = summary["seed_2"]
+    if set(seed_2) == {"parent", "new"}:
+        p2, n2 = seed_2["parent"][metric], seed_2["new"][metric]
+        seed_2_agrees = n2 < p2 if s["better"] == "lower" else n2 > p2
+    else:
+        seed_2_agrees = False  # no seed-2 pair was run
+    wins_enough = s["change_wins"] >= 0.9 * s["pairs"]
+    shown = wins_enough and gap > s["parent_iqr"] and seed_2_agrees
+    return {"change_wins": s["change_wins"], "pairs": s["pairs"],
+            "median_gain": round(gap, 6), "parent_iqr": s["parent_iqr"],
+            "seed_2_agrees": seed_2_agrees,
+            "verdict": "gain shown" if shown else "gain not shown"}
+
+
+def parse_claim(text: str) -> tuple[str, str]:
+    """``WORKLOAD/METRIC`` as a pair; SystemExit unless both are known."""
+    workload, _, metric = text.partition("/")
+    if workload not in NAMES or metric not in BETTER:
+        raise SystemExit(f"bench_pairs: bad claim {text!r}: want WORKLOAD/METRIC with "
+                         f"WORKLOAD in {', '.join(NAMES)} and METRIC in {', '.join(BETTER)}")
+    return workload, metric
+
+
 def summarize(runs: list, workload: str) -> dict:
     mine = [r for r in runs if r["workload"] == workload]
     value = {(r["seed"], r["pair"], r["side"]): r["result"] for r in mine}
@@ -128,8 +165,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", metavar="PARENT_REV")
     ap.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
-    ap.add_argument("--claim", default="", help="the claim the pairs test, recorded as is")
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="the end-to-end metric the change claims to improve on a workload")
     args = ap.parse_args()
+    claim = parse_claim(args.claim) if args.claim else None
     out_path = ROOT / f"BENCH_{args.pr}.json"
     runs: list = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -155,10 +194,14 @@ def main() -> int:
         "parent": parent[:7],
         "host": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}; "
                 "parent and change run one after the other, never at once",
-        "claim": args.claim,
+        "claim": None,
         "summary": {w: summarize(runs, w) for w in NAMES},
         "runs": runs,
     }
+    if claim is not None:
+        workload, metric = claim
+        doc["claim"] = {"workload": workload, "metric": metric,
+                        **claim_verdict(doc["summary"][workload], metric)}
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     for w in NAMES:
         for metric in BETTER:
@@ -169,6 +212,11 @@ def main() -> int:
         print(f"{w} failed share: " + ", ".join(
             f"{side} {f['failed']}/{f['attempted']} = {f['share']:.6f}"
             for side, f in doc["summary"][w]["failed"].items()))
+    if claim is not None:
+        c = doc["claim"]
+        print(f"claim {c['workload']}/{c['metric']}: {c['verdict']} ({c['change_wins']}/"
+              f"{c['pairs']} pairs won, median gain {c['median_gain']} against parent IQR "
+              f"{c['parent_iqr']}, seed 2 {'agrees' if c['seed_2_agrees'] else 'does not agree'})")
     print(f"wrote {out_path}")
     return 0
 

@@ -80,13 +80,19 @@ class Event:
         }
 
     def encode(self) -> str:
-        """``to_record()`` as compact JSON, the bytes ``json.dumps`` gives."""
-        end = self.end
-        return (f'{{"id":{_value(self.id)},"kind":{_value(self.kind)},"op":{_value(self._op)},'
-                f'"input":{_value(self.input)},'
+        """``to_record()`` as compact JSON, the bytes ``json.dumps`` gives.
+        The fields that are ints or strings in every recorded history are
+        written inline; any other value goes through ``_value``."""
+        eid, kind, start, end, parent, obj = \
+            self.id, self.kind, self.start, self.end, self.parent, self.object
+        return (f'{{"id":{eid if type(eid) is int else _value(eid)},'
+                f'"kind":{_encode_str(kind) if type(kind) is str else _value(kind)},'
+                f'"op":{_value(self._op)},"input":{_value(self.input)},'
                 f'"output":{"null" if self.output is _ABSENT else _value(self.output)},'
-                f'"start":{_value(self.start)},"end":{_INF_JSON if end == INF else _value(end)},'
-                f'"parent":{_value(self.parent)},"object":{_value(self.object)}}}')
+                f'"start":{start if type(start) is int else _value(start)},'
+                f'"end":{end if type(end) is int else _INF_JSON if end == INF else _value(end)},'
+                f'"parent":{parent if type(parent) is int else _value(parent)},'
+                f'"object":{_encode_str(obj) if type(obj) is str else _value(obj)}}}')
 
     @classmethod
     def from_record(cls, rec: dict) -> "Event":
@@ -119,9 +125,24 @@ _encode_str = json.encoder.encode_basestring_ascii
 _INF_JSON = '"inf"'
 
 
+def _pairs_json(pairs: list) -> str:
+    """The pairs of ints ``pairs``, sorted, as compact ``json.dumps`` writes
+    them.  The loader refuses any other edge endpoint (a bool included)."""
+    return "[" + ",".join([f"[{a},{b}]" for a, b in sorted(pairs)]) + "]"
+
+
+def _meta(algorithm: str, n: int, initial: list, seed) -> dict:
+    """A history's meta record."""
+    meta = {"algorithm": algorithm, "n": n, "initial": initial}
+    if seed is not None:
+        meta["seed"] = seed
+    return meta
+
+
 def _value(v) -> str:
     """``v`` as ``json.dumps`` writes it, with fast paths for exact ints,
-    strings, None and bools; every other value goes through the encoder."""
+    strings, None, bools and lists of exact ints (a scan's output); every
+    other value goes through the encoder."""
     t = type(v)
     if t is int:
         return int.__repr__(v)
@@ -131,6 +152,8 @@ def _value(v) -> str:
         return "null"
     if t is bool:
         return "true" if v else "false"
+    if t is list and all(type(x) is int for x in v):
+        return f"[{','.join(map(int.__repr__, v))}]"
     return _encode(v)
 
 
@@ -216,6 +239,7 @@ class History:
         self.ll: list[tuple[int, int]] = list(ll) if ll else []
         self._by_id: Optional[dict[int, Event]] = None
         self._keep_json = False  # set by the recorder, whose returned events never change
+        self._meta_json: Optional[str] = None  # the recorder's, which it encodes once
         self.index: Optional[EventIndex] = None
 
     def event(self, eid: int) -> Event:
@@ -229,11 +253,8 @@ class History:
     # -- serialization ----------------------------------------------------
 
     def to_obj(self) -> dict:
-        meta = {"algorithm": self.algorithm, "n": self.n, "initial": self.initial}
-        if self.seed is not None:
-            meta["seed"] = self.seed
         return {
-            "meta": meta,
+            "meta": _meta(self.algorithm, self.n, self.initial, self.seed),
             "events": [e.to_record() for e in self.events],
             "rf": [list(p) for p in sorted(self.rf)],
             "ll": [list(p) for p in sorted(self.ll)],
@@ -242,7 +263,8 @@ class History:
     def to_json(self) -> str:
         """``json.dumps(self.to_obj())``, compact: one fragment per event
         joined.  In a recorder's history a returned event keeps its
-        fragment, so histories that share it (DFS siblings) encode it once."""
+        fragment, so histories that share it (DFS siblings) encode it once,
+        and the meta record is the recorder's, encoded once."""
         keep = self._keep_json
         frags = []
         for e in self.events:
@@ -252,17 +274,17 @@ class History:
                 if keep and e.end != INF:
                     e._json = frag
             frags.append(frag)
-        meta = {"algorithm": self.algorithm, "n": self.n, "initial": self.initial}
-        if self.seed is not None:
-            meta["seed"] = self.seed
-        return (f'{{"meta":{_encode(meta)},"events":[{",".join(frags)}],'
-                f'"rf":{_encode(sorted(self.rf))},"ll":{_encode(sorted(self.ll))}}}')
+        meta = self._meta_json
+        if meta is None:
+            meta = _encode(_meta(self.algorithm, self.n, self.initial, self.seed))
+        return (f'{{"meta":{meta},"events":[{",".join(frags)}],'
+                f'"rf":{_pairs_json(self.rf)},"ll":{_pairs_json(self.ll)}}}')
 
     @classmethod
     def from_obj(cls, obj: dict) -> "History":
         """Raises KeyError, TypeError or ValueError if ``obj`` is no history:
         ValueError for a field of the wrong type or an edge that is not a
-        pair of event ids."""
+        pair of event ids (ints; a bool is none)."""
         meta = obj["meta"]
         for name, types in _META_TYPES:
             _expect(meta[name], types, f"meta {name}")
@@ -285,7 +307,7 @@ class History:
         for label in ("rf", "ll"):
             for p in obj[label]:
                 if not (isinstance(p, (list, tuple)) and len(p) == 2
-                        and all(isinstance(x, int) for x in p)):
+                        and all(isinstance(x, int) and not isinstance(x, bool) for x in p)):
                     raise ValueError(f"{label} edge {p!r} is not a pair of event ids")
         h = cls(meta["algorithm"], meta["n"], meta["initial"], seed=meta.get("seed"))
         h.events = sorted(events, key=lambda e: e.id)
@@ -326,6 +348,7 @@ class HistoryRecorder:
         self._lock = threading.Lock() if threadsafe else None
         self._index: Optional[EventIndex] = None
         self._holder = None  # a weak reference to the history holding _index
+        self._meta_json = _encode(_meta(algorithm, n, self.initial, seed))
 
     def tick(self) -> int:
         if self._lock is None:
@@ -374,6 +397,7 @@ class HistoryRecorder:
         h = History(self.algorithm, self.n, self.initial, events, self._rf,
                     self._ll, seed=self.seed)
         h._keep_json = True
+        h._meta_json = self._meta_json
         if not opened:
             idx = self._own_index()
             if idx is None:
@@ -439,20 +463,23 @@ class RegOps:
     ``EventIndex.register_key_parts`` extends them to all of it: per event
     ``(invocation rank of its operation, op, input, output)``, and the
     edges into it as ``(source, target)`` trace indices, per target in
-    trace order."""
+    trace order.  ``key`` is the memo's digest of the key parts
+    (``memo.register_keys``), kept until they change."""
 
     __slots__ = ("writes", "reads", "lls", "scs", "vls", "by_memop", "trace", "keyparts",
-                 "rf_pairs", "ll_pairs")
+                 "rf_pairs", "ll_pairs", "key")
 
     def __init__(self):
         self.writes, self.reads, self.lls, self.scs, self.vls = [], [], [], [], []
         self.by_memop = {"w": self.writes, "r": self.reads, "ll": self.lls, "sc": self.scs,
                          "vl": self.vls}
         self.trace, self.keyparts, self.rf_pairs, self.ll_pairs = [], [], [], []
+        self.key = None
 
     def trim(self, k: int) -> None:
         """Keep the key parts of the first ``k`` trace events only."""
         if len(self.keyparts) > k:
+            self.key = None
             del self.keyparts[k:]
             for pairs in (self.rf_pairs, self.ll_pairs):
                 while pairs and pairs[-1][1] >= k:
@@ -489,7 +516,18 @@ class EventIndex:
     Two guards are kept as the events and edges arrive, by O(1) checks
     each (``chained``, ``traced``); ``_bad`` holds the feed positions of
     the events, rf and ll edges that broke one, with 2 when the chain
-    broke and 1 when only the register traces did."""
+    broke and 1 when only the register traces did.
+
+    So that a DFS leaf pays only for the steps past its branch point, the
+    forwarding facts are kept along the run too.  ``wa_masks`` is fed one
+    rep event at a time: per rep event, the writes whose wa step was fed
+    before it, as a bit mask over their ``abs_rank``.  What is read off one
+    operation's steps is kept per operation (``kept``) and dropped when a
+    step of it is fed or truncated, or the operation is swapped: its
+    grouping by instance (``instances``), the registers of its steps
+    (``registers``, under the guard ``laid``), and in visibility.py its
+    forward instances and an abs scan's identity virtual scan.  A kept
+    value is never changed, so what a leaf read stays as it was."""
 
     def __init__(self, h: Optional["History"] = None):
         self._h = None if h is None else weakref.ref(h)
@@ -499,6 +537,7 @@ class EventIndex:
         self.ll_src: dict[int, list[int]] = {}
         self.abs_writes: dict[int, list[Event]] = {}
         self.abs_scans: list[Event] = []
+        self.abs_events: list[Event] = []  # in the order fed, so by abs_rank
         self.wa_of: dict[int, Event] = {}
         # effectful writes per cell, in serialization (wa interval) order
         self.effectful: dict[int, list[Event]] = {}
@@ -506,7 +545,11 @@ class EventIndex:
         self.rep_pos: dict[int, int] = {}  # rep id -> its place in reps
         self.abs_rank: dict[int, int] = {}  # abs id -> its place among abs events
         self._bad: tuple = ([], [], [])
-        self._instances: dict[int, dict] = {}
+        self._kept: dict[Optional[int], dict] = {}
+        self.wa_masks: list[int] = []
+        self._wa_mask = 0  # the writes whose wa step was fed so far
+        self._unlaid: list[int] = []  # feed positions of the events that broke ``laid``
+        self._loose: list[Event] = []  # the rep events of no operation
         # what feeding needs: each abs write's cell and event, and the
         # wa_of entries that a later wa event replaced
         self._fed = [0, 0, 0]  # how many events, rf and ll edges were fed
@@ -523,7 +566,8 @@ class EventIndex:
         counts = self._fed
         pos = counts[0]
         kids, regs, reps, rep_pos = self.kids, self.regs, self.reps, self.rep_pos
-        abs_rank, bad = self.abs_rank, self._bad[0]
+        abs_rank, bad, unlaid = self.abs_rank, self._bad[0], self._unlaid
+        masks, kept = self.wa_masks, self._kept
         nreps = len(reps)
         for e in events[pos:]:
             if e.kind != REP:
@@ -531,19 +575,32 @@ class EventIndex:
                 pos += 1
                 continue
             parent = e.parent
-            if parent is not None:
-                if parent not in kids:
-                    kids[parent] = [e]
-                elif kids[parent][-1].start <= e.start:
-                    kids[parent].append(e)
-                else:
-                    insort(kids[parent], e, key=_start)
             eid, info, reg = e.id, e.info, e.object
+            base = info[0]
+            if parent is None:
+                sibs = self._loose
+            else:
+                sibs = kids.get(parent)
+                if sibs is None:
+                    sibs = kids[parent] = []
+            kept.pop(parent, None)
+            if sibs:
+                if sibs[-1].id >= eid:
+                    unlaid.append(pos)
+                if sibs[-1].start <= e.start:
+                    sibs.append(e)
+                else:
+                    insort(sibs, e, key=_start)
+            else:
+                sibs.append(e)
+            if eid in abs_rank:
+                unlaid.append(pos)
+            masks.append(self._wa_mask)
             ops = regs[reg] if reg in regs else regs.setdefault(reg, RegOps())
             if info[3] in ops.by_memop:
                 ops.by_memop[info[3]].append(e)
-            if info[0] == "wa" and parent is not None:
-                self._set_wa(e)
+            if base == "wa" and parent is not None:
+                self._set_wa(e, pos)
             # the chain: each rep event returns before the next starts; the
             # register traces: also returned, and of an operation fed before
             if not e.start <= e.end or (nreps and not reps[-1].end < e.start) or eid in rep_pos:
@@ -573,21 +630,28 @@ class EventIndex:
                 q += 1
             counts[which] = q
 
-    def _set_wa(self, e: Event) -> None:
-        """Feed ``e``, the wa event of abs write ``e.parent``."""
+    def _set_wa(self, e: Event, pos: int) -> None:
+        """Feed ``e``, the wa event of abs write ``e.parent``, at ``pos``."""
         prev = self.wa_of.get(e.parent)
         if prev is not None:
             self._wa_prev[e.id] = prev
+            self._unlaid.append(pos)
             self._unplace_effectful(e.parent)
         self.wa_of[e.parent] = e
         self._place_effectful(e.parent)
+        rank = self.abs_rank.get(e.parent)
+        if rank is not None:
+            self._wa_mask |= 1 << rank
 
     def _add_other(self, e: Event, pos: int) -> None:
         """Feed ``e``, an abs event or one of no known kind."""
         if e.kind != ABS:
             self._bad[0].append((pos, 1))
             return
+        if e.id in self.rep_pos:
+            self._unlaid.append(pos)
         self.abs_rank[e.id] = len(self.abs_rank)
+        self.abs_events.append(e)
         cell = abs_write_cell(e.op)
         if cell is not None:
             if cell not in self.abs_writes:
@@ -620,39 +684,44 @@ class EventIndex:
             if counts[which] > mark[which]:
                 counts[which] = mark[which]
         kids, regs, reps, rep_pos = self.kids, self.regs, self.reps, self.rep_pos
-        bad = self._bad[0]
+        bad, unlaid = self._bad[0], self._unlaid
         for p in range(counts[0] - 1, mark[0] - 1, -1):
             e = events[p]
             if bad and bad[-1][0] == p:
                 del bad[-1]
+            while unlaid and unlaid[-1] == p:
+                del unlaid[-1]
             if e.kind != REP:
                 self._drop_other(e)
                 continue
             parent = e.parent
-            if parent is not None:
-                sibs = kids[parent]
-                if sibs[-1] is e:
-                    del sibs[-1]
-                else:
-                    sibs.remove(e)
-                if not sibs:
-                    del kids[parent]
             eid, info, reg = e.id, e.info, e.object
+            base = info[0]
+            sibs = self._loose if parent is None else kids[parent]
+            if sibs[-1] is e:
+                del sibs[-1]
+            else:
+                sibs.remove(e)
+            self._kept.pop(parent, None)
+            if not sibs and parent is not None:
+                del kids[parent]
+            self._wa_mask = self.wa_masks.pop()
             ops = regs[reg]
             if info[3] in ops.by_memop:
                 del ops.by_memop[info[3]][-1]
             trace = ops.trace
             del trace[-1]
-            if len(ops.keyparts) > len(trace):
-                ops.trim(len(trace))
             if not trace:
                 del regs[reg]
-            if info[0] == "wa" and parent is not None:
+            if base == "wa" and parent is not None:
                 self._unset_wa(e)
             del reps[-1]
             del rep_pos[eid]
         if counts[0] > mark[0]:
             counts[0] = mark[0]
+            for ops in regs.values():
+                if len(ops.keyparts) > len(ops.trace):
+                    ops.trim(len(ops.trace))
 
     def _unset_wa(self, e: Event) -> None:
         """Undo the feed of ``e``, the wa event of abs write ``e.parent``."""
@@ -681,10 +750,10 @@ class EventIndex:
         elif e.op == "scan":
             self.abs_scans.pop()
         del self.abs_rank[e.id]
+        self.abs_events.pop()
 
     def _forget(self) -> None:
         """Drop what was read off the index and cached: it is changing."""
-        self._instances = {}
         self.__dict__.pop("eff_rank", None)
 
     def _eff_key(self, w: Event) -> tuple:
@@ -711,10 +780,13 @@ class EventIndex:
 
     def swap(self, old: Event, new: Event) -> None:
         """Hold ``new`` in place of ``old``, a recorder's abs event (no
-        parent; its id is its place) and ``new`` its copy.  What was cached
-        off the index names no abs event, so it stays."""
+        parent; its id is its place) and ``new`` its copy.  What was kept
+        for it (``kept``) goes; what else was cached off the index names no
+        abs event, so it stays."""
         if old.id >= self._fed[0]:
             return  # not fed yet
+        self._kept.pop(old.id, None)
+        self.abs_events[self.abs_rank[old.id]] = new
         write = self._writes.get(old.id)
         if write is None:
             _swapped(self.abs_scans, old, new)
@@ -745,6 +817,16 @@ class EventIndex:
         return not any(self._bad) or all(level < 2 for bad in self._bad for _, level in bad)
 
     @property
+    def laid(self) -> bool:
+        """Whether ids ascend along each operation's steps, and along the rep
+        events of no operation, no abs event has a rep event's id, and no
+        write has two wa steps.  Under ``traced`` the steps come in the order
+        fed, so ``registers`` names each operation's steps in order, its first
+        step being its step of least id, and ``wa_masks`` tell which
+        writes' ``wa_of`` step precedes each rep event."""
+        return not self._unlaid
+
+    @property
     def traced(self) -> bool:
         """``chained``, and every event is abs or rep, every rep event has
         returned and belongs to an abs operation fed before it (or none),
@@ -758,6 +840,7 @@ class EventIndex:
         ops = self.regs[reg]
         parts, trace = ops.keyparts, ops.trace
         if len(parts) < len(trace):
+            ops.key = None
             place = {e.id: k for k, e in enumerate(trace)}
             for k in range(len(parts), len(trace)):
                 e = trace[k]
@@ -776,10 +859,12 @@ class EventIndex:
     def instances(self, parent: int) -> dict:
         """The rep events of ``parent`` grouped by their @instance tag:
         ``{inst: {base: {cell: event}}}``, or ``{inst: {base: [events]}}``
-        for a base without a cell index.  Built once per parent."""
-        groups = self._instances.get(parent)
+        for a base without a cell index.  Built once per parent and kept
+        until a step of ``parent`` is fed or truncated."""
+        kept = self.kept(parent)
+        groups = kept.get("instances")
         if groups is None:
-            groups = self._instances[parent] = {}
+            groups = kept["instances"] = {}
             for e in self.kids.get(parent, ()):
                 base, i, inst, _ = e.info
                 if inst is None:
@@ -790,6 +875,28 @@ class EventIndex:
                 else:
                     g.setdefault(base, {})[i] = e
         return groups
+
+    def kept(self, parent: Optional[int]) -> dict:
+        """What readers keep for operation ``parent`` (None: for the rep
+        events of no operation) until a step of it is fed or truncated, or
+        it is swapped.  A kept value must not be changed."""
+        got = self._kept.get(parent)
+        if got is None:
+            got = self._kept[parent] = {}
+        return got
+
+    def steps(self, parent: Optional[int]) -> list[Event]:
+        """The rep events of operation ``parent`` by start; None: those of
+        no operation."""
+        return self._loose if parent is None else self.kids.get(parent, [])
+
+    def registers(self, parent: Optional[int]) -> tuple:
+        """The registers of ``steps(parent)``; kept."""
+        kept = self.kept(parent)
+        regs = kept.get("registers")
+        if regs is None:
+            regs = kept["registers"] = tuple([e.object for e in self.steps(parent)])
+        return regs
 
     def label(self, eid: int) -> str:
         """The step label of rep event ``eid``; "" if no rep event has that id."""

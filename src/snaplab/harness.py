@@ -396,16 +396,12 @@ def max_steps(d: Derived) -> dict[str, int]:
     operation's steps are its children; the first ``n`` abs events are the
     initial writes, which no thread ran."""
     out: dict[str, int] = {}
-    kids, skip = d.idx.kids, d.history.n
-    for e in d.history.events:
-        if e.kind == ABS:
-            if skip:
-                skip -= 1
-                continue
-            kind = "scan" if e.op == "scan" else "write"
-            steps = len(kids.get(e.id, ()))
-            if steps > out.get(kind, 0):
-                out[kind] = steps
+    kids = d.idx.kids
+    for e in d.idx.abs_events[d.history.n:]:
+        kind = "scan" if e.op == "scan" else "write"
+        steps = len(kids.get(e.id, ()))
+        if steps > out.get(kind, 0):
+            out[kind] = steps
     return out
 
 

@@ -46,14 +46,18 @@ register's trace is not stored.  That guard is checked along the run,
 by O(1) checks per event and edge as the recorder feeds the event index
 (``EventIndex.traced``), and the index keeps each register's trace and
 its key parts, extended to the events that lack them when a key is asked
-for: a DFS leaf pays for the events past its branch point and one digest
-per register.
+for, and the key's digest until its parts change (``RegOps.key``): a DFS
+leaf pays for the events past its branch point and one digest per
+register whose trace changed.
 
 Forwarding layer: F and F+, under the snapshot entry, keyed on
 ``forwarding_key``.  It applies where the register layer does
 (``EventIndex.traced``), to algorithms with forwarding, where the
 snapshot layer is consulted, from a behaviour's second snapshot sighting
-on, and when ``step_layout`` and ``scan_marks`` find their guards hold.  Under ``traced`` the rep events
+on, under the index's guard ``EventIndex.laid`` (ids ascend along each
+operation's steps, no abs event has a rep event's id, no write has two
+wa steps), and when ``scan_marks`` finds its guard holds.  Under
+``traced`` the rep events
 form one chain, so ≺ and returns-before between rep events are both the
 order of ``idx.reps``, and each register's trace and each operation's
 steps come in that order.  Name a rep event by its register and its index
@@ -121,6 +125,32 @@ virtual scans (``sigma_of``, S); neither is compared in ≺.  A virtual
 scan's flags are compared only with its own marks (O) and with X's
 read-likes (R), so W leaves them out.
 
+Where the forwarding key's facts come from: a DFS leaf rebuilds none of
+them from the whole history.  The index feeds them, or keeps them per
+operation until a step of that operation is fed or truncated or the
+operation is swapped (``EventIndex.kept``), so a leaf pays for the
+operations whose steps changed past its branch point:
+
+- the virtual scans: jayanti1 and jayanti2's identity ones are kept per
+  abs scan (``visibility._identity_sigmas``); jayanti3's and afek's are
+  extracted per leaf from the groupings by instance, kept per operation
+  (``EventIndex.instances``);
+- the forwarding edges: per leaf, from each b mark's rf sources and, for
+  an fsc source, its instance's fa (``EventIndex.instances``);
+- the forward instances (``forwards``, ``writes``): kept per operation
+  (``visibility._op_forwards``);
+- the step layout: the registers of each operation's steps, kept per
+  operation (``EventIndex.registers``), under ``laid``, which is fed;
+- W: per rep event, the writes whose wa step was fed before it, fed as a
+  bit mask over their invocation ranks (``EventIndex.wa_masks``) and
+  read at each r, a and b mark, for identity and extracted virtual scans
+  alike.
+
+What reads returns stays per leaf: the observation pass (``observe``),
+F.io, and the foreign- and bottom-writer facts, which only F and F+ read
+on a miss.  Kept values are never changed, so what a leaf read stays as
+it was when the DFS moves on, and a memo entry holds none of them.
+
 Witnesses: abs and virtual-scan ids are fixed by S and stored as they
 are; rep events are stored as ``(register, trace index)`` and mapped
 back.  No abs id names a rep event (guard), so the two stay apart, and
@@ -139,7 +169,7 @@ import marshal
 from typing import Callable, Optional
 
 from .checker import REGISTER_SUITES, run_suite
-from .events import ABS, INF, EventIndex
+from .events import INF, EventIndex
 from .report import SuiteResult, Violation
 from .visibility import CorruptHistory, Derived
 
@@ -165,7 +195,7 @@ def snapshot_key(d: Derived) -> Optional[bytes]:
         seen = d.observed if seen is None else tuple(seen)
     except CorruptHistory:
         return None
-    abs_events = [e for e in h.events if e.kind == ABS]
+    abs_events = idx.abs_events
     ticks = {e.start for e in abs_events}
     ticks.update(e.end for e in abs_events if e.end != INF)
     for s in sigmas:
@@ -199,10 +229,13 @@ def register_keys(d: Derived) -> Optional[dict]:
     if not idx.traced:
         return None
     keys = {}
-    for reg in idx.regs:
-        keys[reg] = _digest((reg, *idx.register_key_parts(reg)))
-        if keys[reg] is None:
-            return None
+    for reg, ops in idx.regs.items():
+        parts = idx.register_key_parts(reg)
+        if ops.key is None:  # kept while the key parts stay (``RegOps.key``)
+            ops.key = _digest((reg, *parts))
+            if ops.key is None:
+                return None
+        keys[reg] = ops.key
     return keys
 
 
@@ -226,43 +259,26 @@ def _restore(stored: list, idx: EventIndex) -> list[Violation]:
             for axiom, ws, note in stored]
 
 
-def _registers(steps) -> Optional[list]:
-    """The registers of the rep events ``steps``, or None unless their ids
-    ascend."""
-    regs, last = [], None
-    for e in steps:
-        if last is not None and e.id <= last:
-            return None
-        last = e.id
-        regs.append(e.object)
-    return regs
-
-
 def step_layout(idx: EventIndex) -> Optional[list]:
     """Per abs operation in invocation order, then for the rep events of
     no operation (a register's initial write), the registers of the steps
-    in order; None unless ids ascend along each operation's steps and no
-    abs event has a rep event's id.  ``traced``
-    must hold, so every rep event is a step of one of these."""
-    rep_pos, kids = idx.rep_pos, idx.kids
-    layout = []
-    for a in idx.abs_rank:
-        regs = None if a in rep_pos else _registers(kids.get(a, ()))
-        if regs is None:
-            return None
-        layout.append(regs)
-    regs = _registers([e for e in idx.reps if e.parent is None])
-    return None if regs is None else [*layout, regs]
+    in order, as the index keeps them (``EventIndex.registers``); None
+    unless ``laid``.  ``traced`` must hold, so every rep event is a step of
+    one of these, and their steps come in order."""
+    if not idx.laid:
+        return None
+    regs = idx.registers
+    return [*map(regs, idx.abs_rank), regs(None)]
 
 
 def scan_marks(d: Derived) -> Optional[list]:
     """Per virtual scan, the order of its own marks as ``(kind, cell)``,
-    and per r, a and b mark which writes' wa steps precede it, the writes
-    with one taken by id; None when a scan's on or off flag is no step on
-    X."""
+    and per r, a and b mark which writes' wa steps precede it, as the
+    index fed it (``EventIndex.wa_masks``: a mask over the writes'
+    invocation ranks); None when a scan's on or off flag is no step on X.
+    ``traced`` and ``laid`` must hold."""
     idx = d.idx
-    pos, reps, wa_of = idx.rep_pos, idx.reps, idx.wa_of
-    was = [pos[wa_of[w].id] for w in sorted(wa_of)]
+    pos, reps, masks = idx.rep_pos, idx.reps, idx.wa_masks
     out = []
     for s in d.sigmas:
         on, off = s.on, s.off
@@ -274,7 +290,7 @@ def scan_marks(d: Derived) -> Optional[list]:
             for i, e in marks.items():
                 p = pos[e]
                 own.append((p, kind, i))
-                before.append([q < p for q in was])
+                before.append(masks[p])
         for kind in ("on", "on_obs", "off", "off_obs"):
             e = getattr(s, kind)
             if e is not None:

@@ -301,19 +301,33 @@ def _span(h: History, ids: list[int]) -> tuple:
     return (min(e.start for e in evs), max(e.end for e in evs))
 
 
+def _identity_sigma(s: Event, steps, n: int) -> VirtualScan:
+    """Abs scan ``s`` as its own virtual scan, from its ``steps`` by start:
+    per slot the step that starts last."""
+    marks = {"r": {}, "a": {}, "b": {}}
+    flags = {"on": None, "off": None}
+    for e in steps:
+        base, i, _, _ = e.info
+        if base in marks:
+            marks[base][i] = e.id
+        elif base in flags:
+            flags[base] = e.id
+    r, a, b = marks.values()
+    on, off = flags.values()
+    complete = s.end != INF and all(i in m for m in (r, a, b) for i in range(n))
+    return VirtualScan(s.id, s.start, s.end, r, a, b, on, on, off, off, None, "B", s.id, complete)
+
+
 def _identity_sigmas(idx: EventIndex):
-    """Each abs scan is its own virtual scan."""
-    sigmas, sigma_of = [], {}
+    """Each abs scan is its own virtual scan, kept by the index until a
+    step of the scan changes (``EventIndex.kept``), so it is shared and
+    never changed."""
+    sigmas, sigma_of, n = [], {}, idx.h.n
     for s in idx.abs_scans:
-        sigma = VirtualScan(s.id, s.start, s.end, fwd_array="B", owner=s.id)
-        for e in idx.kids.get(s.id, ()):
-            base, i, _, _ = e.info
-            if base in ("r", "a", "b"):
-                getattr(sigma, base)[i] = e.id
-            elif base in ("on", "off"):
-                setattr(sigma, base, e.id)
-        sigma.on_obs, sigma.off_obs = sigma.on, sigma.off
-        sigma.complete = s.terminated and sigma.covers(idx.h.n)
+        kept = idx.kept(s.id)
+        sigma = kept.get("sigma")
+        if sigma is None:
+            sigma = kept["sigma"] = _identity_sigma(s, idx.kids.get(s.id, ()), n)
         sigmas.append(sigma)
         sigma_of[s.id] = s.id
     return sigmas, sigma_of, []
@@ -482,26 +496,62 @@ class FwdInstance:
         return [e for e in (self.fll, self.fa, self.fvl, self.fsc) if e is not None]
 
 
-def collect_forwards(idx: EventIndex) -> list[FwdInstance]:
-    """The forward instances by (parent, k), from the rep events in history
-    order.  A parent that is no abs write is kept: F+.fwdprecond reports it."""
-    found: dict[tuple, FwdInstance] = {}
-    for e in idx.reps:
+_FORWARD_STEPS = ("fll", "fa", "fvl", "fsc")
+
+
+def _op_forwards(idx: EventIndex, parent: Optional[int]) -> tuple:
+    """``(forward instances by k, first stray step, first grouped step)``
+    of operation ``parent`` (None: of the rep events of no operation), from
+    its steps by start, a label repeated within one instance going to the
+    later step; first by place in ``idx.reps``.  A stray step has no
+    operation or no instance.  Kept by the index until a step of
+    ``parent`` changes."""
+    kept = idx.kept(parent)
+    got = kept.get("forwards")
+    if got is not None:
+        return got
+    found, stray, first, pos = {}, None, None, idx.rep_pos
+    for e in idx.steps(parent):
         base, i, inst, _ = e.info
-        if base in ("fll", "fa", "fvl", "fsc"):
-            if e.parent is None or inst is None:
-                raise CorruptHistory("forward step outside an operation's instance", (e.id,))
-            if e.parent not in idx.abs_rank:
-                _parent(idx.h, e)  # raises if it names no event
-            f = found.get((e.parent, inst))
-            if f is None:
-                f = found[e.parent, inst] = FwdInstance(e.parent, i)
-            setattr(f, base, e)
-            if base in ("fll", "fsc"):
-                f.reg = e.object
+        if base not in _FORWARD_STEPS:
+            continue
+        if parent is None or inst is None:
+            if stray is None or pos[e.id] < pos[stray.id]:
+                stray = e
+            continue
+        if first is None or pos[e.id] < pos[first.id]:
+            first = e
+        f = found.get(inst)
+        if f is None:
+            f = found[inst] = FwdInstance(parent, i)
+        setattr(f, base, e)
+        if base in ("fll", "fsc"):
+            f.reg = e.object
     out = [found[k] for k in sorted(found)]
     for f in out:
         f.first = min(f.steps, key=lambda e: e.id)
+    got = kept["forwards"] = (out, stray, first)
+    return got
+
+
+def collect_forwards(idx: EventIndex) -> list[FwdInstance]:
+    """The forward instances by (parent, k), each operation's kept by the
+    index (``_op_forwards``).  A parent that is no abs write is kept:
+    F+.fwdprecond reports it.  Raises CorruptHistory at the first forward
+    step in history order that has no operation or no instance, or whose
+    operation names no event."""
+    out, faults = [], []
+    for parent in [*sorted(idx.kids), None]:
+        fwds, stray, first = _op_forwards(idx, parent)
+        out.extend(fwds)
+        if stray is not None:
+            faults.append((idx.rep_pos[stray.id], stray, True))
+        if first is not None and parent not in idx.abs_rank:
+            faults.append((idx.rep_pos[first.id], first, False))
+    for _, e, is_stray in sorted(faults, key=lambda fault: fault[0]):
+        if is_stray:
+            raise CorruptHistory("forward step outside an operation's instance", (e.id,))
+        _parent(idx.h, e)  # raises if it names no event
     return out
 
 

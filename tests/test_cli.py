@@ -239,12 +239,13 @@ def _history_text(start=1, op="a[0].r", rf=(), n=1, initial=(0,), abs_op="scan",
 
 @pytest.mark.parametrize("text", [
     '{"events": []}', "not json {", _history_text(start="a"), _history_text(op=7),
-    _history_text(rf=[[1]]), _history_text(op="x"), _history_text(op="a[z].r"),
+    _history_text(rf=[[1]]), _history_text(rf=[[False, 1]]), _history_text(op="x"),
+    _history_text(op="a[z].r"),
     _history_text(n=False, initial=()), _history_text(initial=(0, 0)),
     _history_text(abs_op="write[1]"), _history_text(register=None), _history_text(output=5),
     _history_text(output=None), _history_text(output=(0, 0)), _history_text(output="0")],
     ids=["missing-meta", "not-json", "start-not-a-number", "rep-op-not-a-string",
-         "rf-edge-not-a-pair", "rep-op-without-memop", "rep-op-cell-not-a-number",
+         "rf-edge-not-a-pair", "rf-endpoint-a-bool", "rep-op-without-memop", "rep-op-cell-not-a-number",
          "n-not-a-number", "initial-not-n-values", "write-past-the-cells",
          "rep-without-register", "scan-output-a-number", "scan-output-null",
          "scan-output-not-n-values", "scan-output-a-string"])
