@@ -8,7 +8,10 @@ and ``perfbench/snaplab_baseline``.  Reports must be equal, violation
 order included, or both runs must raise the same exception type, with
 the one exception that ``agree`` names.  Prints one JSON line per
 mismatching history, then the number of histories whose verdicts agree
-and how many violations of each axiom fired.
+and how many violations of each axiom fired, then how many of the
+agreeing histories were chained (``EventIndex.chained``: their rep-level
+closure is a ``ChainClosure``, which answers by position) and how many
+violations of each axiom fired on those.
 
 Usage: python scripts/diff_checker.py [--alg jayanti3] [--ops 40]
        [--count 2000] [--seed 1]
@@ -120,8 +123,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     fired: Counter = Counter()
+    fired_chained: Counter = Counter()
     outcomes: Counter = Counter()
-    mismatches = 0
+    mismatches = chained = 0
     for text in mutants(args.alg, args.ops, args.count, args.seed):
         ours = verdict(snaplab, text)
         theirs = verdict(snaplab_baseline, text)
@@ -130,16 +134,24 @@ def main() -> int:
             print(json.dumps({"history": json.loads(text), "snaplab": ours,
                               "baseline": theirs}))
             continue
+        is_chained = snaplab.derive(snaplab.History.from_json(text)).idx.chained
+        chained += is_chained
         if isinstance(ours, str):
             outcomes[f"raised {ours}"] += 1
             continue
         outcomes["failed" if any(not s["pass"] for s in ours["suites"].values())
                  else "passed"] += 1
-        fired.update(v["axiom"] for s in ours["suites"].values() for v in s["violations"])
+        axioms = [v["axiom"] for s in ours["suites"].values() for v in s["violations"]]
+        fired.update(axioms)
+        if is_chained:
+            fired_chained.update(axioms)
     print(f"{args.count - mismatches}/{args.count} agree ({args.alg}, {args.ops} ops per "
           f"thread, seed {args.seed}): " +
           ", ".join(f"{n} {k}" for k, n in sorted(outcomes.items())))
     for axiom, n in sorted(fired.items()):
+        print(f"  {axiom:18} {n}")
+    print(f"{chained} of the {args.count - mismatches} agreeing histories chained; fired on those:")
+    for axiom, n in sorted(fired_chained.items()):
         print(f"  {axiom:18} {n}")
     return 1 if mismatches else 0
 

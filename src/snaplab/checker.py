@@ -1,12 +1,15 @@
 """Executable axiom suites over a recorded history.
 
 Each failure carries the witnesses instantiating the axiom's quantifiers.
-Axioms over the happens-before closure ≺ read its successor bitmasks: a
-list of events becomes one mask over closure positions, so "w ≺ x for
+Axioms over the happens-before closure ≺ ask it for node sets
+(``hb.nodes``): a list of events that answers which members follow a node
+or lie between two, always as list indices, ascending.  The general
+closure holds the list as one mask over closure positions, so "w ≺ x for
 some listed x" is one AND, and a list that ≺ orders totally (a chain) is
-walked in chain order.  Where a fast test cannot rule a violation out, the
-pairs are enumerated in list order, so reports keep the order of a direct
-enumeration.
+walked in chain order; the rep-level closure of a chained history
+(``ChainClosure``) holds the members' places sorted and bisects them.
+Where a fast test cannot rule a violation out, the pairs are enumerated
+in list order, so reports keep the order of a direct enumeration.
 
 V.1 (a ≺+ b never with a = b or b returning before a) is a corollary of
 the closure: such a pair closes a cycle in returns-before ∪ edges, and
@@ -21,18 +24,19 @@ successful windows and the write-likes totally):
   L4.1  O(G) consecutive tests when the successful SCs form a chain;
         else, or when a test fails, the pairs are enumerated.
   L4.2  one O(log W) binary search per window when the write-likes form a
-        chain; else O(W) mask tests per window.
+        chain (``hb.preceding``: over their successor masks, or their
+        places in a ChainClosure); else O(W) ≺ tests per window.
   L4.3  O(P log P) while few windows overlap: each window tests the few
         candidates that no other candidate returns before, with one
         O(log G) binary search per LL when the successful windows form one
-        chain, or two masks over the successful pairs (O(G) per event)
+        chain, or O(G) ≺ tests over the successful pairs per event
         when they do not.  If a tested candidate fails, or an LL starts no
         earlier than its SC, the window's candidates are enumerated, O(P)
         each.
   M+.llobsparent  O(k) per pair: only the k LLs of the SC's own parent
         operation can intervene.
 
-L4.2 and L4.3 skip that set-up on registers with at most _FEW write-likes
+L4.2 and L4.3 skip that set-up on registers with at most FEW write-likes
 or closed SC pairs, and test each.  Suites:
 
   RB   event and history structure (see check_rb)
@@ -47,15 +51,15 @@ or closed SC pairs, and test each.  Suites:
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import partial
 from typing import Iterable, Optional
 
 from .events import INF, REP, abs_write_cell, returns_before, validate_history
 from .linearize import lin_verdict
 from .report import CheckReport, SuiteResult, Violation
-from .visibility import SIGNATURES, CorruptHistory, Derived, ForwardingFacts, HbClosure, \
-    bits, cached, prec_closure_pairs, rules_for
+from .visibility import FEW, SIGNATURES, CorruptHistory, Derived, ForwardingFacts, HbClosure, \
+    NodeSet, prec_closure_pairs, rules_for
 
 SUITES = ("RB", "M", "M+", "L", "F", "F+", "S", "CHAIN")
 
@@ -110,69 +114,7 @@ def _rep_closure(d: Derived, out: list):
         raise
 
 
-_FEW = 8  # up to this many candidates, testing each beats building a chain
-
-
-class _Nodes:
-    """A list of closure nodes held as a mask over closure positions, so
-    that a successor set meets the whole list in one step."""
-
-    def __init__(self, hb: HbClosure, ids: list[int]):
-        self.hb = hb
-        self.ids = ids
-        self.index: dict[int, list[int]] = {}  # closure position -> list indices
-        for k, eid in enumerate(ids):
-            self.index.setdefault(hb.pos[eid], []).append(k)
-        self.mask = 0
-        for p in self.index:
-            self.mask |= 1 << p
-
-    @cached
-    def chain(self) -> Optional[list[int]]:
-        """The list indices in ≺ order if ≺ orders the list totally, else
-        None.  In an acyclic closure k nodes are totally ordered exactly
-        when their successor counts within the list are 0..k-1."""
-        counts = [(self.hb.succ_mask(eid) & self.mask).bit_count() for eid in self.ids]
-        if sorted(counts) != list(range(len(self.ids))):
-            return None
-        return sorted(range(len(self.ids)), key=counts.__getitem__, reverse=True)
-
-    @cached
-    def rank(self) -> dict[int, int]:
-        """Node id -> place in the chain (empty without a chain)."""
-        return {self.ids[k]: r for r, k in enumerate(self.chain or ())}
-
-    def members(self, m: int) -> list[int]:
-        """Indices k, ascending, of the listed nodes whose positions are in m."""
-        ks = [k for p in bits(m) for k in self.index[p]]
-        ks.sort()
-        return ks
-
-    def after(self, a: int) -> list[int]:
-        """Indices k, ascending, of the listed nodes x with a ≺ x."""
-        return self.members(self.hb.succ_mask(a) & self.mask)
-
-    def between(self, a: int, b: int) -> list[int]:
-        """Indices k, ascending, of the listed nodes x with a ≺ x ≺ b."""
-        hb = self.hb
-        m = hb.succ_mask(a) & self.mask
-        # a few candidates are tested directly; many are walked along the
-        # chain, which stops at the first one that misses b
-        r = self.rank.get(a) if m.bit_count() > _FEW else None
-        if r is None:
-            return [k for k in self.members(m) if hb.hb(self.ids[k], b)]
-        chain = self.chain
-        ks: list[int] = []
-        for i in range(r + 1, len(chain)):
-            k = chain[i]
-            if not hb.hb(self.ids[k], b):
-                break  # every later node succeeds this one, so misses b too
-            ks.append(k)
-        ks.sort()
-        return ks
-
-
-def _check_between(nodes: _Nodes, w: int, reader: int, axiom: str, note: str,
+def _check_between(nodes: NodeSet, w: int, reader: int, axiom: str, note: str,
                    out: list) -> None:
     """M.nowrbetween, M+.nowrbetween, S.2: no listed write lies between the
     observed write ``w`` and its ``reader``.  ≺ is irreflexive, so neither
@@ -181,7 +123,7 @@ def _check_between(nodes: _Nodes, w: int, reader: int, axiom: str, note: str,
         _viol(out, axiom, (w, nodes.ids[k], reader), note)
 
 
-def _check_total(nodes: _Nodes, axiom: str, note: str, out: list) -> None:
+def _check_total(nodes: NodeSet, axiom: str, note: str, out: list) -> None:
     """M.wrtotal, M+.wrtotal, S.4: ≺ orders the listed events totally."""
     if nodes.chain is not None:
         return
@@ -198,7 +140,7 @@ def check_areg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     """M on the plain register ``reg``."""
     idx = d.idx
     h = d.history
-    wnodes = _Nodes(hb, [w.id for w in ops.writes])
+    wnodes = hb.nodes([w.id for w in ops.writes])
     stale = f"stale read of {reg}"
     for r in ops.reads:
         srcs = idx.rf_src.get(r.id, [])
@@ -217,7 +159,7 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     idx = d.idx
     h = d.history
     wc = idx.write_likes(reg)
-    wcnodes = _Nodes(hb, [e.id for e in wc])
+    wcnodes = hb.nodes([e.id for e in wc])
     stale = f"stale read of {reg}"
     for r in idx.read_likes(reg):
         srcs = idx.rf_src.get(r.id, [])
@@ -261,12 +203,6 @@ def check_llreg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
 
 # -- L ------------------------------------------------------------------------
 
-def _prefix_len(masks: list[int], p: int) -> int:
-    """How many of masks hold bit p, given that those holding it come first,
-    as the successor masks of a ≺-chain in chain order do."""
-    return bisect_left(masks, True, key=lambda m: not m >> p & 1)
-
-
 def check_llsc_reg(d: Derived, hb: HbClosure, reg: str, ops, out: list) -> None:
     """L on the LL/SC register ``reg``."""
     idx = d.idx
@@ -294,7 +230,7 @@ def _check_l41(hb: HbClosure, good: list, out: list) -> Optional[list]:
     consecutive test fails, the pairs are enumerated."""
     if len(good) < 2:
         return good
-    scs = _Nodes(hb, [c.id for _, c in good])
+    scs = hb.nodes([c.id for _, c in good])
     if scs.chain is not None:
         chain = [good[k] for k in scs.chain]
         if all(hb.hb(c.id, l2) for (_, c), (l2, _) in zip(chain, chain[1:])):
@@ -316,20 +252,19 @@ def _check_l42(hb: HbClosure, wc: list, windows: list, out: list) -> None:
     does not reach c: one binary search per window."""
     if not windows:
         return
-    wnodes = _Nodes(hb, [w.id for w in wc]) if len(wc) > _FEW else None
+    wnodes = hb.nodes([w.id for w in wc]) if len(wc) > FEW else None
     if wnodes is None or wnodes.chain is None:
-        reach = [(w.id, hb.succ_mask(w.id)) for w in wc]
         for l, c in windows:
-            pl, pc = hb.pos[l], hb.pos[c.id]
-            if not any(not m >> pl & 1 and (w == c.id or m >> pc & 1) for w, m in reach):
+            if not any(not hb.hb(w.id, l) and (w.id == c.id or hb.hb(w.id, c.id)) for w in wc):
                 _viol(out, "L4.2", (l, c.id), "no write-like event inside the LL..SC/VL window")
         return
-    masks = [hb.succ_mask(wc[k].id) for k in wnodes.chain]
+    chain = [wc[k].id for k in wnodes.chain]
+    preceding = hb.preceding(chain)
     for l, c in windows:
         if c.id in wnodes.rank:
             continue
-        k = _prefix_len(masks, hb.pos[l])
-        if k == len(masks) or not masks[k] >> hb.pos[c.id] & 1:
+        k = preceding(l)
+        if k == len(chain) or not hb.hb(chain[k], c.id):
             _viol(out, "L4.2", (l, c.id), "no write-like event inside the LL..SC/VL window")
 
 
@@ -356,12 +291,12 @@ def _check_l43(hb: HbClosure, plain: list, closed: list, good: list,
     if len(closed) < 2:
         return
     if chain is not None:
-        lmasks = [hb.succ_mask(l3) for l3, _ in chain]
+        preceding = hb.preceding([l3 for l3, _ in chain])
         first_after: dict[int, Optional[int]] = {}  # l -> c3 of the first good pair past l
 
         def holds(l: int, c2: int) -> bool:
             if l not in first_after:
-                j = _prefix_len(lmasks, hb.pos[l])
+                j = preceding(l)
                 first_after[l] = chain[j][1].id if j < len(chain) else None
             c3 = first_after[l]
             return c3 is not None and (c3 == c2 or hb.hb(c3, c2))
@@ -381,7 +316,7 @@ def _check_l43(hb: HbClosure, plain: list, closed: list, good: list,
                 _viol(out, "L4.3", (l, c.id, l2, c2.id),
                       "no successful pair within consecutive LL/SC windows")
 
-    if len(closed) <= _FEW or any(c.start <= le.start for _, c, le in closed):
+    if len(closed) <= FEW or any(c.start <= le.start for _, c, le in closed):
         for l, c, le in closed:
             enumerate_candidates(l, c, mutation(le))
         return
@@ -427,7 +362,7 @@ def check_snapshot_suite(d: Derived, out: list) -> None:
             if not any(h.event(w).input == s.output[i] for w in ws):
                 _viol(out, "S.1", (s.id,),
                       f"scan output at cell {i} matches no observed write")
-    eff_nodes = {cell: _Nodes(hb, [w.id for w in ws]) for cell, ws in idx.effectful.items()}
+    eff_nodes = {cell: hb.nodes([w.id for w in ws]) for cell, ws in idx.effectful.items()}
     for w, s in sorted(sv.rf_pairs):
         cell = abs_write_cell(h.event(w).op)
         if cell in eff_nodes:
@@ -589,19 +524,17 @@ def check_mwforwarding_suite(d: Derived, out: list) -> None:
             _viol(out, "F+.scruniq", (e,), f"unexpected bottom writer of {reg}")
     # sconuniq: observing the phase flag == being inside the on..off window
     x_reads = idx.read_likes("X") if "X" in idx.regs else []
-    x_at, observers = {}, {}  # closure position -> k; rf source -> mask of its X observers
+    x_nodes = rhb.nodes([x.id for x in x_reads])
+    observers: dict[int, set] = {}  # rf source -> the indices of its X observers
     for k, x in enumerate(x_reads):
-        p = rhb.pos[x.id]
-        x_at[p] = k
         for src in idx.rf_src.get(x.id, ()):
-            observers[src] = observers.get(src, 0) | 1 << p
-    x_mask = sum(1 << p for p in x_at)
+            observers.setdefault(src, set()).add(k)
     for sigma in sigmas:
         on, off = sigma.on, sigma.off
         if on is None or off is None or not x_reads:
             continue
-        inside = rhb.succ_mask(on) & ~rhb.succ_mask(off) & x_mask
-        for k in sorted(x_at[p] for p in bits(inside ^ observers.get(on, 0))):
+        inside = x_nodes.window(on, off)
+        for k in sorted(observers.get(on, set()).symmetric_difference(inside)):
             _viol(out, "F+.sconuniq", (sigma.id, on, x_reads[k].id),
                   "phase observation disagrees with the on..off window")
     # scan structure chain: r < on rf= on_obs < a < off rf= off_obs < b

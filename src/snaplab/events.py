@@ -82,12 +82,13 @@ class Event:
     def encode(self) -> str:
         """``to_record()`` as compact JSON, the bytes ``json.dumps`` gives.
         The fields that are ints or strings in every recorded history are
-        written inline; any other value goes through ``_value``."""
-        eid, kind, start, end, parent, obj = \
-            self.id, self.kind, self.start, self.end, self.parent, self.object
+        written inline, and an op that ``rep_op`` made is encoded once; any
+        other value goes through ``_value``."""
+        eid, kind, op, start, end, parent, obj = \
+            self.id, self.kind, self._op, self.start, self.end, self.parent, self.object
         return (f'{{"id":{eid if type(eid) is int else _value(eid)},'
                 f'"kind":{_encode_str(kind) if type(kind) is str else _value(kind)},'
-                f'"op":{_value(self._op)},"input":{_value(self.input)},'
+                f'"op":{_OP_JSON.get(op) or _value(op)},"input":{_value(self.input)},'
                 f'"output":{"null" if self.output is _ABSENT else _value(self.output)},'
                 f'"start":{start if type(start) is int else _value(start)},'
                 f'"end":{end if type(end) is int else _INF_JSON if end == INF else _value(end)},'
@@ -141,8 +142,9 @@ def _meta(algorithm: str, n: int, initial: list, seed) -> dict:
 
 def _value(v) -> str:
     """``v`` as ``json.dumps`` writes it, with fast paths for exact ints,
-    strings, None, bools and lists of exact ints (a scan's output); every
-    other value goes through the encoder."""
+    strings, None, bools and flat lists of those but strings (a scan's
+    output, a jayanti3 register value); every other value goes through
+    the encoder."""
     t = type(v)
     if t is int:
         return int.__repr__(v)
@@ -152,8 +154,19 @@ def _value(v) -> str:
         return "null"
     if t is bool:
         return "true" if v else "false"
-    if t is list and all(type(x) is int for x in v):
-        return f"[{','.join(map(int.__repr__, v))}]"
+    if t is list:
+        parts = []
+        for x in v:
+            tx = type(x)
+            if tx is int:
+                parts.append(int.__repr__(x))
+            elif tx is bool:
+                parts.append("true" if x else "false")
+            elif x is None:
+                parts.append("null")
+            else:
+                return _encode(v)
+        return f"[{','.join(parts)}]"
     return _encode(v)
 
 
@@ -187,6 +200,7 @@ def parse_rep_op(op: str) -> tuple[str, Optional[int], Optional[int], str]:
 
 # memop -> step label -> (op text, parse)
 _REP_OPS: dict[str, dict] = {memop: {} for memop in ("w", "r", "ll", "sc", "vl")}
+_OP_JSON: dict[str, str] = {}  # op text -> its JSON string, for each op rep_op made
 
 
 def rep_op(label, memop: str) -> tuple[str, tuple]:
@@ -205,6 +219,7 @@ def rep_op(label, memop: str) -> tuple[str, tuple]:
             got = (base + ("" if cell is None else f"[{cell}]")
                    + ("" if inst is None else f"@{inst}") + "." + memop, (*label, memop))
         made[label] = got
+        _OP_JSON[got[0]] = _encode_str(got[0])
     return got
 
 

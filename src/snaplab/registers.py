@@ -24,6 +24,9 @@ from .algorithms import LL, R, SC, UPD, VL, W
 from .events import REP, UNIT, HistoryRecorder, rep_op
 
 
+_UNLOCKED = nullcontext()  # the lock of a cell that has none; reusable
+
+
 class UsageError(Exception):
     """SC/VL issued without a pairing LL by the same thread."""
 
@@ -99,7 +102,7 @@ class Memory:
         rec = self.recorder
         op, info = rep_op(label, text)
         writes = memop == W or memop == UPD
-        with cell.lock or nullcontext():
+        with cell.lock or _UNLOCKED:
             if memop == UPD:
                 value = value(cell.value)
             ev = rec.begin(REP, op, value if writes or memop == SC else None, parent, name, info)

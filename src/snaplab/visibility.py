@@ -9,7 +9,7 @@ returns-before itself is quadratic.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -167,6 +167,18 @@ class HbClosure:
     def succ_mask(self, a: int) -> int:
         return self._reach[self.pos[a]]
 
+    def nodes(self, ids: list[int]) -> "NodeSet":
+        """The listed nodes as a set that successor queries meet at once."""
+        return NodeSet(self, ids)
+
+    def preceding(self, chain: list[int]) -> Callable[[int], int]:
+        """For nodes that ≺ orders as listed: x -> how many of them ≺ x.
+        Those come first, so one binary search over their successor masks
+        finds how many hold x's bit."""
+        masks = [self._reach[self.pos[a]] for a in chain]
+        pos = self.pos
+        return lambda x: bisect_left(masks, True, key=lambda m, p=pos[x]: not m >> p & 1)
+
     def pairs(self) -> Iterable[tuple[int, int]]:
         for k, eid in enumerate(self.ids):
             for j in bits(self._reach[k]):
@@ -192,30 +204,144 @@ class ChainClosure(HbClosure):
     """The closure of events that each return before the next starts,
     under edges that all point forward in that order (``pos[id]`` is the
     place of ``id``): each node reaches exactly the later ones.  (Simulator
-    rep events, which run one at a time; ``EventIndex.chained``.)  It
-    keeps copies of the two, which a recorder's index changes later, and
-    builds nothing else before it is read."""
+    rep events, which run one at a time; ``EventIndex.chained``.)  So
+    every query is answered from places: ``hb`` compares two, a node set
+    (``ChainNodes``) and ``preceding`` bisect sorted ones, and no successor
+    mask is built (``succ_mask`` is the general closure's alone).  It keeps
+    copies of the two, which a recorder's index changes later, and builds
+    nothing else before it is read."""
 
     def __init__(self, events: list, pos: dict[int, int]):
         self._events = events[:]
         self.pos = dict(pos)
         self.n = len(events)
-        self._full = (1 << self.n) - 1
         self._forward = True
 
     @cached
     def ids(self) -> list[int]:
         return [e.id for e in self._events]
 
-    @cached
-    def _reach(self) -> list[int]:
-        return [self._full ^ ((2 << k) - 1) for k in range(self.n)]
-
     def hb(self, a: int, b: int) -> bool:
         return self.pos[a] < self.pos[b]
 
-    def succ_mask(self, a: int) -> int:
-        return self._full ^ ((2 << self.pos[a]) - 1)
+    def nodes(self, ids: list[int]) -> "ChainNodes":
+        return ChainNodes(self, ids)
+
+    def preceding(self, chain: list[int]) -> Callable[[int], int]:
+        places = [self.pos[a] for a in chain]  # ascending, as chain is ordered
+        pos = self.pos
+        return lambda x: bisect_left(places, pos[x])
+
+    def pairs(self) -> Iterable[tuple[int, int]]:
+        ids = self.ids
+        for k, eid in enumerate(ids):
+            for later in ids[k + 1:]:
+                yield (eid, later)
+
+
+# -- node sets ----------------------------------------------------------------
+
+FEW = 8  # up to this many candidates, testing each beats building a chain
+
+
+class NodeSet:
+    """A list of closure nodes held as a mask over closure positions, so
+    that a successor set meets the whole list in one step.  Queries answer
+    with list indices, ascending.  (``ChainClosure.nodes`` gives the
+    positional ``ChainNodes`` instead.)"""
+
+    def __init__(self, hb: HbClosure, ids: list[int]):
+        self.hb = hb
+        self.ids = ids
+        self.index: dict[int, list[int]] = {}  # closure position -> list indices
+        for k, eid in enumerate(ids):
+            self.index.setdefault(hb.pos[eid], []).append(k)
+        self.mask = 0
+        for p in self.index:
+            self.mask |= 1 << p
+
+    @cached
+    def chain(self) -> Optional[list[int]]:
+        """The list indices in ≺ order if ≺ orders the list totally, else
+        None.  In an acyclic closure k nodes are totally ordered exactly
+        when their successor counts within the list are 0..k-1."""
+        counts = [(self.hb.succ_mask(eid) & self.mask).bit_count() for eid in self.ids]
+        if sorted(counts) != list(range(len(self.ids))):
+            return None
+        return sorted(range(len(self.ids)), key=counts.__getitem__, reverse=True)
+
+    @cached
+    def rank(self) -> dict[int, int]:
+        """Node id -> place in the chain (empty without a chain)."""
+        return {self.ids[k]: r for r, k in enumerate(self.chain or ())}
+
+    def _members(self, m: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes whose positions are in m."""
+        ks = [k for p in bits(m) for k in self.index[p]]
+        ks.sort()
+        return ks
+
+    def after(self, a: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes x with a ≺ x."""
+        return self._members(self.hb.succ_mask(a) & self.mask)
+
+    def window(self, a: int, b: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes x with a ≺ x, not b ≺ x."""
+        hb = self.hb
+        return self._members(hb.succ_mask(a) & ~hb.succ_mask(b) & self.mask)
+
+    def between(self, a: int, b: int) -> list[int]:
+        """Indices k, ascending, of the listed nodes x with a ≺ x ≺ b."""
+        hb = self.hb
+        m = hb.succ_mask(a) & self.mask
+        # a few candidates are tested directly; many are walked along the
+        # chain, which stops at the first one that misses b
+        r = self.rank.get(a) if m.bit_count() > FEW else None
+        if r is None:
+            return [k for k in self._members(m) if hb.hb(self.ids[k], b)]
+        chain = self.chain
+        ks: list[int] = []
+        for i in range(r + 1, len(chain)):
+            k = chain[i]
+            if not hb.hb(self.ids[k], b):
+                break  # every later node succeeds this one, so misses b too
+            ks.append(k)
+        ks.sort()
+        return ks
+
+
+class ChainNodes(NodeSet):
+    """A ``NodeSet`` of a ``ChainClosure``, held as its members' places,
+    sorted: x ≺ y is pos[x] < pos[y], so the members after a node, or
+    between two, are one slice found by bisection.  The list is a chain
+    unless it names a node twice."""
+
+    def __init__(self, hb: ChainClosure, ids: list[int]):
+        self.hb = hb
+        self.ids = ids
+        places = [hb.pos[eid] for eid in ids]
+        self._order = sorted(range(len(ids)), key=places.__getitem__)  # indices by place
+        self._places = [places[k] for k in self._order]  # ascending
+
+    @cached
+    def chain(self) -> Optional[list[int]]:
+        ps = self._places
+        if any(p == q for p, q in zip(ps, ps[1:])):
+            return None  # a node listed twice: no total order among the entries
+        return self._order
+
+    def after(self, a: int) -> list[int]:
+        return sorted(self._order[bisect_right(self._places, self.hb.pos[a]):])
+
+    def window(self, a: int, b: int) -> list[int]:
+        pos, places = self.hb.pos, self._places
+        return sorted(self._order[bisect_right(places, pos[a]):bisect_right(places, pos[b])])
+
+    def between(self, a: int, b: int) -> list[int]:
+        pos, places = self.hb.pos, self._places
+        i = bisect_right(places, pos[a])
+        j = bisect_left(places, pos[b], i)
+        return sorted(self._order[i:j]) if i < j else []
 
 
 def prec_closure_pairs(node_ids: list[int], edges: list[tuple[int, int]]):
